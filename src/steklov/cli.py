@@ -25,7 +25,6 @@ from .branches import (
 from .crossings import aux_inequalities, solve_crossing, solve_t10
 from .dtn import OracleProblem, assemble_dtn, closed_form_sigma, convergence_study
 from .exceptions import SteklovError
-from .jacobi import jacobi_eigenvalues
 from .mesh import MeshFormat, export_mesh
 from .surfaces import FamilyKind, make_family, verify_identities
 
@@ -114,6 +113,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise SteklovError(f"grid must look like 160x160, got {text!r}") from exc
 
 
+def _parse_ints(text: str, option: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise SteklovError(
+            f"{option} must be comma-separated integers, got {text!r}"
+        ) from exc
+
+
+def _require_positive(value: int, option: str) -> None:
+    if value < 1:
+        raise SteklovError(f"{option} must be >= 1, got {value}")
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -159,7 +172,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_sweep(args) -> int:
     kind = _kind(args.kind)
-    j_list = sorted({int(j) for j in args.j.split(",")})
+    j_list = sorted(set(_parse_ints(args.j, "--j")))
+    _require_positive(j_list[0], "--j")
     if args.steps < 2:
         raise SteklovError(f"steps must be >= 2, got {args.steps}")
     if not 0.0 < args.t_min < args.t_max:
@@ -188,6 +202,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crossings(args) -> int:
     kind = _kind(args.kind)
+    _require_positive(args.max_mode, "--max-mode")
     records = []
     if kind is SurfaceKind.MOBIUS_BAND:
         for k in range(1, args.max_mode + 1):
@@ -324,7 +339,7 @@ def _cmd_surface(args) -> int:
     family = FamilyKind(args.family)
     fam = make_family(family, m=args.m, n=args.n)
     n_t, n_theta = _parse_grid(args.grid)
-    projection = tuple(int(p) for p in args.projection.split(","))
+    projection = tuple(_parse_ints(args.projection, "--projection"))
     mesh = export_mesh(
         fam, n_t, n_theta, MeshFormat(args.format), args.out, projection=projection
     )
@@ -339,8 +354,13 @@ def _cmd_oracle(args) -> int:
     kind = _kind(args.kind)
     n_t, n_theta = _parse_grid(args.grid)
     problem = OracleProblem(kind=kind, T=args.T, grid=(n_t, n_theta))
+    if not 1 <= args.count <= problem.boundary_size:
+        raise SteklovError(
+            f"--count must be between 1 and {problem.boundary_size}"
+            f" (the operator size), got {args.count}"
+        )
     dtn = assemble_dtn(problem)
-    eigs = jacobi_eigenvalues(dtn.entries)[: args.count]
+    eigs = np.linalg.eigvalsh(dtn.entries)[: args.count]
     exact = closed_form_sigma(kind, args.T, 1.0, max(args.count - 1, 1))
     payload = {
         "kind": args.kind,
@@ -475,6 +495,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    _require_positive(args.max_mode, "--max-mode")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines = []
     failed = 0

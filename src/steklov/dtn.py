@@ -4,7 +4,9 @@ This is the independent numerical check on every closed-form eigenvalue: a
 second-order 5-point discretization of the flat Laplacian, one harmonic
 extension solve per boundary node (direct sparse factorization, reused
 across columns), a one-sided second-order normal derivative, and a dense
-Jacobi eigensolve of the resulting boundary operator.
+LAPACK eigensolve (``numpy.linalg.eigvalsh``) of the resulting boundary
+operator.  SciPy's sparse modules are imported on the first assembly, so
+``import steklov`` does not load them.
 
 The quotient surface is discretized on the fundamental domain [0, T] x S^1:
 the stencil at the seam row t = 0 reaches across to the node shifted by half
@@ -18,12 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .branches import SurfaceKind, spectrum
 from .exceptions import DomainError
-from .jacobi import jacobi_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,12 @@ class OracleProblem:
         if self.boundary_weight <= 0.0:
             raise DomainError("boundary weight must be positive")
 
+    @property
+    def boundary_size(self) -> int:
+        """Boundary node count: both circles of the annulus, one of the band."""
+        n_theta = self.grid[1]
+        return n_theta if self.kind is SurfaceKind.MOBIUS_BAND else 2 * n_theta
+
 
 @dataclass(frozen=True)
 class DtNMatrix:
@@ -56,126 +61,73 @@ class DtNMatrix:
         object.__setattr__(self, "size", self.entries.shape[0])
 
 
-def _theta_laplacian(n_theta: int, h_theta: float) -> sp.csr_matrix:
-    main = -2.0 * np.ones(n_theta)
-    off = np.ones(n_theta)
-    D = sp.diags([off[:-1], main, off[:-1]], [-1, 0, 1], format="lil")
-    D[0, n_theta - 1] = 1.0
-    D[n_theta - 1, 0] = 1.0
-    return (D / (h_theta * h_theta)).tocsr()
+def _stencil(p: OracleProblem):
+    """The 5-point Laplacian on the unknown nodes and its boundary coupling.
 
-
-def _assemble_annulus(p: OracleProblem):
+    Returns COO triplets of the Laplacian, the dense coupling ``C`` of the
+    boundary nodes into the rows next to them, the index of the first interior
+    node and h_t.  Interior row i (1 <= i <= n_t - 1)
+    holds nodes ``offset + (i - 1) * n_theta + j``.  The annulus has both
+    circles as boundary; the quotient has one, at i = n_t, and puts its
+    n_theta / 2 seam nodes (t = 0) first.
+    """
     n_t, n_theta = p.grid
-    h_t = 2.0 * p.T / n_t
+    mobius = p.kind is SurfaceKind.MOBIUS_BAND
+    h_t = (p.T if mobius else 2.0 * p.T) / n_t
     h_theta = 2.0 * math.pi / n_theta
-    n_i = n_t - 1
-
-    Dtt = sp.diags(
-        [np.ones(n_i - 1), -2.0 * np.ones(n_i), np.ones(n_i - 1)], [-1, 0, 1]
-    ) / (h_t * h_t)
-    Dthth = _theta_laplacian(n_theta, h_theta)
-    L = sp.kron(Dtt, sp.identity(n_theta)) + sp.kron(sp.identity(n_i), Dthth)
-
-    n_b = 2 * n_theta
-    C = sp.lil_matrix((n_i * n_theta, n_b))
-    for j in range(n_theta):
-        C[j, j] = 1.0 / (h_t * h_t)  # interior row 1 <- bottom boundary
-        C[(n_i - 1) * n_theta + j, n_theta + j] = 1.0 / (h_t * h_t)
-    return L.tocsc(), C.tocsc(), h_t, n_theta, n_b
-
-
-def _assemble_mobius(p: OracleProblem):
-    n_t, n_theta = p.grid
-    h_t = p.T / n_t
-    h_theta = 2.0 * math.pi / n_theta
-    n_half = n_theta // 2
-    n_unknown = n_half + (n_t - 1) * n_theta
-
-    def sid(j):
-        return np.asarray(j) % n_half
-
-    def rid(i, j):
-        return n_half + (i - 1) * n_theta + (np.asarray(j) % n_theta)
-
-    rows, cols, vals = [], [], []
     inv_t2 = 1.0 / (h_t * h_t)
     inv_th2 = 1.0 / (h_theta * h_theta)
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64).ravel())
-        cols.append(np.asarray(c, dtype=np.int64).ravel())
-        vals.append(np.broadcast_to(v, rows[-1].shape).astype(float).ravel())
-
-    # seam row: the t = -h_t neighbour is the half-turn shifted node at t = +h_t
-    s = np.arange(n_half)
-    add(s, s, -2.0 * inv_t2 - 2.0 * inv_th2)
-    add(s, sid(s + 1), inv_th2)
-    add(s, sid(s - 1), inv_th2)
-    add(s, rid(1, s), inv_t2)
-    add(s, rid(1, s + n_half), inv_t2)
-
+    n_half = n_theta // 2
+    offset = n_half if mobius else 0
+    n_b = p.boundary_size
+    centre = -2.0 * inv_t2 - 2.0 * inv_th2
+    node = offset + np.arange((n_t - 1) * n_theta).reshape(n_t - 1, n_theta)
     j = np.arange(n_theta)
-    for i in range(1, n_t):
-        me = rid(i, j)
-        add(me, me, -2.0 * inv_t2 - 2.0 * inv_th2)
-        add(me, rid(i, j + 1), inv_th2)
-        add(me, rid(i, j - 1), inv_th2)
-        if i == 1:
-            add(me, sid(j), inv_t2)
-        else:
-            add(me, rid(i - 1, j), inv_t2)
-        if i < n_t - 1:
-            add(me, rid(i + 1, j), inv_t2)
 
-    L = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
-    ).tocsc()
-
-    C = sp.lil_matrix((n_unknown, n_theta))
-    for jj in range(n_theta):
-        C[rid(n_t - 1, jj), jj] = inv_t2
-    return L, C.tocsc(), h_t, n_theta, n_theta
+    rows = [node, node, node, node[1:], node[:-1]]
+    cols = [node, np.roll(node, -1, axis=1), np.roll(node, 1, axis=1), node[:-1], node[1:]]
+    vals = [centre, inv_th2, inv_th2, inv_t2, inv_t2]
+    C = np.zeros((offset + node.size, n_b))
+    C[node[-1], n_b - n_theta + j] = inv_t2
+    if mobius:
+        # seam row: the t = -h_t neighbour is the half-turn shifted node at t = +h_t
+        s = np.arange(n_half)
+        rows += [node[0], s, s, s, s, s]
+        cols += [j % n_half, s, (s + 1) % n_half, (s - 1) % n_half]
+        cols += [node[0, s], node[0, s + n_half]]
+        vals += [inv_t2, centre, inv_th2, inv_th2, inv_t2, inv_t2]
+    else:
+        C[node[0], j] = inv_t2
+    triplets = (
+        np.concatenate([np.full(r.size, v) for r, v in zip(rows, vals)]),
+        np.concatenate([r.ravel() for r in rows]),
+        np.concatenate([c.ravel() for c in cols]),
+    )
+    return triplets, C, offset, h_t
 
 
 def assemble_dtn(p: OracleProblem) -> DtNMatrix:
     """Assemble the dense boundary operator by harmonic extension columns."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    (vals, rows, cols), C, offset, h_t = _stencil(p)
+    n_t, n_theta = p.grid
+    n_b = p.boundary_size
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(C.shape[0],) * 2).tocsc()
+    # interior values of each boundary basis extension, one t-row per slab
+    U = -splu(L).solve(C)[offset:].reshape(n_t - 1, n_theta, n_b)
+
+    eye = np.eye(n_b)
+    scale = 2.0 * h_t * p.boundary_weight
+    A = (3.0 * eye[-n_theta:] - 4.0 * U[-1] + U[-2]) / scale
     if p.kind is SurfaceKind.ANNULUS:
-        L, C, h_t, n_theta, n_b = _assemble_annulus(p)
-    else:
-        L, C, h_t, n_theta, n_b = _assemble_mobius(p)
-
-    lu = splu(L)
-    U = -lu.solve(C.toarray())  # interior values of each boundary basis extension
-
-    n_t = p.grid[0]
-    f = p.boundary_weight
-    A = np.zeros((n_b, n_b))
-    if p.kind is SurfaceKind.ANNULUS:
-        n_i = n_t - 1
-        row = lambda i: U[(i - 1) * n_theta : i * n_theta, :]  # noqa: E731
-        eye_bottom = np.zeros((n_theta, n_b))
-        eye_bottom[:, :n_theta] = np.eye(n_theta)
-        eye_top = np.zeros((n_theta, n_b))
-        eye_top[:, n_theta:] = np.eye(n_theta)
-        A[:n_theta, :] = (3.0 * eye_bottom - 4.0 * row(1) + row(2)) / (2.0 * h_t * f)
-        A[n_theta:, :] = (3.0 * eye_top - 4.0 * row(n_i) + row(n_i - 1)) / (
-            2.0 * h_t * f
-        )
-    else:
-        n_half = n_theta // 2
-
-        def row(i):
-            return U[n_half + (i - 1) * n_theta : n_half + i * n_theta, :]
-
-        A[:, :] = (3.0 * np.eye(n_theta) - 4.0 * row(n_t - 1) + row(n_t - 2)) / (
-            2.0 * h_t * f
-        )
+        bottom = (3.0 * eye[:n_theta] - 4.0 * U[0] + U[1]) / scale
+        A = np.vstack([bottom, A])
 
     sym = 0.5 * (A + A.T)
     asym = float(np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300))
-    weights = np.full(n_b, 2.0 * math.pi / n_theta * f)
+    weights = np.full(n_b, 2.0 * math.pi / n_theta * p.boundary_weight)
     return DtNMatrix(entries=sym, weights=weights, asymmetry=asym)
 
 
@@ -189,9 +141,11 @@ def rayleigh_quotient(dtn: DtNMatrix, data: np.ndarray) -> float:
 
 def oracle_spectrum(p: OracleProblem, count: int) -> np.ndarray:
     """Smallest `count` eigenvalues of the discrete boundary operator."""
-    dtn = assemble_dtn(p)
-    eigs = jacobi_eigenvalues(dtn.entries)
-    return eigs[:count]
+    if not 1 <= count <= p.boundary_size:
+        raise DomainError(
+            f"count must be between 1 and {p.boundary_size} (the operator size), got {count}"
+        )
+    return np.linalg.eigvalsh(assemble_dtn(p).entries)[:count]
 
 
 def closed_form_sigma(kind: SurfaceKind, T: float, f: float, count: int) -> np.ndarray:

@@ -219,6 +219,91 @@ def test_usage_errors_exit_one(capsys):
     )
 
 
+def _assert_one_error_line(code, out, err):
+    assert code == EXIT_USAGE
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("max_mode", ["0", "-2"])
+def test_crossings_rejects_nonpositive_max_mode(capsys, max_mode):
+    _assert_one_error_line(
+        *_run(capsys, "crossings", "--kind", "mobius", "--max-mode", max_mode)
+    )
+
+
+@pytest.mark.parametrize("j", ["x", "1,,2", "0"])
+def test_sweep_rejects_bad_indices(capsys, j):
+    _assert_one_error_line(
+        *_run(capsys, "sweep", "--kind", "annulus", "--j", j, "--steps", "3")
+    )
+
+
+def test_surface_rejects_bad_projection(capsys, tmp_path):
+    _assert_one_error_line(
+        *_run(
+            capsys,
+            "surface",
+            "--family",
+            "mobius",
+            "--m",
+            "2",
+            "--n",
+            "1",
+            "--grid",
+            "4x4",
+            "--projection",
+            "a",
+            "--out",
+            str(tmp_path / "band.obj"),
+        )
+    )
+    assert not (tmp_path / "band.obj").exists()
+
+
+def test_verify_rejects_nonpositive_max_mode(capsys):
+    _assert_one_error_line(*_run(capsys, "verify", "--suite", "lemmas", "--max-mode", "0"))
+
+
+@pytest.mark.parametrize("count", ["-3", "0", "17", "40"])
+def test_oracle_rejects_count_outside_operator(capsys, count):
+    # an 8x8 annulus has 16 boundary nodes
+    _assert_one_error_line(
+        *_run(
+            capsys,
+            "oracle",
+            "--kind",
+            "annulus",
+            "--T",
+            "1.0",
+            "--grid",
+            "8x8",
+            "--count",
+            count,
+        )
+    )
+
+
+def test_oracle_full_count(capsys):
+    code, out, _ = _run(
+        capsys,
+        "oracle",
+        "--kind",
+        "mobius",
+        "--T",
+        "0.7",
+        "--grid",
+        "8x8",
+        "--count",
+        "8",
+        "--json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert len(payload["eigenvalues"]) == len(payload["closed_form"]) == 8
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     import steklov.cli as cli
 

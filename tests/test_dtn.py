@@ -1,10 +1,15 @@
 """Discrete Dirichlet-to-Neumann oracle against the closed-form branches."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklov
 from steklov.branches import SurfaceKind
 from steklov.dtn import (
     OracleProblem,
@@ -37,6 +42,7 @@ def test_assembly_symmetric(kind, T):
     assert dtn.asymmetry <= 1e-12
     assert np.array_equal(dtn.entries, dtn.entries.T)
     assert dtn.size == (80 if kind is AN else 40)
+    assert dtn.size == OracleProblem(kind=kind, T=T, grid=(40, 40)).boundary_size
     assert np.all(dtn.weights > 0.0)
 
 
@@ -84,6 +90,67 @@ def test_mobius_parity_filter():
     assert np.max(np.abs(eigs[1:] - exact)) <= 2e-2
     # mode 1 cosh-branch value tanh(T) must NOT appear (wrong parity)
     assert np.min(np.abs(eigs - math.tanh(T))) > 0.1
+
+
+def _scheme_spectrum(kind, T, grid):
+    """Every eigenvalue of the discrete operator, one theta-mode at a time.
+
+    In theta-mode q the 5-point scheme reduces to the recurrence
+    u[i+1] - 2 u[i] + u[i-1] = h_t^2 s_q u[i] with the discrete symbol
+    s_q = 4/h_theta^2 sin^2(q h_theta / 2).  Its solutions are cosh(kappa t)
+    and sinh(kappa t) (1 and t when q = 0) with sinh(kappa h_t / 2) =
+    h_t sqrt(s_q) / 2, and the eigenvalue is the one-sided second-order
+    derivative of that profile at the boundary over its boundary value.
+    The annulus takes both profiles; the quotient keeps cosh for even q
+    and sinh for odd q.  Modes 0 and n_theta/2 are simple, the rest double.
+    """
+    n_t, n_theta = grid
+    h = (T if kind is MB else 2.0 * T) / n_t
+    h_theta = 2.0 * math.pi / n_theta
+    values = []
+    for q in range(n_theta // 2 + 1):
+        kappa = 2.0 / h * math.asinh(h / h_theta * math.sin(q * h_theta / 2.0))
+        even = lambda t: math.cosh(kappa * t)  # noqa: E731
+        odd = (lambda t: math.sinh(kappa * t)) if q else (lambda t: t)  # noqa: E731
+        if kind is AN:
+            profiles = (even, odd)
+        else:
+            profiles = (odd,) if q % 2 else (even,)
+        for phi in profiles:
+            sigma = (3.0 * phi(T) - 4.0 * phi(T - h) + phi(T - 2.0 * h)) / (2.0 * h * phi(T))
+            values += [sigma] * (1 if q in (0, n_theta // 2) else 2)
+    return np.sort(values)
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (7, 10), (40, 40)])
+@pytest.mark.parametrize("kind,T", [(AN, 1.3), (MB, 0.7)])
+def test_spectrum_matches_exact_scheme(kind, T, grid):
+    # pins every stencil row (seam, first and last interior rows) to the
+    # scheme itself, far below the discretization error
+    problem = OracleProblem(kind=kind, T=T, grid=grid)
+    exact = _scheme_spectrum(kind, T, grid)
+    assert exact.size == problem.boundary_size
+    count = min(7, problem.boundary_size)
+    eigs = oracle_spectrum(problem, count)
+    assert abs(eigs[0]) <= 1e-10  # constant mode
+    np.testing.assert_allclose(eigs[1:], exact[1:count], rtol=1e-9)
+
+
+@pytest.mark.parametrize("count", [0, -3, 17])
+def test_oracle_spectrum_rejects_bad_count(count):
+    with pytest.raises(DomainError):
+        oracle_spectrum(OracleProblem(kind=AN, T=1.0, grid=(8, 8)), count)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the oracle imports scipy.sparse on its first assembly, not at import
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, steklov, steklov.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_boundary_weight_scales_eigenvalues():
