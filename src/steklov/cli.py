@@ -597,6 +597,10 @@ def run(argv=None) -> int:
     except SteklovError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except OSError as exc:
+        target = exc.filename if exc.filename is not None else "output"
+        sys.stderr.write(f"error: cannot write {target}: {exc.strerror or exc}\n")
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -10,8 +10,8 @@ coordinates; CSV always carries the full coordinates.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +19,10 @@ import numpy as np
 
 from .exceptions import DomainError
 from .surfaces import ImmersionFamily, evaluate
+
+# Rows formatted per write call: bounds the size of each formatted string, so
+# peak memory does not grow with the mesh.
+_BLOCK_ROWS = 4096
 
 
 class MeshFormat(Enum):
@@ -35,23 +39,17 @@ class SurfaceMesh:
 
     @property
     def euler_characteristic(self) -> int:
-        edges = set()
-        for a, b, c in self.faces:
-            for e in ((a, b), (b, c), (c, a)):
-                edges.add((min(e), max(e)))
-        return len(self.vertices) - len(edges) + len(self.faces)
+        n_vertices = len(self.vertices)
+        edges, _ = _edge_counts(self.faces, n_vertices)
+        return n_vertices - len(edges) + len(self.faces)
 
     def boundary_loops(self) -> int:
         """Count closed loops of edges that belong to exactly one face."""
-        from collections import Counter, defaultdict
-
-        count: Counter = Counter()
-        for a, b, c in self.faces:
-            for e in ((a, b), (b, c), (c, a)):
-                count[(min(e), max(e))] += 1
-        boundary = [e for e, n in count.items() if n == 1]
+        n_vertices = len(self.vertices)
+        edges, counts = _edge_counts(self.faces, n_vertices)
+        boundary = edges[counts == 1]
         adj = defaultdict(list)
-        for a, b in boundary:
+        for a, b in zip((boundary // n_vertices).tolist(), (boundary % n_vertices).tolist()):
             adj[a].append(b)
             adj[b].append(a)
         seen = set()
@@ -70,54 +68,47 @@ class SurfaceMesh:
         return loops
 
 
+def _edge_counts(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct undirected edges, keyed lo * n_vertices + hi, with face counts."""
+    following = np.roll(faces, -1, axis=1)  # edges (a, b), (b, c), (c, a)
+    lo = np.minimum(faces, following).ravel()
+    hi = np.maximum(faces, following).ravel()
+    return np.unique(lo * n_vertices + hi, return_counts=True)
+
+
 def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:
     if n_t < 3 or n_theta < 3:
         raise DomainError("grid must be at least 3x3")
     if fam.is_quotient and n_theta % 2 != 0:
         raise DomainError("the half-turn weld requires an even theta count")
     T = fam.T_star
+    th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    # vertex id of grid node (i, j) for j = 0..n_theta; column n_theta is the
+    # seam, welded to column 0
+    i = np.arange(n_t + 1)[:, None]
+    j = np.arange(n_theta + 1)[None, :] % n_theta
 
     if fam.is_quotient:
+        # row 0 is the core circle: (0, th) ~ (0, th + pi) leaves half a row
         half = n_theta // 2
-        t_vals = np.linspace(0.0, T, n_t + 1)
-        th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-
-        def vid(i: int, j: int) -> int:
-            j %= n_theta
-            if i == 0:
-                return j % half
-            return half + (i - 1) * n_theta + j
-
-        params = [(0.0, th_vals[j]) for j in range(half)]
-        params += [
-            (t_vals[i], th_vals[j])
-            for i in range(1, n_t + 1)
-            for j in range(n_theta)
-        ]
+        vid = half + (i - 1) * n_theta + j
+        vid[0] = j[0] % half
+        core = np.column_stack([np.zeros(half), th_vals[:half]])
+        t_rows = np.linspace(0.0, T, n_t + 1)[1:]
     else:
-        t_vals = np.linspace(-T, T, n_t + 1)
-        th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+        vid = i * n_theta + j
+        core = np.empty((0, 2))
+        t_rows = np.linspace(-T, T, n_t + 1)
+    rows = np.column_stack([np.repeat(t_rows, n_theta), np.tile(th_vals, len(t_rows))])
+    params = np.concatenate([core, rows])
 
-        def vid(i: int, j: int) -> int:
-            return i * n_theta + (j % n_theta)
-
-        params = [
-            (t_vals[i], th_vals[j]) for i in range(n_t + 1) for j in range(n_theta)
-        ]
-
-    params = np.array(params)
     vertices = evaluate(fam, params[:, 0], params[:, 1])[0]
 
-    faces = []
-    for i in range(n_t):
-        for j in range(n_theta):
-            v00 = vid(i, j)
-            v01 = vid(i, j + 1)
-            v10 = vid(i + 1, j)
-            v11 = vid(i + 1, j + 1)
-            faces.append((v00, v01, v11))
-            faces.append((v00, v11, v10))
-    return SurfaceMesh(vertices=vertices, faces=np.array(faces), params=params)
+    # two triangles per cell (i, j), cells in row-major order
+    v00, v01 = vid[:-1, :-1], vid[:-1, 1:]
+    v10, v11 = vid[1:, :-1], vid[1:, 1:]
+    faces = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
+    return SurfaceMesh(vertices=vertices, faces=faces, params=params)
 
 
 def export_mesh(
@@ -144,25 +135,27 @@ def export_mesh(
     return mesh
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
+def _write_rows(fh, template: str, rows: np.ndarray) -> None:
+    """Write ``template % row`` for each row, a block of rows per write."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_csv(mesh: SurfaceMesh, path: str, dim: int) -> None:
+    # the dialect of csv.writer: comma-separated, \r\n line ends; numbers
+    # never need quoting
     header = ["t", "theta"] + [f"x{i + 1}" for i in range(dim)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for (t, th), x in zip(mesh.params, mesh.vertices):
-            writer.writerow([_fmt(t), _fmt(th)] + [_fmt(v) for v in x])
+        fh.write(",".join(header) + "\r\n")
+        rows = np.concatenate([mesh.params, mesh.vertices], axis=1)
+        _write_rows(fh, ",".join(["%.17g"] * (2 + dim)) + "\r\n", rows)
 
 
 def _write_obj(pts: np.ndarray, faces: np.ndarray, path: str) -> None:
     with open(path, "w") as fh:
-        for x, y, z in pts:
-            fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
-        for a, b, c in faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", pts)
+        _write_rows(fh, "f %d %d %d\n", faces + 1)
 
 
 def _write_ply(pts: np.ndarray, faces: np.ndarray, path: str) -> None:
@@ -172,7 +165,5 @@ def _write_ply(pts: np.ndarray, faces: np.ndarray, path: str) -> None:
         fh.write("property double x\nproperty double y\nproperty double z\n")
         fh.write(f"element face {len(faces)}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for x, y, z in pts:
-            fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
-        for a, b, c in faces:
-            fh.write(f"3 {a} {b} {c}\n")
+        _write_rows(fh, "%.17g %.17g %.17g\n", pts)
+        _write_rows(fh, "3 %d %d %d\n", faces)

@@ -241,19 +241,33 @@ def _grids(fam: ImmersionFamily, n_t: int, n_theta: int):
     return t, theta, wt, wth
 
 
-def boundary_constraint_residual(
+def _boundary_sums(
     fam: ImmersionFamily, sample: QFormSample, n_theta: int = 512
-) -> float:
-    """Integral of h evaluated on the unit boundary tangent, over the boundary."""
+) -> tuple[float, float, float]:
+    """Rectangle-rule integrals over both boundary circles t = -T*, T*.
+
+    With f = |du/dt| the boundary length element, returns the integrals of
+    h_thetatheta / f, of |h_thetatheta| / f and of f.
+    """
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     wth = 2.0 * math.pi / n_theta
-    total = 0.0
+    signed = absolute = length = 0.0
     for t_side in (-fam.T_star, fam.T_star):
         tt = np.full_like(theta, t_side)
         _, ut, _ = evaluate(fam, tt, theta)
         f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
-        total += float(np.sum(sample.h_thetatheta(tt, theta) / f) * wth)
-    return total
+        h = sample.h_thetatheta(tt, theta)
+        signed += float(np.sum(h / f) * wth)
+        absolute += float(np.sum(np.abs(h) / f) * wth)
+        length += float(np.sum(f) * wth)
+    return signed, absolute, length
+
+
+def boundary_constraint_residual(
+    fam: ImmersionFamily, sample: QFormSample, n_theta: int = 512
+) -> float:
+    """Integral of h evaluated on the unit boundary tangent, over the boundary."""
+    return _boundary_sums(fam, sample, n_theta)[0]
 
 
 def q_form_components(
@@ -270,8 +284,7 @@ def q_form_components(
     Steklov eigenvalue of the induced metric; for an admissible h the sum
     over components must vanish.
     """
-    residual = boundary_constraint_residual(fam, sample)
-    scale = _constraint_scale(fam, sample)
+    residual, scale, _ = _boundary_sums(fam, sample)
     if abs(residual) > constraint_tol * (scale + 1.0):
         raise ConstraintError(
             f"variation violates the boundary length constraint: {residual:.3e}"
@@ -323,18 +336,6 @@ def q_form_sum(
     return float(np.sum(q_form_components(fam, sample, n_t, n_theta, constraint_tol)))
 
 
-def _constraint_scale(fam: ImmersionFamily, sample: QFormSample, n_theta: int = 512) -> float:
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    wth = 2.0 * math.pi / n_theta
-    total = 0.0
-    for t_side in (-fam.T_star, fam.T_star):
-        tt = np.full_like(theta, t_side)
-        _, ut, _ = evaluate(fam, tt, theta)
-        f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
-        total += float(np.sum(np.abs(sample.h_thetatheta(tt, theta)) / f) * wth)
-    return total
-
-
 def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     """Project a variation onto the fixed-boundary-length constraint.
 
@@ -342,15 +343,8 @@ def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     pairing unchanged (the stress-energy tensor is trace-free) and shifts the
     boundary integral to zero.
     """
-    numerator = boundary_constraint_residual(fam, sample)
-    theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    wth = 2.0 * math.pi / 512
-    denom = 0.0
-    for t_side in (-fam.T_star, fam.T_star):
-        tt = np.full_like(theta, t_side)
-        _, ut, _ = evaluate(fam, tt, theta)
-        denom += float(np.sum(np.sqrt(np.einsum("...i,...i->...", ut, ut))) * wth)
-    alpha = numerator / denom
+    numerator, _, length = _boundary_sums(fam, sample)
+    alpha = numerator / length
 
     def f2_of(t, th):
         _, ut, _ = evaluate(fam, t, th, check_domain=False)
@@ -418,24 +412,20 @@ def injectivity_scan(
     th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     dth = th_vals[1] - th_vals[0]
 
-    params = np.array([(tv, thv) for tv in t_vals for thv in th_vals])
+    params = np.column_stack([np.repeat(t_vals, n_theta), np.tile(th_vals, n_t)])
     pts = evaluate(fam, params[:, 0], params[:, 1])[0]
 
     tree = cKDTree(pts)
     edge = _min_image_edge(fam, t_vals, th_vals)
     threshold = separation_tol * edge
-    pairs = tree.query_pairs(threshold, output_type="ndarray")
-    injective = True
-    for i, j in pairs:
-        if not _params_adjacent(fam, params[i], params[j], dt, dth):
-            injective = False
-            break
+    pairs = tree.query_pairs(threshold, output_type="ndarray").reshape(-1, 2)
+    injective = bool(
+        np.all(_params_adjacent(fam, params[pairs[:, 0]], params[pairs[:, 1]], dt, dth))
+    )
 
-    min_sep = math.inf
     dists, idx = tree.query(pts, k=2)
-    for p, (dist, other) in enumerate(zip(dists[:, 1], idx[:, 1])):
-        if not _params_adjacent(fam, params[p], params[other], dt, dth):
-            min_sep = min(min_sep, float(dist))
+    apart = ~_params_adjacent(fam, params, params[idx[:, 1]], dt, dth)
+    min_sep = float(np.min(dists[apart, 1])) if np.any(apart) else math.inf
     return InjectivityReport(
         injective=injective,
         covering_degree=1,
@@ -453,19 +443,21 @@ def _min_image_edge(fam: ImmersionFamily, t_vals, th_vals) -> float:
     return float(min(np.min(d_t), np.min(d_th)))
 
 
-def _params_adjacent(fam, p, q, dt, dth) -> bool:
-    def close(a, b):
-        ddt = abs(a[0] - b[0])
-        ddth = abs(a[1] - b[1]) % (2.0 * math.pi)
-        ddth = min(ddth, 2.0 * math.pi - ddth)
-        return ddt <= 1.5 * dt and ddth <= 1.5 * dth
+def _params_adjacent(fam, p, q, dt, dth) -> np.ndarray:
+    """Row by row: are (t, theta) rows p and q grid neighbours, up to the seam
+    and, on the quotient, the half-turn identification?"""
 
-    if close(p, q):
-        return True
+    def close(a, b):
+        ddt = np.abs(a[:, 0] - b[:, 0])
+        ddth = np.abs(a[:, 1] - b[:, 1]) % (2.0 * math.pi)
+        ddth = np.minimum(ddth, 2.0 * math.pi - ddth)
+        return (ddt <= 1.5 * dt) & (ddth <= 1.5 * dth)
+
+    adjacent = close(p, q)
     if fam.is_quotient:
-        mirrored = (-q[0], (q[1] + math.pi) % (2.0 * math.pi))
-        return close(p, mirrored)
-    return False
+        mirrored = np.column_stack([-q[:, 0], (q[:, 1] + math.pi) % (2.0 * math.pi)])
+        adjacent |= close(p, mirrored)
+    return adjacent
 
 
 def radial_monotonicity_margin(fam: ImmersionFamily, n_samples: int = 200) -> float:

@@ -262,6 +262,42 @@ def test_surface_rejects_bad_projection(capsys, tmp_path):
     assert not (tmp_path / "band.obj").exists()
 
 
+def _unwritable_paths(tmp_path, name):
+    # a file in a missing directory, and an existing directory
+    return [tmp_path / "missing" / name, tmp_path]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["missing-dir", "directory"])
+def test_sweep_unwritable_out_exits_one(capsys, tmp_path, which):
+    path = _unwritable_paths(tmp_path, "sweep.csv")[which]
+    code, out, err = _run(
+        capsys, "sweep", "--kind", "annulus", "--j", "1", "--steps", "3", "--out", str(path)
+    )
+    _assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["missing-dir", "directory"])
+def test_surface_unwritable_out_exits_one(capsys, tmp_path, which):
+    path = _unwritable_paths(tmp_path, "band.obj")[which]
+    code, out, err = _run(
+        capsys,
+        "surface",
+        "--family",
+        "mobius",
+        "--m",
+        "2",
+        "--n",
+        "1",
+        "--grid",
+        "4x4",
+        "--out",
+        str(path),
+    )
+    _assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_verify_rejects_nonpositive_max_mode(capsys):
     _assert_one_error_line(*_run(capsys, "verify", "--suite", "lemmas", "--max-mode", "0"))
 

@@ -1,11 +1,14 @@
 """Mesh construction, topology invariants, and export formats."""
 
 import csv
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from steklov import mesh as mesh_module
 from steklov.exceptions import DomainError
 from steklov.mesh import MeshFormat, build_mesh, export_mesh
 from steklov.surfaces import annulus_b4, catenoid_b3, evaluate, mobius_b4
@@ -105,8 +108,6 @@ def test_projection_choice(tmp_path):
 def test_boundary_loops_vertex_counts():
     # annulus boundary loops have n_theta vertices each; Mobius has one loop
     # of 2*n_theta edges worth of boundary (single circle of length 2 pi f)
-    from collections import Counter
-
     mesh = build_mesh(mobius_b4(2, 1), 16, 32)
     count = Counter()
     for a, b, c in mesh.faces:
@@ -114,3 +115,114 @@ def test_boundary_loops_vertex_counts():
             count[(min(e), max(e))] += 1
     boundary_edges = [e for e, n in count.items() if n == 1]
     assert len(boundary_edges) == 32
+
+
+# sha256 of exports taken from per-value format(x, ".17g") writers (csv.writer
+# for CSV); the block writers must reproduce them byte for byte.  The digests
+# depend on the libm behind NumPy's cosh/sin; these were taken on x86-64 Linux.
+_FAMILIES = {
+    "catenoid2": lambda: catenoid_b3(2),
+    "catenoid1": lambda: catenoid_b3(1),
+    "annulus32": lambda: annulus_b4(3, 2),
+    "mobius21": lambda: mobius_b4(2, 1),
+}
+_EXPORT_SHA256 = [
+    ("catenoid2", (8, 16), (0, 1, 2), {
+        "obj": "a4505253b92e82b788e4d1a0fedd67add2930ed52c0f7ac6ece38b9d931fd33e",
+        "ply": "a48d20431bf4300b857afba3d92a9d823a84a569faf64b2fd635081fade29403",
+        "csv": "7fc86dfc5ec443d74a61fd315addb88a31bd304278005d5dc8c7950db44a849e",
+    }),
+    ("annulus32", (8, 16), (0, 1, 3), {
+        "obj": "c54113dd243165023a2097b898cda2ceb30e2518ed6deeae152f0574c65384d4",
+        "ply": "3f590f7bb06e5508a9d5e808ff1b923e80197a08485c08b85eee32cc9f0f8db0",
+        "csv": "0bc927c9ff6d60dd3b4eb82eab759995f82f5d832457f3a8a19aece7f5fc1235",
+    }),
+    ("mobius21", (8, 16), (0, 1, 2), {
+        "obj": "1a65abd578611170d0941dea5b1e56db1f730ef0faa4ee4f9b4cf3d3d3a1fd04",
+        "ply": "8786bdbcd27adce8bc14aef9eeb0333cf6e43dd239dbd42a8a4bfbfaac77283f",
+        "csv": "e30878709186a82f620e56a7c07e5e5a152b8457ae6eb43276c361c8b2451233",
+    }),
+    # 8320 vertex rows and 16384 face rows: several writer blocks
+    ("catenoid1", (64, 128), (0, 1, 2), {
+        "obj": "c60fdb8462e89a6abeafb9ee69ae0b899a5328633d72c279b94be7330f6bf020",
+        "ply": "c88cd98346c3edc9cf0ea0e1d5cec7233988ca9391b7775209dde3b40e7999b5",
+        "csv": "90537147eb54c3f1bd787cb9d6c783049e77a1e8fad8ebdb9dd5e0e6efd049c3",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "name, grid, projection, digests",
+    _EXPORT_SHA256,
+    ids=[f"{case[0]}-{case[1][0]}x{case[1][1]}" for case in _EXPORT_SHA256],
+)
+@pytest.mark.parametrize("fmt", list(MeshFormat), ids=lambda f: f.value)
+def test_export_bytes_pinned(tmp_path, name, grid, projection, digests, fmt):
+    path = tmp_path / f"mesh.{fmt.value}"
+    export_mesh(_FAMILIES[name](), *grid, fmt, str(path), projection=projection)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[fmt.value]
+
+
+def test_pinned_exports_span_several_blocks():
+    n_t, n_theta = _EXPORT_SHA256[-1][1]
+    assert (n_t + 1) * n_theta > 2 * mesh_module._BLOCK_ROWS
+
+
+def _reference_faces(n_t, n_theta, quotient):
+    # the cell-by-cell construction: two triangles per cell, seam column
+    # welded to column 0, the Mobius core row welded through the half turn
+    half = n_theta // 2
+
+    def vid(i, j):
+        j %= n_theta
+        if not quotient:
+            return i * n_theta + j
+        return j % half if i == 0 else half + (i - 1) * n_theta + j
+
+    faces = []
+    for i in range(n_t):
+        for j in range(n_theta):
+            v00, v01 = vid(i, j), vid(i, j + 1)
+            v10, v11 = vid(i + 1, j), vid(i + 1, j + 1)
+            faces += [(v00, v01, v11), (v00, v11, v10)]
+    return faces
+
+
+def _reference_topology(faces, n_vertices):
+    """Euler characteristic and boundary loop count from a per-face edge count."""
+    count = Counter()
+    for a, b, c in faces:
+        for e in ((a, b), (b, c), (c, a)):
+            count[(min(e), max(e))] += 1
+    parent = list(range(n_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    boundary = [e for e, k in count.items() if k == 1]
+    for a, b in boundary:
+        parent[root(a)] = root(b)
+    loops = len({root(v) for e in boundary for v in e})
+    return n_vertices - len(count) + len(faces), loops
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [catenoid_b3(2), annulus_b4(3, 2), mobius_b4(2, 1), mobius_b4(8, 3)],
+    ids=["catenoid2", "annulus32", "mobius21", "mobius83"],
+)
+@pytest.mark.parametrize("grid", [(3, 4), (5, 6), (9, 20)])
+def test_topology_matches_per_face_count(fam, grid):
+    mesh = build_mesh(fam, *grid)
+    faces = _reference_faces(*grid, fam.is_quotient)
+    assert mesh.faces.tolist() == [list(f) for f in faces]
+    euler, loops = _reference_topology(faces, len(mesh.vertices))
+    assert mesh.euler_characteristic == euler
+    assert mesh.boundary_loops() == loops
+    if not (fam.is_quotient and grid[1] < 6):
+        # a 4-column Mobius grid welds its core into a 2-gon, which is not a
+        # surface; every other grid is a band with chi = 0
+        assert euler == 0
+        assert loops == (1 if fam.is_quotient else 2)

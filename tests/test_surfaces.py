@@ -22,6 +22,7 @@ from steklov.surfaces import (
     radial_monotonicity_margin,
     verify_identities,
 )
+from steklov.surfaces import _params_adjacent
 
 FAMILIES = [
     catenoid_b3(1),
@@ -211,6 +212,36 @@ def test_annulus_mirror_double_cover_detected():
 def test_injectivity_annulus_coprime_opposite_parity():
     report = injectivity_scan(annulus_b4(3, 2))
     assert report.injective
+
+
+def _adjacent_pointwise(fam, p, q, dt, dth):
+    # one pair at a time: neighbours across the theta seam and, on the
+    # quotient, across the half-turn identification
+    def close(a, b):
+        ddth = abs(a[1] - b[1]) % (2.0 * math.pi)
+        ddth = min(ddth, 2.0 * math.pi - ddth)
+        return abs(a[0] - b[0]) <= 1.5 * dt and ddth <= 1.5 * dth
+
+    if close(p, q):
+        return True
+    return fam.is_quotient and close(p, (-q[0], (q[1] + math.pi) % (2.0 * math.pi)))
+
+
+@pytest.mark.parametrize("fam", [annulus_b4(3, 2), mobius_b4(4, 1)], ids=["annulus", "mobius"])
+def test_params_adjacent_matches_pointwise(fam):
+    rng = np.random.default_rng(7)
+    T, dt, dth = fam.T_star, fam.T_star / 12, 2.0 * math.pi / 24
+    p = np.column_stack([rng.uniform(-T, T, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)])
+    # partners near p, near the seam image of p, and near its mirror image
+    shift = np.column_stack([rng.normal(0, 1.5 * dt, 4000), rng.normal(0, 1.5 * dth, 4000)])
+    q = p + shift
+    q[1000:2000, 1] += 2.0 * math.pi
+    q[2000:3000] = np.column_stack([-q[2000:3000, 0], q[2000:3000, 1] + math.pi])
+    q[:, 1] %= 2.0 * math.pi
+    expected = [_adjacent_pointwise(fam, a, b, dt, dth) for a, b in zip(p, q)]
+    got = _params_adjacent(fam, p, q, dt, dth)
+    assert got.tolist() == expected
+    assert 0 < sum(expected) < len(expected)
 
 
 def test_radial_monotonicity():
