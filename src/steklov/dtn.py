@@ -1,12 +1,14 @@
 """Discrete Dirichlet-to-Neumann oracle on the flat cylinder and its quotient.
 
 This is the independent numerical check on every closed-form eigenvalue: a
-second-order 5-point discretization of the flat Laplacian, one harmonic
-extension solve per boundary node (direct sparse factorization, reused
-across columns), a one-sided second-order normal derivative, and a dense
-LAPACK eigensolve (``numpy.linalg.eigvalsh``) of the resulting boundary
-operator.  SciPy's sparse modules are imported on the first assembly, so
-``import steklov`` does not load them.
+second-order 5-point discretization of the flat Laplacian, a one-sided
+second-order normal derivative, and a dense LAPACK eigensolve
+(``numpy.linalg.eigvalsh``) of the resulting boundary operator.  The scheme
+commutes with rotation in theta, so the harmonic extension is solved one
+theta-Fourier mode at a time: each mode is a tridiagonal system in t, all
+modes go into one banded solve, and each block of the operator is the
+circulant of its per-mode symbol.  ``scipy.linalg`` is imported on the first
+assembly, so ``import steklov`` does not load it.
 
 The quotient surface is discretized on the fundamental domain [0, T] x S^1:
 the stencil at the seam row t = 0 reaches across to the node shifted by half
@@ -33,6 +35,10 @@ class OracleProblem:
     boundary_weight: float = 1.0  # conformal factor at the boundary
 
     def __post_init__(self):
+        if len(self.grid) != 2 or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.grid
+        ):
+            raise DomainError(f"grid must be two integers (n_t, n_theta), got {self.grid!r}")
         n_t, n_theta = self.grid
         if self.T <= 0.0 or not math.isfinite(self.T):
             raise DomainError(f"modulus must be positive and finite, got {self.T}")
@@ -40,8 +46,9 @@ class OracleProblem:
             raise DomainError(f"grid too coarse: {self.grid}")
         if n_theta % 2 != 0:
             raise DomainError("n_theta must be even (half-turn shift must be on-grid)")
-        if self.boundary_weight <= 0.0:
-            raise DomainError("boundary weight must be positive")
+        w = self.boundary_weight
+        if not (w > 0.0 and math.isfinite(w)):
+            raise DomainError(f"boundary weight must be positive and finite, got {w}")
 
     @property
     def boundary_size(self) -> int:
@@ -61,69 +68,51 @@ class DtNMatrix:
         object.__setattr__(self, "size", self.entries.shape[0])
 
 
-def _stencil(p: OracleProblem):
-    """The 5-point Laplacian on the unknown nodes and its boundary coupling.
+def assemble_dtn(p: OracleProblem) -> DtNMatrix:
+    """Assemble the dense boundary operator one theta-Fourier mode at a time.
 
-    Returns COO triplets of the Laplacian, the dense coupling ``C`` of the
-    boundary nodes into the rows next to them, the index of the first interior
-    node and h_t.  Interior row i (1 <= i <= n_t - 1)
-    holds nodes ``offset + (i - 1) * n_theta + j``.  The annulus has both
-    circles as boundary; the quotient has one, at i = n_t, and puts its
-    n_theta / 2 seam nodes (t = 0) first.
+    Scaled by h_t^2, the scheme in mode q is the recurrence
+    u[i+1] + d_q u[i] + u[i-1] = 0 with d_q = -(2 + 4 (h_t/h_theta)^2
+    sin^2(q h_theta / 2)), a tridiagonal system in t with one right-hand side
+    per boundary circle.  The annulus solves for rows 1..n_t-1.  The quotient
+    also keeps the seam row i = 0: u(-h_t) = u(h_t) in even modes, so it reads
+    d_q u[0] + 2 u[1] = 0, and a half-turn-invariant seam carries no odd mode,
+    so u[0] = 0 there.  Every mode block goes into one banded solve.  Each
+    (boundary row, boundary data) pair of the operator is the circulant of its
+    one-sided derivative symbol (3 u_b - 4 u_1 + u_2) / (2 h_t w).
     """
+    from scipy.linalg import solve_banded
+
     n_t, n_theta = p.grid
     mobius = p.kind is SurfaceKind.MOBIUS_BAND
     h_t = (p.T if mobius else 2.0 * p.T) / n_t
-    h_theta = 2.0 * math.pi / n_theta
-    inv_t2 = 1.0 / (h_t * h_t)
-    inv_th2 = 1.0 / (h_theta * h_theta)
-    n_half = n_theta // 2
-    offset = n_half if mobius else 0
-    n_b = p.boundary_size
-    centre = -2.0 * inv_t2 - 2.0 * inv_th2
-    node = offset + np.arange((n_t - 1) * n_theta).reshape(n_t - 1, n_theta)
-    j = np.arange(n_theta)
+    q = np.arange(n_theta // 2 + 1)
+    ratio = h_t * n_theta / (2.0 * math.pi)  # h_t / h_theta
+    # per boundary circle: the unknown t-row next to it and the one after
+    ends = [(-1, -2)] if mobius else [(0, 1), (-1, -2)]
+    m = n_t if mobius else n_t - 1  # unknown t-rows per mode
 
-    rows = [node, node, node, node[1:], node[:-1]]
-    cols = [node, np.roll(node, -1, axis=1), np.roll(node, 1, axis=1), node[:-1], node[1:]]
-    vals = [centre, inv_th2, inv_th2, inv_t2, inv_t2]
-    C = np.zeros((offset + node.size, n_b))
-    C[node[-1], n_b - n_theta + j] = inv_t2
+    band = np.ones((3, q.size, m))  # super-, main and sub-diagonal per mode
+    band[1] = -(2.0 + (2.0 * ratio * np.sin(math.pi * q / n_theta)) ** 2)[:, None]
+    band[0, :, 0] = band[2, :, -1] = 0.0  # no coupling between mode blocks
+    rhs = np.zeros((q.size, m, len(ends)))
+    rhs[:, -1, -1] = -1.0  # boundary value 1 on the circle t = T
     if mobius:
-        # seam row: the t = -h_t neighbour is the half-turn shifted node at t = +h_t
-        s = np.arange(n_half)
-        rows += [node[0], s, s, s, s, s]
-        cols += [j % n_half, s, (s + 1) % n_half, (s - 1) % n_half]
-        cols += [node[0, s], node[0, s + n_half]]
-        vals += [inv_t2, centre, inv_th2, inv_th2, inv_t2, inv_t2]
+        band[0, :, 1] = np.where(q % 2, 0.0, 2.0)  # seam row d_q u[0] + 2 u[1]
+        band[1, 1::2, 0] = 1.0  # seam row u[0] = 0 in odd modes
     else:
-        C[node[0], j] = inv_t2
-    triplets = (
-        np.concatenate([np.full(r.size, v) for r, v in zip(rows, vals)]),
-        np.concatenate([r.ravel() for r in rows]),
-        np.concatenate([c.ravel() for c in cols]),
-    )
-    return triplets, C, offset, h_t
+        rhs[:, 0, 0] = -1.0  # boundary value 1 on the circle t = -T
+    u = solve_banded((1, 1), band.reshape(3, -1), rhs.reshape(q.size * m, -1))
+    u = u.reshape(q.size, m, len(ends))
 
-
-def assemble_dtn(p: OracleProblem) -> DtNMatrix:
-    """Assemble the dense boundary operator by harmonic extension columns."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    (vals, rows, cols), C, offset, h_t = _stencil(p)
-    n_t, n_theta = p.grid
+    # symbol[q, row circle, data circle]
+    symbol = np.stack([u[:, b] - 4.0 * u[:, a] for a, b in ends], axis=1)
+    symbol += 3.0 * np.eye(len(ends))
+    symbol /= 2.0 * h_t * p.boundary_weight
+    j = np.arange(n_theta)
+    kernel = np.fft.irfft(symbol, n_theta, axis=0)[(j[:, None] - j) % n_theta]
     n_b = p.boundary_size
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(C.shape[0],) * 2).tocsc()
-    # interior values of each boundary basis extension, one t-row per slab
-    U = -splu(L).solve(C)[offset:].reshape(n_t - 1, n_theta, n_b)
-
-    eye = np.eye(n_b)
-    scale = 2.0 * h_t * p.boundary_weight
-    A = (3.0 * eye[-n_theta:] - 4.0 * U[-1] + U[-2]) / scale
-    if p.kind is SurfaceKind.ANNULUS:
-        bottom = (3.0 * eye[:n_theta] - 4.0 * U[0] + U[1]) / scale
-        A = np.vstack([bottom, A])
+    A = kernel.transpose(2, 0, 3, 1).reshape(n_b, n_b)
 
     sym = 0.5 * (A + A.T)
     asym = float(np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300))

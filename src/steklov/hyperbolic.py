@@ -16,10 +16,6 @@ import numpy as np
 SATURATION = 350.0
 
 
-def tanh(x):
-    return np.tanh(x)
-
-
 def coth(x):
     """Hyperbolic cotangent, odd, with coth(0) = +inf and coth(inf) = 1."""
     x = np.asarray(x, dtype=float)
@@ -49,7 +45,3 @@ def csch2(x):
     out = np.where(ax > 1.0, large, small)
     out = np.where(x == 0.0, np.inf, out)
     return out if out.shape else float(out)
-
-
-def artanh(x):
-    return np.arctanh(x)

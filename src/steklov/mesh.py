@@ -81,6 +81,9 @@ def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:
         raise DomainError("grid must be at least 3x3")
     if fam.is_quotient and n_theta % 2 != 0:
         raise DomainError("the half-turn weld requires an even theta count")
+    if fam.is_quotient and n_theta < 6:
+        # the weld leaves n_theta / 2 core vertices; two make a 2-gon, not a circle
+        raise DomainError(f"the half-turn weld needs n_theta >= 6, got {n_theta}")
     T = fam.T_star
     th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     # vertex id of grid node (i, j) for j = 0..n_theta; column n_theta is the

@@ -252,7 +252,7 @@ def test_surface_rejects_bad_projection(capsys, tmp_path):
             "--n",
             "1",
             "--grid",
-            "4x4",
+            "4x6",
             "--projection",
             "a",
             "--out",
@@ -260,6 +260,14 @@ def test_surface_rejects_bad_projection(capsys, tmp_path):
         )
     )
     assert not (tmp_path / "band.obj").exists()
+
+
+def test_surface_rejects_mobius_grid_below_six_columns(capsys, tmp_path):
+    # the half-turn weld of a 4-column grid makes the core a 2-gon
+    out = tmp_path / "band.obj"
+    argv = ["surface", "--family", "mobius", "--m", "2", "--n", "1", "--grid", "3x4"]
+    _assert_one_error_line(*_run(capsys, *argv, "--out", str(out)))
+    assert not out.exists()
 
 
 def _unwritable_paths(tmp_path, name):
@@ -290,7 +298,7 @@ def test_surface_unwritable_out_exits_one(capsys, tmp_path, which):
         "--n",
         "1",
         "--grid",
-        "4x4",
+        "4x6",
         "--out",
         str(path),
     )

@@ -36,6 +36,27 @@ def test_problem_validation():
         OracleProblem(kind=AN, T=1.0, grid=(40, 40), boundary_weight=0.0)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_weight(weight):
+    # nan used to stall eigvalsh, inf to give an all-zero spectrum
+    with pytest.raises(DomainError):
+        OracleProblem(kind=AN, T=1.0, grid=(8, 8), boundary_weight=weight)
+
+
+@pytest.mark.parametrize(
+    "grid", [(8, 4.0), (8.0, 8), (8.5, 8), (True, 8), (8,), (8, 8, 8)], ids=repr
+)
+@pytest.mark.parametrize("kind", [AN, MB])
+def test_problem_rejects_non_integer_grid(kind, grid):
+    with pytest.raises(DomainError):
+        OracleProblem(kind=kind, T=1.0, grid=grid)
+
+
+def test_problem_accepts_numpy_integer_grid():
+    problem = OracleProblem(kind=MB, T=1.0, grid=(np.int64(8), np.int64(8)))
+    assert assemble_dtn(problem).size == 8
+
+
 @pytest.mark.parametrize("kind,T", [(AN, 1.0), (MB, 0.7)])
 def test_assembly_symmetric(kind, T):
     dtn = assemble_dtn(OracleProblem(kind=kind, T=T, grid=(40, 40)))
@@ -136,6 +157,76 @@ def test_spectrum_matches_exact_scheme(kind, T, grid):
     np.testing.assert_allclose(eigs[1:], exact[1:count], rtol=1e-9)
 
 
+def _reference_dtn(p):
+    """The raw boundary operator from the 2-D sparse harmonic extension.
+
+    An independent route to ``assemble_dtn``: the 5-point Laplacian on every
+    unknown node of the grid, one sparse solve per boundary node.  Interior
+    row i (1 <= i <= n_t - 1) holds nodes ``offset + (i - 1) * n_theta + j``.
+    The annulus has both circles as boundary; the quotient has one, at
+    i = n_t, and puts its n_theta / 2 seam nodes (t = 0) first, whose
+    t = -h_t neighbour is the half-turn shifted node at t = +h_t.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    n_t, n_theta = p.grid
+    mobius = p.kind is MB
+    h_t = (p.T if mobius else 2.0 * p.T) / n_t
+    inv_t2 = 1.0 / h_t**2
+    inv_th2 = (n_theta / (2.0 * math.pi)) ** 2
+    n_half = n_theta // 2
+    offset = n_half if mobius else 0
+    n_b = p.boundary_size
+    centre = -2.0 * inv_t2 - 2.0 * inv_th2
+    node = offset + np.arange((n_t - 1) * n_theta).reshape(n_t - 1, n_theta)
+    j = np.arange(n_theta)
+
+    rows = [node, node, node, node[1:], node[:-1]]
+    cols = [node, np.roll(node, -1, axis=1), np.roll(node, 1, axis=1), node[:-1], node[1:]]
+    vals = [centre, inv_th2, inv_th2, inv_t2, inv_t2]
+    C = np.zeros((offset + node.size, n_b))
+    C[node[-1], n_b - n_theta + j] = inv_t2
+    if mobius:
+        s = np.arange(n_half)
+        rows += [node[0], s, s, s, s, s]
+        cols += [j % n_half, s, (s + 1) % n_half, (s - 1) % n_half]
+        cols += [node[0, s], node[0, s + n_half]]  # t = -h_t is t = +h_t half a turn on
+        vals += [inv_t2, centre, inv_th2, inv_th2, inv_t2, inv_t2]
+    else:
+        C[node[0], j] = inv_t2
+    L = sp.coo_matrix(
+        (
+            np.concatenate([np.full(r.size, v) for r, v in zip(rows, vals)]),
+            (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols])),
+        ),
+        shape=(C.shape[0],) * 2,
+    ).tocsc()
+    U = -splu(L).solve(C)[offset:].reshape(n_t - 1, n_theta, n_b)
+
+    eye = np.eye(n_b)
+    scale = 2.0 * h_t * p.boundary_weight
+    A = (3.0 * eye[-n_theta:] - 4.0 * U[-1] + U[-2]) / scale
+    if not mobius:
+        A = np.vstack([(3.0 * eye[:n_theta] - 4.0 * U[0] + U[1]) / scale, A])
+    return A
+
+
+@pytest.mark.parametrize("weight", [1.0, 2.0])
+@pytest.mark.parametrize("T", [0.3, 1.3, 2.9])
+@pytest.mark.parametrize("grid", [(4, 4), (7, 10), (40, 40), (80, 48)])
+@pytest.mark.parametrize("kind", [AN, MB])
+def test_assembly_matches_2d_reference(kind, grid, T, weight):
+    problem = OracleProblem(kind=kind, T=T, grid=grid, boundary_weight=weight)
+    dtn = assemble_dtn(problem)
+    ref = _reference_dtn(problem)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(dtn.entries - ref)) <= 1e-10 * scale
+    assert dtn.asymmetry <= 1e-12
+    eigs, ref_eigs = np.linalg.eigvalsh(dtn.entries), np.linalg.eigvalsh(0.5 * (ref + ref.T))
+    np.testing.assert_allclose(eigs, ref_eigs, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref_eigs)))
+
+
 @pytest.mark.parametrize("count", [0, -3, 17])
 def test_oracle_spectrum_rejects_bad_count(count):
     with pytest.raises(DomainError):
@@ -143,14 +234,20 @@ def test_oracle_spectrum_rejects_bad_count(count):
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # the oracle imports scipy.sparse on its first assembly, not at import
+    # neither the import nor an assembly of either surface loads scipy.sparse
     src = str(Path(steklov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, steklov, steklov.cli; print('scipy.sparse' in sys.modules)"
+    code = (
+        "import sys, steklov, steklov.cli\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "for kind in steklov.SurfaceKind:\n"
+        "    steklov.assemble_dtn(steklov.OracleProblem(kind=kind, T=1.0, grid=(8, 8)))\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_boundary_weight_scales_eigenvalues():

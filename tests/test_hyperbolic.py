@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steklov.hyperbolic import artanh, coth, csch2, sech2, tanh
+from steklov.hyperbolic import coth, csch2, sech2
 
 # frozen high-precision references (40-digit evaluation, rounded to double)
 COTH_REFS = {
@@ -62,11 +62,6 @@ def test_vectorized_shapes():
     assert coth(x).shape == x.shape
     assert csch2(x).shape == x.shape
     assert sech2(x).shape == x.shape
-
-
-def test_artanh_inverts_tanh():
-    x = np.linspace(-3.0, 3.0, 13)
-    assert np.allclose(artanh(tanh(x)), x, atol=1e-12)
 
 
 @given(st.floats(min_value=1e-3, max_value=300.0))
