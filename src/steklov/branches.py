@@ -17,21 +17,17 @@ Annulus (no quotient, two boundary circles, length 4*pi*f(T)):
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .crossings import solve_crossing
+from .crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
 from .exceptions import DomainError, UnsupportedBranchError
 from .hyperbolic import coth
-
-# Relative tolerance under which two branch values at the same modulus are
-# treated as a genuine crossing and merged into one spectrum entry.  The
-# crossing solver locates moduli to ~1e-14, so this cleanly separates true
-# crossings from near-misses.
-MERGE_RTOL = 1e-9
 
 
 class SurfaceKind(Enum):
@@ -149,9 +145,10 @@ def _odd_branch(kind: SurfaceKind, l: int) -> Branch:
 def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     """First `count` nonzero normalized eigenvalues, merged at crossings.
 
-    Enough modes are scanned that the smallest unscanned branch value exceeds
-    the returned maximum; both hyperbolic branch values grow without bound in
-    the mode at fixed T, so the scan always terminates.
+    Each branch family increases with the mode at fixed T, so the spectrum is
+    a lazy merge of the even, odd and (annulus) linear sequences.  Two
+    adjacent values share one entry only where the two branches cross (see
+    `_crosses`); distinct branches that are merely close stay apart.
     """
     T = _check_modulus(T)
     if math.isinf(T):
@@ -160,54 +157,56 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
-    candidates: list[tuple[float, Branch]] = []
+    # the rank breaks exact ties in the order linear, even 1, odd 1, even 2, ...
+    sequences = [
+        ((lambda_bar(kind, m, T), 2 * m - 1, _even_branch(kind, m)) for m in itertools.count(1)),
+        ((mu_bar(kind, m, T), 2 * m, _odd_branch(kind, m)) for m in itertools.count(1)),
+    ]
     if kind is SurfaceKind.ANNULUS:
-        candidates.append((nu_bar(T), Branch(BranchKind.LINEAR, 0)))
+        sequences.append([(nu_bar(T), 0, Branch(BranchKind.LINEAR, 0))])
+    merged = heapq.merge(*sequences)
 
-    m = 0
-    while True:
-        m += 1
-        candidates.append((lambda_bar(kind, m, T), _even_branch(kind, m)))
-        candidates.append((mu_bar(kind, m, T), _odd_branch(kind, m)))
-        total = sum(2 if b.kind is not BranchKind.LINEAR else 1 for _, b in candidates)
-        if total >= count:
-            values = sorted(
-                v for v, b in candidates for _ in range(b.multiplicity)
-            )
-            kth = values[count - 1]
-            unscanned = min(lambda_bar(kind, m + 1, T), mu_bar(kind, m + 1, T))
-            if unscanned > kth:
-                break
-        if m > 100000:  # pragma: no cover - defensive
-            raise RuntimeError("mode scan failed to terminate")
-
-    candidates.sort(key=lambda vb: vb[0])
     entries: list[EigenvalueEntry] = []
     position = 1
-    i = 0
-    while i < len(candidates) and position <= count:
-        value, branch = candidates[i]
-        group = [branch]
-        j = i + 1
-        while j < len(candidates) and _coincide(value, candidates[j][0]):
-            group.append(candidates[j][1])
-            j += 1
+    value, _, branch = next(merged)
+    while position <= count:
+        next_value, _, next_branch = next(merged)
+        group = (branch,)
+        if _crosses(kind, branch, value, next_branch, next_value):
+            group = (branch, next_branch)
+            next_value, _, next_branch = next(merged)
         mult = sum(b.multiplicity for b in group)
         entries.append(
             EigenvalueEntry(
                 value=value,
-                branches=tuple(group),
+                branches=group,
                 index_range=(position, position + mult - 1),
             )
         )
         position += mult
-        i = j
+        value, branch = next_value, next_branch
     return entries
 
 
-def _coincide(v1: float, v2: float) -> bool:
-    scale = max(abs(v1), abs(v2), 1.0)
-    return abs(v1 - v2) <= MERGE_RTOL * scale
+def _crosses(
+    kind: SurfaceKind, first: Branch, v_first: float, second: Branch, v_second: float
+) -> bool:
+    """Whether adjacent spectrum values v_first <= v_second sit on a crossing.
+
+    Only an increasing (even) branch meets a decreasing one, and only when
+    the even frequency is the larger; every even branch meets the linear one.
+    At the solved crossing the two values differ by at most the crossing
+    solver's bound RESIDUAL_SCALE * (a + b), times the 2*pi or 4*pi that
+    normalizes the heights a*tanh(a*x) = b*coth(b*x).
+    """
+    even = BranchKind.EVEN_HYPERBOLIC
+    increasing, decreasing = (first, second) if first.kind is even else (second, first)
+    if increasing.kind is not even or decreasing.kind is even:
+        return False
+    if increasing.mode <= decreasing.mode:  # the linear branch has mode 0
+        return False
+    scale = 2.0 * math.pi if kind is SurfaceKind.MOBIUS_BAND else 4.0 * math.pi
+    return v_second - v_first <= scale * RESIDUAL_SCALE * (increasing.mode + decreasing.mode)
 
 
 def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
@@ -215,10 +214,7 @@ def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
     j = int(j)
     if j < 1:
         raise DomainError(f"eigenvalue index must be >= 1, got {j}")
-    for entry in spectrum(kind, T, j):
-        if entry.index_range[0] <= j <= entry.index_range[1]:
-            return entry.value
-    raise RuntimeError("spectrum did not cover the requested index")  # pragma: no cover
+    return spectrum(kind, T, j)[-1].value  # the last entry holds index j
 
 
 def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
@@ -231,7 +227,11 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     if np.any(T <= 0.0) or not np.all(np.isfinite(T)):
         raise DomainError("moduli must be positive and finite")
     j_max = int(j_max)
-    n_modes = j_max + 2
+    if j_max < 1:
+        raise DomainError(f"j_max must be >= 1, got {j_max}")
+    # the even branches of modes 1..ceil(j_max/2) alone give j_max values,
+    # and every branch of a higher mode lies above them
+    n_modes = (j_max + 1) // 2
     rows = []
     if kind is SurfaceKind.ANNULUS:
         rows.append(4.0 * math.pi / T)
@@ -243,8 +243,9 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
             lam = 4.0 * math.pi * m * np.tanh(m * T)
             mus = 4.0 * math.pi * m * coth(m * T)
         rows.extend([lam, lam, mus, mus])
-    stacked = np.sort(np.vstack(rows), axis=0)
-    out = stacked[:j_max]
+    stacked = np.vstack(rows)
+    stacked.sort(axis=0)  # in place: one buffer of all rows, not two
+    out = stacked[:j_max].copy()  # the caller keeps only the rows returned
     # completeness: the smallest omitted branch values must exceed row j_max
     m = n_modes + 1
     if kind is SurfaceKind.MOBIUS_BAND:
@@ -259,6 +260,70 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     if not np.all(omitted > out[-1]):  # pragma: no cover - cutoff is generous
         raise RuntimeError("mode cutoff too small for requested j_max")
     return out
+
+
+@dataclass(frozen=True)
+class LatticeCrossing:
+    """Where an increasing branch meets a decreasing one, and its eigenvalue cluster."""
+
+    increasing: Branch  # even
+    decreasing: Branch  # odd, or linear on the annulus
+    modulus: float
+    height: float  # common value of the unnormalized branch heights
+    value: float  # normalized eigenvalue at the crossing
+    residual: float  # crossing-equation residual at the solved modulus
+    first_index: int  # lowest eigenvalue index of the cluster
+
+    @property
+    def multiplicity(self) -> int:
+        return self.increasing.multiplicity + self.decreasing.multiplicity
+
+
+def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:
+    """Every crossing of an increasing and a decreasing branch up to max_mode.
+
+    Mobius band: even mode 2k meets odd mode 2l-1 at T_{k,l}, l <= k.
+    Annulus: even mode m meets the linear branch at t10/m, then odd mode n at
+    t_{m,n}, n < m.  Either way the crossing solves a*tanh(a*x) = b*coth(b*x)
+    with a, b the two modes.  The cluster's first index counts the values
+    below it: each branch family increases with mode at fixed T, every odd
+    annulus branch lies above the linear one, and the linear branch lies
+    below even mode m exactly when T > t10/m.
+    """
+    mobius = kind is SurfaceKind.MOBIUS_BAND
+    scale = 2.0 * math.pi if mobius else 4.0 * math.pi
+    t10 = solve_t10()
+    lattice: list[LatticeCrossing] = []
+    for m in range(1, int(max_mode) + 1):
+        even = _even_branch(kind, m)
+        if not mobius:
+            lattice.append(
+                LatticeCrossing(
+                    increasing=even,
+                    decreasing=Branch(BranchKind.LINEAR, 0),
+                    modulus=t10 / m,
+                    height=m / t10,
+                    value=scale * m / t10,
+                    residual=0.0,
+                    first_index=2 * m - 1,
+                )
+            )
+        for n in range(1, m + 1 if mobius else m):
+            odd = _odd_branch(kind, n)
+            point = solve_crossing(float(even.mode), float(odd.mode))
+            lattice.append(
+                LatticeCrossing(
+                    increasing=even,
+                    decreasing=odd,
+                    modulus=point.x,
+                    height=point.height,
+                    value=scale * point.height,
+                    residual=point.residual,
+                    # on the annulus the linear value is below the cluster too
+                    first_index=2 * (m + n) - 3 + (not mobius and point.x > t10 / m),
+                )
+            )
+    return lattice
 
 
 def mobius_crossing_modulus(k: int, l: int) -> float:

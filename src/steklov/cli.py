@@ -19,6 +19,7 @@ import numpy as np
 from . import extrema, surfaces
 from .branches import (
     SurfaceKind,
+    crossing_lattice,
     sigma_bar_grid,
     spectrum,
 )
@@ -187,14 +188,12 @@ def _cmd_sweep(args) -> int:
     )
     rows = []
     for i, T in enumerate(grid):
-        labels = []
-        for j in j_list:
-            for entry in spectrum(kind, float(T), j):
-                if entry.index_range[0] <= j <= entry.index_range[1]:
-                    labels.append(entry.branch.label())
-                    break
+        entries = spectrum(kind, float(T), j_list[-1])
+        labels = [e.branch.label() for e in entries for _ in range(e.multiplicity)]
         rows.append(
-            [_fmt(T)] + [_fmt(values[j - 1, i]) for j in j_list] + labels
+            [_fmt(T)]
+            + [_fmt(values[j - 1, i]) for j in j_list]
+            + [labels[j - 1] for j in j_list]
         )
     _emit_csv(header, rows, args.out)
     return EXIT_OK
@@ -204,45 +203,20 @@ def _cmd_crossings(args) -> int:
     kind = _kind(args.kind)
     _require_positive(args.max_mode, "--max-mode")
     records = []
-    if kind is SurfaceKind.MOBIUS_BAND:
-        for k in range(1, args.max_mode + 1):
-            for l in range(1, k + 1):
-                point = solve_crossing(2.0 * k, 2.0 * l - 1.0)
-                records.append(
-                    {
-                        "k": k,
-                        "l": l,
-                        "modulus": point.x,
-                        "height": point.height,
-                        "normalized_value": 2.0 * math.pi * point.height,
-                        "residual": point.residual,
-                    }
-                )
-    else:
-        t10 = solve_t10()
-        for m in range(1, args.max_mode + 1):
-            records.append(
-                {
-                    "m": m,
-                    "n": 0,
-                    "modulus": t10 / m,
-                    "height": m / t10,
-                    "normalized_value": 4.0 * math.pi * m / t10,
-                    "residual": 0.0,
-                }
-            )
-            for n in range(1, m):
-                point = solve_crossing(float(m), float(n))
-                records.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "modulus": point.x,
-                        "height": point.height,
-                        "normalized_value": 4.0 * math.pi * point.height,
-                        "residual": point.residual,
-                    }
-                )
+    for c in crossing_lattice(kind, args.max_mode):
+        if kind is SurfaceKind.MOBIUS_BAND:
+            pair = {"k": c.increasing.mode // 2, "l": (c.decreasing.mode + 1) // 2}
+        else:  # n = 0 is the linear branch
+            pair = {"m": c.increasing.mode, "n": c.decreasing.mode}
+        records.append(
+            {
+                **pair,
+                "modulus": c.modulus,
+                "height": c.height,
+                "normalized_value": c.value,
+                "residual": c.residual,
+            }
+        )
     keys = list(records[0].keys())
     if args.csv:
         _emit_csv(
@@ -523,12 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", choices=["annulus", "mobius"], required=True)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def formats(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--json", action="store_true")
+        group.add_argument("--csv", action="store_true")
+
     p = sub.add_parser("spectrum", help="normalized spectrum at one modulus")
     common(p)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    formats(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("sweep", help="eigenvalues over a log-spaced modulus grid")
@@ -542,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossings", help="branch-crossing lattice")
     common(p)
     p.add_argument("--max-mode", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    formats(p)
     p.set_defaults(func=_cmd_crossings)
 
     p = sub.add_parser("suprema", help="supremum of one normalized eigenvalue")
@@ -555,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-set", help="critical moduli with classification")
     common(p)
     p.add_argument("--max-mode", type=int, default=3)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    formats(p)
     p.set_defaults(func=_cmd_critical_set)
 
     p = sub.add_parser("surface", help="export a mesh of an explicit family")

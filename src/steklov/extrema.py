@@ -19,11 +19,10 @@ from .branches import (
     Branch,
     BranchKind,
     SurfaceKind,
+    crossing_lattice,
     lambda_bar,
     mu_bar,
-    sigma_bar,
     sigma_bar_grid,
-    spectrum,
 )
 from .crossings import solve_crossing, solve_t10
 from .exceptions import DomainError
@@ -34,9 +33,6 @@ from .exceptions import DomainError
 GRID_T_MIN = 1e-2
 GRID_T_MAX = 18.0
 GRID_POINTS = 10**4
-
-# Step for the one-sided slope classification of critical moduli.
-CHARACTER_STEP = 1e-4
 
 
 class Character(Enum):
@@ -146,44 +142,6 @@ def sup_sigma_annulus(j: int) -> SupremumResult:
     )
 
 
-def _classify(kind: SurfaceKind, j: int, T0: float) -> Character | None:
-    """Character of sigma_bar_j at T0 from one-sided finite differences."""
-    d = CHARACTER_STEP
-    v_left = sigma_bar(kind, j, T0 - d)
-    v_mid = sigma_bar(kind, j, T0)
-    v_right = sigma_bar(kind, j, T0 + d)
-    slope_l = (v_mid - v_left) / d
-    slope_r = (v_right - v_mid) / d
-    tol = 1e-6 * max(abs(v_mid), 1.0)
-    if slope_l > tol and slope_r < -tol:
-        return Character.LOCAL_MAX
-    if slope_l < -tol and slope_r > tol:
-        return Character.LOCAL_MIN
-    return None
-
-
-def _critical_indices(kind: SurfaceKind, modulus: float, value: float) -> dict[Character, list[int]]:
-    """Scan which eigenvalue indices are critical at a crossing modulus."""
-    # only indices whose eigenvalue equals the crossing value can be critical
-    count = 4
-    hit = None
-    while hit is None:
-        for entry in spectrum(kind, modulus, count):
-            if abs(entry.value - value) <= 1e-8 * max(value, 1.0):
-                hit = entry
-                break
-        else:
-            if count > 4096:  # pragma: no cover - defensive
-                raise RuntimeError("crossing value not found in spectrum")
-            count *= 4
-    found: dict[Character, list[int]] = {Character.LOCAL_MAX: [], Character.LOCAL_MIN: []}
-    for j in range(hit.index_range[0], hit.index_range[1] + 1):
-        character = _classify(kind, j, modulus)
-        if character is not None:
-            found[character].append(j)
-    return found
-
-
 def critical_set(kind: SurfaceKind, max_mode: int) -> list[CriticalMetric]:
     """All critical moduli with modes up to max_mode, with classifications.
 
@@ -191,53 +149,41 @@ def critical_set(kind: SurfaceKind, max_mode: int) -> list[CriticalMetric]:
     multiplicity-4 eigenspace.  Annulus: even/odd crossings t_{m,n} with
     n < m <= max_mode (multiplicity 4) plus the linear/even crossings at
     T = t10/m (multiplicity 3).
+
+    The classification is exact.  Left of a crossing the increasing branch
+    is the lower one and right of it the upper one, so the lowest
+    min(multiplicities) indices of the cluster are local maxima and the top
+    min(multiplicities) are local minima.  At a linear/even crossing the
+    middle index follows the even branch on both sides and is not critical.
     """
     max_mode = int(max_mode)
     if max_mode < 1:
         raise DomainError(f"max_mode must be >= 1, got {max_mode}")
+    lattice = crossing_lattice(kind, max_mode)
+    # the linear/even crossings come first, listed as (linear, even)
+    lattice.sort(key=lambda c: c.decreasing.kind is not BranchKind.LINEAR)
     results: list[CriticalMetric] = []
-
-    def emit(modulus, branches, value, eigen_multiplicity):
-        by_char = _critical_indices(kind, modulus, value)
-        for character, indices in by_char.items():
-            if indices:
-                results.append(
-                    CriticalMetric(
-                        kind=kind,
-                        modulus=modulus,
-                        branches=branches,
-                        value=value,
-                        character=character,
-                        eigen_multiplicity=eigen_multiplicity,
-                        indices=tuple(indices),
-                    )
+    for c in lattice:
+        branches = (c.increasing, c.decreasing)
+        if c.decreasing.kind is BranchKind.LINEAR:
+            branches = branches[::-1]
+        width = min(c.increasing.multiplicity, c.decreasing.multiplicity)
+        top = c.first_index + c.multiplicity - width
+        for character, start in (
+            (Character.LOCAL_MAX, c.first_index),
+            (Character.LOCAL_MIN, top),
+        ):
+            results.append(
+                CriticalMetric(
+                    kind=kind,
+                    modulus=c.modulus,
+                    branches=branches,
+                    value=c.value,
+                    character=character,
+                    eigen_multiplicity=c.multiplicity,
+                    indices=tuple(range(start, start + width)),
                 )
-
-    if kind is SurfaceKind.MOBIUS_BAND:
-        for k in range(1, max_mode + 1):
-            for l in range(1, k + 1):
-                point = solve_crossing(2.0 * k, 2.0 * l - 1.0)
-                branches = (
-                    Branch(BranchKind.EVEN_HYPERBOLIC, 2 * k),
-                    Branch(BranchKind.ODD_HYPERBOLIC, 2 * l - 1),
-                )
-                emit(point.x, branches, 2.0 * math.pi * point.height, 4)
-    else:
-        t10 = solve_t10()
-        for m in range(1, max_mode + 1):
-            branches = (
-                Branch(BranchKind.LINEAR, 0),
-                Branch(BranchKind.EVEN_HYPERBOLIC, m),
             )
-            emit(t10 / m, branches, 4.0 * math.pi * m / t10, 3)
-        for m in range(2, max_mode + 1):
-            for n in range(1, m):
-                point = solve_crossing(float(m), float(n))
-                branches = (
-                    Branch(BranchKind.EVEN_HYPERBOLIC, m),
-                    Branch(BranchKind.ODD_HYPERBOLIC, n),
-                )
-                emit(point.x, branches, 4.0 * math.pi * point.height, 4)
     return results
 
 
@@ -258,23 +204,17 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
     For all integers k >= l > c > 0 with k + c <= max_mode, the even-branch
     value at T_{k,l} is strictly below the value at T_{k+c,l-c}.
     """
+    lattice = crossing_lattice(SurfaceKind.MOBIUS_BAND, max_mode)
+    moduli = {(c.increasing.mode, c.decreasing.mode): c.modulus for c in lattice}
     records = []
-    for k in range(1, max_mode + 1):
-        for l in range(1, k + 1):
-            for c in range(1, l):
-                if k + c > max_mode:
-                    continue
-                lhs = lambda_bar(
-                    SurfaceKind.MOBIUS_BAND, k, solve_crossing(2.0 * k, 2.0 * l - 1.0).x
-                )
-                rhs = lambda_bar(
-                    SurfaceKind.MOBIUS_BAND,
-                    k + c,
-                    solve_crossing(2.0 * (k + c), 2.0 * (l - c) - 1.0).x,
-                )
-                records.append(
-                    InequalityRecord(label=f"k={k},l={l},c={c}", lhs=lhs, rhs=rhs)
-                )
+    for crossing in lattice:
+        k, l = crossing.increasing.mode // 2, (crossing.decreasing.mode + 1) // 2
+        lhs = lambda_bar(SurfaceKind.MOBIUS_BAND, k, crossing.modulus)
+        for c in range(1, min(l, max_mode - k + 1)):
+            rhs = lambda_bar(
+                SurfaceKind.MOBIUS_BAND, k + c, moduli[2 * (k + c), 2 * (l - c) - 1]
+            )
+            records.append(InequalityRecord(label=f"k={k},l={l},c={c}", lhs=lhs, rhs=rhs))
     return records
 
 
@@ -325,11 +265,10 @@ def mobius_supremum_consistency(k: int) -> tuple[float, float, float]:
 
 
 def annulus_even_supremum_report(k: int) -> dict[str, float]:
-    """Both readings of the even-index annulus supremum for k > 1.
+    """The even-index annulus supremum for k > 1 through three routes.
 
     The crossing identity forces value = 4*pi*k*tanh(k*t_{k,1}) which equals
-    4*pi*coth(t_{k,1}); the halved-argument variant is recorded alongside for
-    comparison (the discrete oracle arbitrates in the tests).
+    4*pi*coth(t_{k,1}).
     """
     point = solve_crossing(float(k), 1.0)
     t = point.x
@@ -338,5 +277,4 @@ def annulus_even_supremum_report(k: int) -> dict[str, float]:
         "crossing_value": 4.0 * math.pi * point.height,
         "even_branch_value": 4.0 * math.pi * k * math.tanh(k * t),
         "odd_branch_value": float(4.0 * math.pi * (1.0 / math.tanh(t))),
-        "halved_argument_variant": 4.0 * math.pi * k * math.tanh(0.5 * k * t),
     }

@@ -12,6 +12,7 @@ from steklov.branches import (
     BranchKind,
     SurfaceKind,
     branch_value,
+    crossing_lattice,
     lambda_bar,
     mobius_crossing_modulus,
     mu_bar,
@@ -169,3 +170,61 @@ def test_piecewise_pairing():
             a = sigma_bar_piecewise_mobius(2 * k - 1, T)[0]
             b = sigma_bar_piecewise_mobius(2 * k, T)[0]
             assert a == b
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_spectrum_matches_grid_over_full_range(kind):
+    # tiny T, where every value is far below 1, and large T, where tanh and
+    # coth both round to 1, are where a merge rule that is not exact fails
+    j_max = 12
+    moduli = np.geomspace(1e-14, 30.0, 400)
+    table = sigma_bar_grid(kind, j_max, moduli)
+    for i, T in enumerate(moduli):
+        entries = spectrum(kind, float(T), j_max)
+        values = [e.value for e in entries for _ in range(e.multiplicity)][:j_max]
+        np.testing.assert_allclose(values, table[:, i], rtol=1e-12, atol=0.0)
+        for j in (1, 2, 5, j_max):
+            assert sigma_bar(kind, j, float(T)) == pytest.approx(table[j - 1, i], rel=1e-12)
+
+
+def test_tiny_mobius_values_stay_apart():
+    T = 1e-300
+    entries = spectrum(MB, T, 4)
+    assert [e.branches for e in entries] == [
+        (Branch(BranchKind.EVEN_HYPERBOLIC, 2),),
+        (Branch(BranchKind.EVEN_HYPERBOLIC, 4),),
+    ]
+    assert sigma_bar(MB, 1, T) == lambda_bar(MB, 1, T)
+    assert sigma_bar(MB, 3, T) == lambda_bar(MB, 2, T)
+
+
+@pytest.mark.parametrize("T", [12.0, 30.0])
+def test_close_annulus_values_stay_apart(T):
+    # lambda_1 and mu_1 never cross (equal frequencies), so they stay
+    # separate entries: at T = 12 they differ by about 1.5e-10 relative, at
+    # T = 30 both round to 4*pi
+    entries = spectrum(AN, T, 5)
+    assert [e.branches for e in entries] == [
+        (Branch(BranchKind.LINEAR, 0),),
+        (Branch(BranchKind.EVEN_HYPERBOLIC, 1),),
+        (Branch(BranchKind.ODD_HYPERBOLIC, 1),),
+    ]
+    assert sigma_bar(AN, 2, T) == lambda_bar(AN, 1, T)
+    assert sigma_bar(AN, 4, T) == mu_bar(AN, 1, T)
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_spectrum_merges_every_lattice_crossing(kind):
+    for c in crossing_lattice(kind, 40):
+        last = c.first_index + c.multiplicity - 1
+        entries = spectrum(kind, c.modulus, last)
+        assert entries[-1].index_range == (c.first_index, last)
+        assert set(entries[-1].branches) == {c.increasing, c.decreasing}
+        assert all(len(e.branches) == 1 for e in entries[:-1])
+
+
+def test_sigma_bar_grid_rejects_empty_index_range():
+    for kind in (MB, AN):
+        for j_max in (0, -2):
+            with pytest.raises(DomainError):
+                sigma_bar_grid(kind, j_max, [1.0])

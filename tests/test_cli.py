@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output formats, and value round-trips."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -357,3 +358,64 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--suite", "injectivity")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
+
+
+# sha256 of `<command> --kind <kind> --max-mode 12 [--json|--csv] --out <file>`,
+# recorded before the lattice enumerator replaced the per-command loops
+LATTICE_OUTPUT_SHA256 = {
+    ("crossings", "mobius", "text"): "38857b4712ca7592ba4ec96a221ebe034a53bfab1a79e4a1620eb8da2376744f",
+    ("crossings", "mobius", "json"): "2e56999b696b8c8e4c19084f8271d70bff4d47166eb4f54505274ae3d5f34ef8",
+    ("crossings", "mobius", "csv"): "2ed0d1e04166b471a36c47ac106a8e498be77a1df256affe1be96d1ae7c92a6a",
+    ("crossings", "annulus", "text"): "a71fb59a6d29833a5eeb1ce81284d45c8ba6363d6d52e4400a8da65587e45ed1",
+    ("crossings", "annulus", "json"): "e189cb259a38880449086e878c85facea0910a299776bf3fae8a29fe65e91a41",
+    ("crossings", "annulus", "csv"): "9ab211d939d1b89f36936074055f2d9a03254ed0fe5ac76393c866c1a4650409",
+    ("critical-set", "mobius", "text"): "20c9ce05c2388907aa4befd374749a16e3664f8668459abea597c1726894e3cb",
+    ("critical-set", "mobius", "json"): "d904eef6dbc2021e01f844a9f6652ccb92e96b73f31a187b642e781da2117fad",
+    ("critical-set", "mobius", "csv"): "0932d43372b88ed2a46ac31cc9929a907a6d3e62b05c801902071eef8bac6fe3",
+    ("critical-set", "annulus", "text"): "3d1126166bc88e2f21c2334f2e4fbb44edfc84b9f8d84db54c6212e5f30e604d",
+    ("critical-set", "annulus", "json"): "7c792141a5323d1c9d4ad01740381cd18c2795998a1da969662c3343581ecb2d",
+    ("critical-set", "annulus", "csv"): "6883d87c5d1b29df44ce3d0eb8d33ff0a97151437fbb84355b46e9e30e7385d2",
+}
+
+
+@pytest.mark.parametrize("command,kind,fmt", sorted(LATTICE_OUTPUT_SHA256))
+def test_lattice_output_pinned(tmp_path, command, kind, fmt):
+    path = tmp_path / "out"
+    argv = [command, "--kind", kind, "--max-mode", "12", "--out", str(path)]
+    if fmt != "text":
+        argv.append(f"--{fmt}")
+    assert run(argv) == EXIT_OK
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == LATTICE_OUTPUT_SHA256[command, kind, fmt]
+
+
+# sha256 of `sweep --kind <kind> --j 8,1,3,2,5 --out <file>` on the default
+# grid, recorded while sweep still called spectrum once per (T, j)
+SWEEP_SHA256 = {
+    "mobius": "ae2c7d7b881ce507dcf14c9a4574a13bb71db89496098b9900a01d86ba639d26",
+    "annulus": "4cb020024144abc497db2cb196a5ce4fa64c6ad30db917b7dc9b4209142a5920",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_SHA256))
+def test_sweep_output_pinned(tmp_path, kind):
+    path = tmp_path / "sweep.csv"
+    assert run(["sweep", "--kind", kind, "--j", "8,1,3,2,5", "--out", str(path)]) == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--kind", "mobius", "--T", "0.7"],
+        ["crossings", "--kind", "annulus"],
+        ["critical-set", "--kind", "mobius"],
+    ],
+)
+def test_json_and_csv_are_exclusive(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--json", "--csv")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: argument --csv: not allowed with argument --json"
+    ]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov.branches import SurfaceKind, sigma_bar
+from steklov.branches import SurfaceKind, sigma_bar, sigma_bar_grid
 from steklov.crossings import solve_crossing, solve_t10
 from steklov.exceptions import DomainError
 from steklov.extrema import (
@@ -185,8 +185,51 @@ def test_annulus_even_report_resolves_variant():
     assert report["crossing_value"] == pytest.approx(
         report["odd_branch_value"], rel=1e-12
     )
-    # the halved-argument variant disagrees with the crossing identity and
-    # with the grid search, so the crossing value is the one reported
+    # the grid search confirms the crossing value
     grid_value, _ = grid_supremum(AN, 4)
     assert grid_value == pytest.approx(report["crossing_value"], rel=1e-6)
-    assert abs(grid_value - report["halved_argument_variant"]) > 1.0
+
+
+def _slope_character(left, mid, right):
+    if mid > left and right < mid:
+        return Character.LOCAL_MAX
+    if mid < left and right > mid:
+        return Character.LOCAL_MIN
+    return None
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_critical_set_matches_grid_slopes(kind):
+    # the exact classification against one-sided differences of the
+    # independent grid route at T(1 -+ 1e-9): by max mode 40 neighbouring
+    # crossings are ~1.5e-7 apart, far wider than the step
+    records = critical_set(kind, 40)
+    clusters = {}
+    for r in records:
+        clusters.setdefault((r.modulus, r.value, r.eigen_multiplicity), {}).update(
+            {j: r.character for j in r.indices}
+        )
+    keys = sorted(clusters)
+    assert len(keys) == 820  # every crossing up to mode 40, on either surface
+    j_max = max(max(c) for c in clusters.values()) + 2
+    moduli = np.array([key[0] for key in keys])
+    steps = np.concatenate([moduli * (1.0 - 1e-9), moduli, moduli * (1.0 + 1e-9)])
+    table = sigma_bar_grid(kind, j_max, steps)
+    n = len(keys)
+    for col, (modulus, value, mult) in enumerate(keys):
+        classified = clusters[modulus, value, mult]
+        first = min(classified)
+        left, mid, right = table[:, col], table[:, n + col], table[:, 2 * n + col]
+        # the cluster is exactly indices first .. first + mult - 1
+        if first > 1:
+            assert mid[first - 2] < value * (1.0 - 1e-12)
+        assert mid[first + mult - 1] > value * (1.0 + 1e-12)
+        for j in range(first, first + mult):
+            assert mid[j - 1] == pytest.approx(value, rel=1e-12)
+            assert _slope_character(left[j - 1], mid[j - 1], right[j - 1]) is classified.get(j)
+
+
+def test_grid_supremum_rejects_index_zero():
+    for kind in (MB, AN):
+        with pytest.raises(DomainError):
+            grid_supremum(kind, 0)
