@@ -80,15 +80,22 @@ def _check_modulus(T: float) -> float:
     return T
 
 
-def _check_mode(k) -> int:
-    if k != int(k) or k < 1:
-        raise DomainError(f"mode index must be a positive integer, got {k}")
-    return int(k)
+def _check_index(value, name: str = "mode index") -> int:
+    """`value` as an int >= 1; fractions, infinities and NaN are refused too."""
+    try:
+        index = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        raise DomainError(f"{name} must be an integer, got {value}") from None
+    if index != value:
+        raise DomainError(f"{name} must be an integer, got {value}")
+    if index < 1:
+        raise DomainError(f"{name} must be >= 1, got {index}")
+    return index
 
 
 def lambda_bar(kind: SurfaceKind, mode_index: int, T: float):
     """Even (cosh-profile) normalized eigenvalue; increasing in T."""
-    k = _check_mode(mode_index)
+    k = _check_index(mode_index)
     T = _check_modulus(T)
     if math.isinf(T):
         return 4.0 * math.pi * k
@@ -98,7 +105,7 @@ def lambda_bar(kind: SurfaceKind, mode_index: int, T: float):
 
 def mu_bar(kind: SurfaceKind, mode_index: int, T: float):
     """Odd (sinh-profile) normalized eigenvalue; decreasing in T, +inf at 0+."""
-    l = _check_mode(mode_index)
+    l = _check_index(mode_index)
     T = _check_modulus(T)
     if kind is SurfaceKind.MOBIUS_BAND:
         freq = 2 * l - 1
@@ -126,10 +133,8 @@ def branch_value(kind: SurfaceKind, branch: Branch, T: float) -> float:
     if branch.kind is BranchKind.LINEAR:
         return nu_bar(T, kind)
     if branch.kind is BranchKind.EVEN_HYPERBOLIC:
-        k = branch.mode // 2 if kind is SurfaceKind.MOBIUS_BAND else branch.mode
-        return lambda_bar(kind, k, T)
-    l = (branch.mode + 1) // 2 if kind is SurfaceKind.MOBIUS_BAND else branch.mode
-    return mu_bar(kind, l, T)
+        return lambda_bar(kind, branch_index(kind, branch), T)
+    return mu_bar(kind, branch_index(kind, branch), T)
 
 
 def _even_branch(kind: SurfaceKind, k: int) -> Branch:
@@ -140,6 +145,14 @@ def _even_branch(kind: SurfaceKind, k: int) -> Branch:
 def _odd_branch(kind: SurfaceKind, l: int) -> Branch:
     mode = 2 * l - 1 if kind is SurfaceKind.MOBIUS_BAND else l
     return Branch(BranchKind.ODD_HYPERBOLIC, mode)
+
+
+def branch_index(kind: SurfaceKind, branch: Branch) -> int:
+    """Inverse of _even_branch and _odd_branch: the k of mode 2k, the l of mode 2l-1.
+
+    On the annulus the mode is its own index (0 for the linear branch).
+    """
+    return (branch.mode + 1) // 2 if kind is SurfaceKind.MOBIUS_BAND else branch.mode
 
 
 def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
@@ -153,9 +166,7 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     T = _check_modulus(T)
     if math.isinf(T):
         raise DomainError("spectrum requires a finite modulus")
-    count = int(count)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _check_index(count, "count")
 
     # the rank breaks exact ties in the order linear, even 1, odd 1, even 2, ...
     sequences = [
@@ -211,9 +222,7 @@ def _crosses(
 
 def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
     """The j-th nonzero normalized eigenvalue, counted with multiplicity."""
-    j = int(j)
-    if j < 1:
-        raise DomainError(f"eigenvalue index must be >= 1, got {j}")
+    j = _check_index(j, "eigenvalue index")
     return spectrum(kind, T, j)[-1].value  # the last entry holds index j
 
 
@@ -226,38 +235,28 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if np.any(T <= 0.0) or not np.all(np.isfinite(T)):
         raise DomainError("moduli must be positive and finite")
-    j_max = int(j_max)
-    if j_max < 1:
-        raise DomainError(f"j_max must be >= 1, got {j_max}")
+    j_max = _check_index(j_max, "j_max")
     # the even branches of modes 1..ceil(j_max/2) alone give j_max values,
     # and every branch of a higher mode lies above them
     n_modes = (j_max + 1) // 2
     rows = []
     if kind is SurfaceKind.ANNULUS:
         rows.append(4.0 * math.pi / T)
-    for m in range(1, n_modes + 1):
+    for m in range(1, n_modes + 2):
         if kind is SurfaceKind.MOBIUS_BAND:
             lam = 4.0 * math.pi * m * np.tanh(2 * m * T)
             mus = 2.0 * math.pi * (2 * m - 1) * coth((2 * m - 1) * T)
         else:
             lam = 4.0 * math.pi * m * np.tanh(m * T)
             mus = 4.0 * math.pi * m * coth(m * T)
-        rows.extend([lam, lam, mus, mus])
+        if m <= n_modes:
+            rows.extend([lam, lam, mus, mus])
     stacked = np.vstack(rows)
     stacked.sort(axis=0)  # in place: one buffer of all rows, not two
     out = stacked[:j_max].copy()  # the caller keeps only the rows returned
-    # completeness: the smallest omitted branch values must exceed row j_max
-    m = n_modes + 1
-    if kind is SurfaceKind.MOBIUS_BAND:
-        omitted = np.minimum(
-            4.0 * math.pi * m * np.tanh(2 * m * T),
-            2.0 * math.pi * (2 * m - 1) * coth((2 * m - 1) * T),
-        )
-    else:
-        omitted = np.minimum(
-            4.0 * math.pi * m * np.tanh(m * T), 4.0 * math.pi * m * coth(m * T)
-        )
-    if not np.all(omitted > out[-1]):  # pragma: no cover - cutoff is generous
+    # completeness: the omitted mode n_modes + 1, left in lam and mus, must
+    # lie above row j_max
+    if not np.all(np.minimum(lam, mus) > out[-1]):  # pragma: no cover - cutoff is generous
         raise RuntimeError("mode cutoff too small for requested j_max")
     return out
 
@@ -290,11 +289,12 @@ def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:
     annulus branch lies above the linear one, and the linear branch lies
     below even mode m exactly when T > t10/m.
     """
+    max_mode = _check_index(max_mode, "max_mode")
     mobius = kind is SurfaceKind.MOBIUS_BAND
     scale = 2.0 * math.pi if mobius else 4.0 * math.pi
     t10 = solve_t10()
     lattice: list[LatticeCrossing] = []
-    for m in range(1, int(max_mode) + 1):
+    for m in range(1, max_mode + 1):
         even = _even_branch(kind, m)
         if not mobius:
             lattice.append(
@@ -324,39 +324,3 @@ def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:
                 )
             )
     return lattice
-
-
-def mobius_crossing_modulus(k: int, l: int) -> float:
-    """Modulus where the k-th even and l-th odd Mobius branches meet (l <= k).
-
-    Returns +inf when k < l (no crossing) and 0 for l = 0, matching the
-    endpoint conventions of the interval decomposition.
-    """
-    if l == 0:
-        return 0.0
-    if k < l:
-        return math.inf
-    return solve_crossing(2.0 * k, 2.0 * l - 1.0).x
-
-
-def sigma_bar_piecewise_mobius(j: int, T: float) -> tuple[float, Branch]:
-    """Identify which branch carries the j-th Mobius eigenvalue at modulus T.
-
-    The pair sigma_bar(2k-1) = sigma_bar(2k) with k = ceil(j/2) follows the
-    k-th even branch until its first crossing, then alternates between odd
-    and even branches across the crossing lattice; the case analysis below
-    walks the interval decomposition of (0, inf) by those crossing moduli.
-    """
-    j = int(j)
-    if j < 1:
-        raise DomainError(f"eigenvalue index must be >= 1, got {j}")
-    T = _check_modulus(T)
-    kind = SurfaceKind.MOBIUS_BAND
-    k = (j + 1) // 2
-    s = k // 2
-    for jj in range(s + 1):
-        if T < mobius_crossing_modulus(k - jj, jj + 1):
-            return lambda_bar(kind, k - jj, T), _even_branch(kind, k - jj)
-        if T < mobius_crossing_modulus(k - jj - 1, jj + 1):
-            return mu_bar(kind, jj + 1, T), _odd_branch(kind, jj + 1)
-    raise RuntimeError("interval decomposition did not cover T")  # pragma: no cover

@@ -19,6 +19,7 @@ import numpy as np
 from . import extrema, surfaces
 from .branches import (
     SurfaceKind,
+    branch_index,
     crossing_lattice,
     sigma_bar_grid,
     spectrum,
@@ -202,15 +203,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_crossings(args) -> int:
     kind = _kind(args.kind)
     _require_positive(args.max_mode, "--max-mode")
+    # on the annulus n = 0 is the linear branch
+    first, second = ("k", "l") if kind is SurfaceKind.MOBIUS_BAND else ("m", "n")
     records = []
     for c in crossing_lattice(kind, args.max_mode):
-        if kind is SurfaceKind.MOBIUS_BAND:
-            pair = {"k": c.increasing.mode // 2, "l": (c.decreasing.mode + 1) // 2}
-        else:  # n = 0 is the linear branch
-            pair = {"m": c.increasing.mode, "n": c.decreasing.mode}
         records.append(
             {
-                **pair,
+                first: branch_index(kind, c.increasing),
+                second: branch_index(kind, c.decreasing),
                 "modulus": c.modulus,
                 "height": c.height,
                 "normalized_value": c.value,

@@ -19,7 +19,7 @@ node count must be even so the half-turn shift lands on grid nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,10 @@ class DtNMatrix:
     entries: np.ndarray  # symmetrized dense boundary operator
     weights: np.ndarray  # boundary quadrature weights (uniform)
     asymmetry: float  # relative asymmetry of the raw assembly
-    size: int = field(default=0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "size", self.entries.shape[0])
+    @property
+    def size(self) -> int:
+        return self.entries.shape[0]
 
 
 def assemble_dtn(p: OracleProblem) -> DtNMatrix:

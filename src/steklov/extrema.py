@@ -19,13 +19,13 @@ from .branches import (
     Branch,
     BranchKind,
     SurfaceKind,
+    _check_index,
+    branch_index,
     crossing_lattice,
     lambda_bar,
-    mu_bar,
     sigma_bar_grid,
 )
 from .crossings import solve_crossing, solve_t10
-from .exceptions import DomainError
 
 # Largest modulus on the default search grid.  Past T ~ 19 the even annulus
 # branch saturates to exactly 4*pi in double precision, which would make the
@@ -60,38 +60,27 @@ class CriticalMetric:
     indices: tuple[int, ...]  # eigenvalue indices j for which T is critical
 
 
-def default_grid(n: int = GRID_POINTS) -> np.ndarray:
-    return np.geomspace(GRID_T_MIN, GRID_T_MAX, n)
-
-
-def grid_supremum(
-    kind: SurfaceKind, j: int, grid: np.ndarray | None = None, refine: bool = True
-) -> tuple[float, float]:
+def grid_supremum(kind: SurfaceKind, j: int) -> tuple[float, float]:
     """(max value, argmax modulus) of sigma_bar_j over a log-spaced grid.
 
     The maximum sits at a kink (two branches crossing), so a single pass only
     locates it to first order in the grid spacing; a second linear pass over
     the bracketing coarse cells recovers ~1e-7 relative accuracy.
     """
-    if grid is None:
-        grid = default_grid()
+    grid = np.geomspace(GRID_T_MIN, GRID_T_MAX, GRID_POINTS)
     values = sigma_bar_grid(kind, j, grid)[j - 1]
     i = int(np.argmax(values))
-    if refine:
-        lo = grid[max(i - 3, 0)]
-        hi = grid[min(i + 3, len(grid) - 1)]
-        fine = np.linspace(lo, hi, GRID_POINTS)
-        values = sigma_bar_grid(kind, j, fine)[j - 1]
-        i = int(np.argmax(values))
-        return float(values[i]), float(fine[i])
-    return float(values[i]), float(grid[i])
+    lo = grid[max(i - 3, 0)]
+    hi = grid[min(i + 3, GRID_POINTS - 1)]
+    fine = np.linspace(lo, hi, GRID_POINTS)
+    values = sigma_bar_grid(kind, j, fine)[j - 1]
+    i = int(np.argmax(values))
+    return float(values[i]), float(fine[i])
 
 
 def sup_sigma_mobius(j: int) -> SupremumResult:
     """Supremum of the j-th Mobius eigenvalue; always attained, at T_{k,1}."""
-    j = int(j)
-    if j < 1:
-        raise DomainError(f"eigenvalue index must be >= 1, got {j}")
+    j = _check_index(j, "eigenvalue index")
     k = (j + 1) // 2
     point = solve_crossing(2.0 * k, 1.0)
     return SupremumResult(
@@ -110,9 +99,7 @@ def sup_sigma_annulus(j: int) -> SupremumResult:
     4*pi*k/t10.  j = 2: the even branch increases to 4*pi but never reaches
     it.  Even j = 2k > 2: attained at the even/odd crossing t_{k,1}.
     """
-    j = int(j)
-    if j < 1:
-        raise DomainError(f"eigenvalue index must be >= 1, got {j}")
+    j = _check_index(j, "eigenvalue index")
     t10 = solve_t10()
     if j % 2 == 1:
         k = (j + 1) // 2
@@ -156,10 +143,7 @@ def critical_set(kind: SurfaceKind, max_mode: int) -> list[CriticalMetric]:
     min(multiplicities) are local minima.  At a linear/even crossing the
     middle index follows the even branch on both sides and is not critical.
     """
-    max_mode = int(max_mode)
-    if max_mode < 1:
-        raise DomainError(f"max_mode must be >= 1, got {max_mode}")
-    lattice = crossing_lattice(kind, max_mode)
+    lattice = crossing_lattice(kind, max_mode)  # validates max_mode
     # the linear/even crossings come first, listed as (linear, even)
     lattice.sort(key=lambda c: c.decreasing.kind is not BranchKind.LINEAR)
     results: list[CriticalMetric] = []
@@ -204,16 +188,16 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
     For all integers k >= l > c > 0 with k + c <= max_mode, the even-branch
     value at T_{k,l} is strictly below the value at T_{k+c,l-c}.
     """
-    lattice = crossing_lattice(SurfaceKind.MOBIUS_BAND, max_mode)
-    moduli = {(c.increasing.mode, c.decreasing.mode): c.modulus for c in lattice}
+    mb = SurfaceKind.MOBIUS_BAND
+    moduli = {
+        (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.modulus
+        for c in crossing_lattice(mb, max_mode)
+    }
     records = []
-    for crossing in lattice:
-        k, l = crossing.increasing.mode // 2, (crossing.decreasing.mode + 1) // 2
-        lhs = lambda_bar(SurfaceKind.MOBIUS_BAND, k, crossing.modulus)
+    for (k, l), modulus in moduli.items():
+        lhs = lambda_bar(mb, k, modulus)
         for c in range(1, min(l, max_mode - k + 1)):
-            rhs = lambda_bar(
-                SurfaceKind.MOBIUS_BAND, k + c, moduli[2 * (k + c), 2 * (l - c) - 1]
-            )
+            rhs = lambda_bar(mb, k + c, moduli[k + c, l - c])
             records.append(InequalityRecord(label=f"k={k},l={l},c={c}", lhs=lhs, rhs=rhs))
     return records
 
@@ -252,29 +236,3 @@ def verify_no_asymptote(max_even: int) -> list[NoAsymptoteRecord]:
             )
         )
     return records
-
-
-def mobius_supremum_consistency(k: int) -> tuple[float, float, float]:
-    """The supremum value through three routes: closed form, even and odd branch."""
-    point = solve_crossing(2.0 * k, 1.0)
-    return (
-        2.0 * math.pi * point.height,
-        lambda_bar(SurfaceKind.MOBIUS_BAND, k, point.x),
-        mu_bar(SurfaceKind.MOBIUS_BAND, 1, point.x),
-    )
-
-
-def annulus_even_supremum_report(k: int) -> dict[str, float]:
-    """The even-index annulus supremum for k > 1 through three routes.
-
-    The crossing identity forces value = 4*pi*k*tanh(k*t_{k,1}) which equals
-    4*pi*coth(t_{k,1}).
-    """
-    point = solve_crossing(float(k), 1.0)
-    t = point.x
-    return {
-        "modulus": t,
-        "crossing_value": 4.0 * math.pi * point.height,
-        "even_branch_value": 4.0 * math.pi * k * math.tanh(k * t),
-        "odd_branch_value": float(4.0 * math.pi * (1.0 / math.tanh(t))),
-    }

@@ -158,11 +158,11 @@ class IdentityReport:
     boundary_factor_deviation: float
 
 
-def verify_identities(fam: ImmersionFamily, n_t: int = 200, n_theta: int = 400) -> IdentityReport:
-    """Evaluate every pointwise certification identity on a parameter grid."""
+def verify_identities(fam: ImmersionFamily) -> IdentityReport:
+    """Evaluate every pointwise certification identity on a 200 x 400 parameter grid."""
     T = fam.T_star
-    t = np.linspace(-T, T, n_t)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    t = np.linspace(-T, T, 200)
+    theta = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
     tt = t[:, None]
     th = theta[None, :]
     u, ut, uth = evaluate(fam, tt, th)
@@ -200,11 +200,11 @@ def verify_identities(fam: ImmersionFamily, n_t: int = 200, n_theta: int = 400) 
     )
 
 
-def _fd_laplacian_residual(fam: ImmersionFamily, h: float, n_samples: int = 40) -> float:
-    """Max flat 5-point Laplacian of the components over interior samples."""
+def _fd_laplacian_residual(fam: ImmersionFamily, h: float) -> float:
+    """Max flat 5-point Laplacian of the components over 40 x 40 interior samples."""
     T = fam.T_star
-    t = np.linspace(-T + 2 * h, T - 2 * h, n_samples)[:, None]
-    th = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)[None, :]
+    t = np.linspace(-T + 2 * h, T - 2 * h, 40)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)[None, :]
 
     def pos(dt, dth):
         return evaluate(fam, t + dt, th + dth, check_domain=False)[0]
@@ -227,28 +227,13 @@ class QFormSample:
     h_thetatheta: Component
 
 
-def _grids(fam: ImmersionFamily, n_t: int, n_theta: int):
-    if n_t % 2 == 0:
-        n_t += 1  # Simpson weights need an odd node count
-    T = fam.T_star
-    t = np.linspace(-T, T, n_t)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    wt = np.ones(n_t)
-    wt[1:-1:2] = 4.0
-    wt[2:-1:2] = 2.0
-    wt *= (t[1] - t[0]) / 3.0
-    wth = 2.0 * math.pi / n_theta
-    return t, theta, wt, wth
-
-
-def _boundary_sums(
-    fam: ImmersionFamily, sample: QFormSample, n_theta: int = 512
-) -> tuple[float, float, float]:
+def _boundary_sums(fam: ImmersionFamily, sample: QFormSample) -> tuple[float, float, float]:
     """Rectangle-rule integrals over both boundary circles t = -T*, T*.
 
     With f = |du/dt| the boundary length element, returns the integrals of
-    h_thetatheta / f, of |h_thetatheta| / f and of f.
+    h_thetatheta / f, of |h_thetatheta| / f and of f, on 512 nodes per circle.
     """
+    n_theta = 512
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     wth = 2.0 * math.pi / n_theta
     signed = absolute = length = 0.0
@@ -263,34 +248,30 @@ def _boundary_sums(
     return signed, absolute, length
 
 
-def boundary_constraint_residual(
-    fam: ImmersionFamily, sample: QFormSample, n_theta: int = 512
-) -> float:
-    """Integral of h evaluated on the unit boundary tangent, over the boundary."""
-    return _boundary_sums(fam, sample, n_theta)[0]
-
-
-def q_form_components(
-    fam: ImmersionFamily,
-    sample: QFormSample,
-    n_t: int = 201,
-    n_theta: int = 256,
-    constraint_tol: float = 1e-8,
-) -> np.ndarray:
+def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     """Eigenvalue-perturbation quadratic form of each coordinate function.
 
     The form pairs the stress-energy tensor of each component with the
     variation h over the interior and adds the boundary term weighted by the
     Steklov eigenvalue of the induced metric; for an admissible h the sum
-    over components must vanish.
+    over components must vanish.  The interior uses Simpson's rule in t on
+    201 nodes (an odd count) and the rectangle rule on 256 theta nodes.
     """
     residual, scale, _ = _boundary_sums(fam, sample)
-    if abs(residual) > constraint_tol * (scale + 1.0):
+    if abs(residual) > 1e-8 * (scale + 1.0):
         raise ConstraintError(
             f"variation violates the boundary length constraint: {residual:.3e}"
         )
 
-    t, theta, wt, wth = _grids(fam, n_t, n_theta)
+    n_t, n_theta = 201, 256
+    T = fam.T_star
+    t = np.linspace(-T, T, n_t)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    wt = np.ones(n_t)
+    wt[1:-1:2] = 4.0
+    wt[2:-1:2] = 2.0
+    wt *= (t[1] - t[0]) / 3.0
+    wth = 2.0 * math.pi / n_theta
     tt = t[:, None]
     th = theta[None, :]
     u, ut, uth = evaluate(fam, tt, th)
@@ -326,14 +307,8 @@ def q_form_components(
     return -interior - 0.5 * sigma * boundary
 
 
-def q_form_sum(
-    fam: ImmersionFamily,
-    sample: QFormSample,
-    n_t: int = 201,
-    n_theta: int = 256,
-    constraint_tol: float = 1e-8,
-) -> float:
-    return float(np.sum(q_form_components(fam, sample, n_t, n_theta, constraint_tol)))
+def q_form_sum(fam: ImmersionFamily, sample: QFormSample) -> float:
+    return float(np.sum(q_form_components(fam, sample)))
 
 
 def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
@@ -371,21 +346,17 @@ def covering_degree(fam: ImmersionFamily) -> int:
     return math.gcd(fam.m, fam.n)
 
 
-def injectivity_scan(
-    fam: ImmersionFamily,
-    n_t: int = 48,
-    n_theta: int = 96,
-    separation_tol: float = 0.1,
-) -> InjectivityReport:
+def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
     """Grid-scale injectivity check, with covering detection for gcd > 1.
 
     When the mode pair shares a factor d the parametrization repeats after a
     theta shift of 2*pi/d and the map is a d-fold covering; otherwise every
-    pair of image points closer than separation_tol times the smallest image
-    edge must come from neighbouring (or identified) parameters.  Samples sit
-    at cell centers, strictly inside the fundamental domain, so each sample
-    is a unique quotient representative; the certificate is at grid scale
-    and says nothing about the measure-zero seam circle itself.
+    pair of image points on a 48 x 96 grid that are closer than a tenth of
+    the smallest image edge must come from neighbouring (or identified)
+    parameters.  Samples sit at cell centers, strictly inside the fundamental
+    domain, so each sample is a unique quotient representative; the
+    certificate is at grid scale and says nothing about the measure-zero
+    seam circle itself.
     """
     from scipy.spatial import cKDTree
 
@@ -403,6 +374,7 @@ def injectivity_scan(
             injective=False, covering_degree=d, min_image_separation=0.0, threshold=0.0
         )
 
+    n_t, n_theta = 48, 96
     if fam.is_quotient:
         dt = T / n_t
         t_vals = (np.arange(n_t) + 0.5) * dt
@@ -417,7 +389,7 @@ def injectivity_scan(
 
     tree = cKDTree(pts)
     edge = _min_image_edge(fam, t_vals, th_vals)
-    threshold = separation_tol * edge
+    threshold = 0.1 * edge
     pairs = tree.query_pairs(threshold, output_type="ndarray").reshape(-1, 2)
     injective = bool(
         np.all(_params_adjacent(fam, params[pairs[:, 0]], params[pairs[:, 1]], dt, dth))
@@ -460,11 +432,11 @@ def _params_adjacent(fam, p, q, dt, dth) -> np.ndarray:
     return adjacent
 
 
-def radial_monotonicity_margin(fam: ImmersionFamily, n_samples: int = 200) -> float:
-    """Min of d/dt |u|^2 over t in (0, T*]; positive for the B^4 families."""
+def radial_monotonicity_margin(fam: ImmersionFamily) -> float:
+    """Min of d/dt |u|^2 over 200 samples of t in (0, T*]; positive for the B^4 families."""
     if fam.family is FamilyKind.CATENOID_B3:
         raise DomainError("radial monotonicity applies to the 4-dimensional families")
-    t = np.linspace(1e-6, fam.T_star, n_samples)
+    t = np.linspace(1e-6, fam.T_star, 200)
     m, n = fam.m, fam.n
     deriv = (
         m * m * n * np.sinh(2.0 * n * t) + n * n * m * np.sinh(2.0 * m * t)

@@ -19,7 +19,6 @@ from steklov.branches import (
     mu_bar,
     sigma_bar,
     sigma_bar_grid,
-    sigma_bar_piecewise_mobius,
     spectrum,
 )
 from steklov.cli import EXIT_OK, run
@@ -50,6 +49,8 @@ from steklov.surfaces import (
     q_form_components,
     verify_identities,
 )
+
+from mobius_reference import sigma_bar_piecewise_mobius
 
 MB = SurfaceKind.MOBIUS_BAND
 AN = SurfaceKind.ANNULUS

@@ -14,16 +14,16 @@ from steklov.branches import (
     branch_value,
     crossing_lattice,
     lambda_bar,
-    mobius_crossing_modulus,
     mu_bar,
     nu_bar,
     sigma_bar,
     sigma_bar_grid,
-    sigma_bar_piecewise_mobius,
     spectrum,
 )
 from steklov.crossings import solve_crossing
 from steklov.exceptions import DomainError, UnsupportedBranchError
+
+from mobius_reference import mobius_crossing_modulus, sigma_bar_piecewise_mobius
 
 MB = SurfaceKind.MOBIUS_BAND
 AN = SurfaceKind.ANNULUS

@@ -5,15 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from steklov.branches import SurfaceKind, sigma_bar, sigma_bar_grid
+from steklov.branches import (
+    SurfaceKind,
+    crossing_lattice,
+    lambda_bar,
+    mu_bar,
+    sigma_bar,
+    sigma_bar_grid,
+    spectrum,
+)
 from steklov.crossings import solve_crossing, solve_t10
 from steklov.exceptions import DomainError
 from steklov.extrema import (
     Character,
-    annulus_even_supremum_report,
     critical_set,
     grid_supremum,
-    mobius_supremum_consistency,
     sup_sigma_annulus,
     sup_sigma_mobius,
     verify_first_intersection_max,
@@ -76,6 +82,36 @@ def test_supremum_index_validation():
         sup_sigma_mobius(0)
     with pytest.raises(DomainError):
         sup_sigma_annulus(-3)
+
+
+# every public entry point that takes an integer index, count or mode bound
+_INTEGER_ARGUMENT = {
+    "spectrum": lambda v: spectrum(MB, 1.0, v),
+    "sigma_bar": lambda v: sigma_bar(MB, v, 1.0),
+    "sigma_bar_grid": lambda v: sigma_bar_grid(AN, v, [1.0]),
+    "sup_sigma_mobius": sup_sigma_mobius,
+    "sup_sigma_annulus": sup_sigma_annulus,
+    "critical_set": lambda v: critical_set(MB, v),
+    "crossing_lattice": lambda v: crossing_lattice(AN, v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ARGUMENT))
+def test_integer_arguments_refuse_fractions_and_non_finite(entry, value):
+    # a fraction must not truncate, and inf or NaN must not escape as
+    # OverflowError or ValueError
+    with pytest.raises(DomainError, match="must be an integer"):
+        _INTEGER_ARGUMENT[entry](value)
+
+
+def test_integer_arguments_below_one_keep_their_message():
+    with pytest.raises(DomainError, match=r"^count must be >= 1, got 0$"):
+        spectrum(AN, 1.0, 0)
+    with pytest.raises(DomainError, match=r"^eigenvalue index must be >= 1, got -3$"):
+        sup_sigma_annulus(-3)
+    with pytest.raises(DomainError, match=r"^max_mode must be >= 1, got 0$"):
+        critical_set(MB, 0.0)
 
 
 @pytest.mark.parametrize("kind,j", [(MB, 1), (MB, 4), (AN, 1), (AN, 3), (AN, 6)])
@@ -171,23 +207,25 @@ def test_no_asymptote_records():
 
 
 def test_mobius_supremum_consistency_three_routes():
+    # closed form 2*pi*height at T_{k,1}, the even branch and the odd branch
     for k in (1, 2, 5):
-        closed, even, odd = mobius_supremum_consistency(k)
-        assert closed == pytest.approx(even, rel=1e-13)
-        assert closed == pytest.approx(odd, rel=1e-13)
+        point = solve_crossing(2.0 * k, 1.0)
+        closed = 2.0 * math.pi * point.height
+        assert closed == pytest.approx(lambda_bar(MB, k, point.x), rel=1e-13)
+        assert closed == pytest.approx(mu_bar(MB, 1, point.x), rel=1e-13)
 
 
 def test_annulus_even_report_resolves_variant():
-    report = annulus_even_supremum_report(2)
-    assert report["crossing_value"] == pytest.approx(
-        report["even_branch_value"], rel=1e-13
-    )
-    assert report["crossing_value"] == pytest.approx(
-        report["odd_branch_value"], rel=1e-12
-    )
+    # the crossing identity forces 4*pi*height = 4*pi*k*tanh(k*t) = 4*pi*coth(t)
+    k = 2
+    point = solve_crossing(float(k), 1.0)
+    t = point.x
+    crossing_value = 4.0 * math.pi * point.height
+    assert crossing_value == pytest.approx(4.0 * math.pi * k * math.tanh(k * t), rel=1e-13)
+    assert crossing_value == pytest.approx(4.0 * math.pi / math.tanh(t), rel=1e-12)
     # the grid search confirms the crossing value
-    grid_value, _ = grid_supremum(AN, 4)
-    assert grid_value == pytest.approx(report["crossing_value"], rel=1e-6)
+    grid_value, _ = grid_supremum(AN, 2 * k)
+    assert grid_value == pytest.approx(crossing_value, rel=1e-6)
 
 
 def _slope_character(left, mid, right):
