@@ -80,14 +80,20 @@ def _check_modulus(T: float) -> float:
     return T
 
 
-def _check_index(value, name: str = "mode index") -> int:
-    """`value` as an int >= 1; fractions, infinities and NaN are refused too."""
+def _check_integer(value, name: str, error: type[Exception] = DomainError) -> int:
+    """`value` as an int; fractions, infinities and NaN raise `error`."""
     try:
         index = int(value)
     except (OverflowError, ValueError):  # inf, NaN
-        raise DomainError(f"{name} must be an integer, got {value}") from None
+        raise error(f"{name} must be an integer, got {value}") from None
     if index != value:
-        raise DomainError(f"{name} must be an integer, got {value}")
+        raise error(f"{name} must be an integer, got {value}")
+    return index
+
+
+def _check_index(value, name: str = "mode index") -> int:
+    """`value` as an int >= 1, by the integer rule of `_check_integer`."""
+    index = _check_integer(value, name)
     if index < 1:
         raise DomainError(f"{name} must be >= 1, got {index}")
     return index

@@ -562,10 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at import, once per process: in-process run() calls reuse it
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -221,6 +221,7 @@ def verify_no_asymptote(max_even: int) -> list[NoAsymptoteRecord]:
     Also replays the intermediate comparison point: T_k defined by
     2k*tanh(2k*T_k) = 1/T_k satisfies 2k*T_k = t10 and T_k < T_{k,1}.
     """
+    max_even = _check_index(max_even, "max_even")
     t10 = solve_t10()
     records = []
     for k in range(2, max_even + 1, 2):

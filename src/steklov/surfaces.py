@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .branches import _check_integer
 from .crossings import solve_crossing, solve_t10
 from .exceptions import ConstraintError, DomainError, ParameterError
 
@@ -53,7 +54,7 @@ class ImmersionFamily:
 
 
 def catenoid_b3(n: int) -> ImmersionFamily:
-    n = int(n)
+    n = _check_integer(n, "winding number", ParameterError)
     if n < 1:
         raise ParameterError(f"winding number must be >= 1, got {n}")
     t10 = solve_t10()
@@ -69,14 +70,14 @@ def catenoid_b3(n: int) -> ImmersionFamily:
 
 
 def annulus_b4(m: int, n: int) -> ImmersionFamily:
-    m, n = int(m), int(n)
+    m, n = _check_integer(m, "m", ParameterError), _check_integer(n, "n", ParameterError)
     if not m > n >= 1:
         raise ParameterError(f"need m > n >= 1, got m={m}, n={n}")
     return _b4_family(FamilyKind.ANNULUS_B4, m, n)
 
 
 def mobius_b4(m: int, n: int) -> ImmersionFamily:
-    m, n = int(m), int(n)
+    m, n = _check_integer(m, "m", ParameterError), _check_integer(n, "n", ParameterError)
     if m % 2 != 0 or n % 2 != 1:
         raise ParameterError(f"need m even and n odd, got m={m}, n={n}")
     if not m > n >= 1:
@@ -170,8 +171,10 @@ def verify_identities(fam: ImmersionFamily) -> IdentityReport:
     cross = np.einsum("...i,...i->...", ut, uth)
     norm_t = np.einsum("...i,...i->...", ut, ut)
     norm_th = np.einsum("...i,...i->...", uth, uth)
-    conformal = float(np.max(np.abs(cross) + np.abs(norm_t - norm_th)))
-    stress = float(np.max(np.abs(norm_t - norm_th)) + np.max(np.abs(cross)))
+    abs_cross = np.abs(cross)
+    abs_gap = np.abs(norm_t - norm_th)
+    conformal = float(np.max(abs_cross + abs_gap))
+    stress = float(np.max(abs_gap) + np.max(abs_cross))
 
     ub, utb, _ = evaluate(fam, np.array([[-T], [T]]), th)
     norms = np.linalg.norm(ub, axis=-1)

@@ -419,3 +419,45 @@ def test_json_and_csv_are_exclusive(capsys, argv):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: argument --csv: not allowed with argument --json"
     ]
+
+
+def test_run_does_not_build_a_parser(capsys, monkeypatch):
+    import steklov.cli as cli
+
+    built = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    code, _, _ = _run(capsys, "spectrum", "--kind", "mobius", "--T", "0.7")
+    assert code == EXIT_OK
+    assert _run(capsys, "suprema", "--kind", "mobius", "--j", "0")[0] == EXIT_USAGE
+    assert built == []
+
+
+# one process, calls in this order: a parser reused across them must answer
+# each exactly as a parser built for that call alone
+_SEQUENCE = [
+    ["spectrum", "--kind", "annulus", "--T", "1.3", "--count", "7", "--json"],
+    ["spectrum", "--kind", "annulus", "--T", "1.3", "--count", "7"],
+    ["spectrum", "--kind", "annulus", "--count", "7"],
+    ["--help"],
+    ["crossings", "--kind", "mobius", "--max-mode", "3", "--csv"],
+]
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    import steklov.cli as cli
+
+    shared = [_run(capsys, *argv) for argv in _SEQUENCE]
+    fresh = []
+    for argv in _SEQUENCE:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(_run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert shared[2][2].splitlines()[-1] == "error: the following arguments are required: --T"
+

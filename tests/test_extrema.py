@@ -93,6 +93,8 @@ _INTEGER_ARGUMENT = {
     "sup_sigma_annulus": sup_sigma_annulus,
     "critical_set": lambda v: critical_set(MB, v),
     "crossing_lattice": lambda v: crossing_lattice(AN, v),
+    "verify_first_intersection_max": verify_first_intersection_max,
+    "verify_no_asymptote": verify_no_asymptote,
 }
 
 
@@ -112,6 +114,8 @@ def test_integer_arguments_below_one_keep_their_message():
         sup_sigma_annulus(-3)
     with pytest.raises(DomainError, match=r"^max_mode must be >= 1, got 0$"):
         critical_set(MB, 0.0)
+    with pytest.raises(DomainError, match=r"^max_even must be >= 1, got 0$"):
+        verify_no_asymptote(0)
 
 
 @pytest.mark.parametrize("kind,j", [(MB, 1), (MB, 4), (AN, 1), (AN, 3), (AN, 6)])

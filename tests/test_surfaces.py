@@ -249,3 +249,22 @@ def test_radial_monotonicity():
         assert radial_monotonicity_margin(fam) > 0.0
     with pytest.raises(DomainError):
         radial_monotonicity_margin(catenoid_b3(1))
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        catenoid_b3,
+        lambda v: annulus_b4(v, 2),
+        lambda v: annulus_b4(5, v),
+        lambda v: mobius_b4(v, 1),
+        lambda v: mobius_b4(4, v),
+    ],
+    ids=["catenoid_n", "annulus_m", "annulus_n", "mobius_m", "mobius_n"],
+)
+def test_family_modes_refuse_fractions_and_non_finite(build, value):
+    # a fractional mode must not truncate to a different surface, and inf or
+    # NaN must not escape as OverflowError or ValueError
+    with pytest.raises(ParameterError, match="must be an integer"):
+        build(value)
