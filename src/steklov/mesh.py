@@ -5,7 +5,12 @@ seam welded.  Mobius families mesh the fundamental domain [0, T*] x S^1 and
 weld the core circle t = 0 through the half-turn identification, which
 leaves a single boundary loop at t = T*.  Four-dimensional families are
 written to OBJ/PLY through an orthogonal projection onto three chosen
-coordinates; CSV always carries the full coordinates.
+coordinates; CSV always carries the full coordinates.  The projection axes are
+checked against the family's dimension for every format.
+
+Exports are ``%.17g`` text (``%d`` for face indices), byte for byte what
+``template % row`` gives, formatted by ``numtext.format_rows`` a block of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import DomainError
+from .numtext import format_rows
 from .surfaces import ImmersionFamily, evaluate
 
 # Rows formatted per write call: bounds the size of each formatted string, so
@@ -122,15 +128,17 @@ def export_mesh(
     path: str,
     projection: tuple[int, int, int] = (0, 1, 2),
 ) -> SurfaceMesh:
+    dim = fam.ambient_dim
+    axes = tuple(projection)
+    if len(axes) != 3 or len(set(axes)) != 3 or not all(0 <= a < dim for a in axes):
+        raise DomainError(
+            f"invalid projection axes {projection}: need 3 distinct axes in 0..{dim - 1}"
+        )
     mesh = build_mesh(fam, n_t, n_theta)
     if fmt is MeshFormat.CSV:
-        _write_csv(mesh, path, fam.ambient_dim)
+        _write_csv(mesh, path, dim)
     else:
-        pts = mesh.vertices
-        if fam.ambient_dim == 4:
-            if len(set(projection)) != 3 or not all(0 <= p < 4 for p in projection):
-                raise DomainError(f"invalid projection axes {projection}")
-            pts = pts[:, list(projection)]
+        pts = mesh.vertices[:, list(axes)]
         if fmt is MeshFormat.OBJ:
             _write_obj(pts, mesh.faces, path)
         else:
@@ -141,8 +149,7 @@ def export_mesh(
 def _write_rows(fh, template: str, rows: np.ndarray) -> None:
     """Write ``template % row`` for each row, a block of rows per write."""
     for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(format_rows(template, rows[start : start + _BLOCK_ROWS]))
 
 
 def _write_csv(mesh: SurfaceMesh, path: str, dim: int) -> None:

@@ -263,6 +263,34 @@ def test_surface_rejects_bad_projection(capsys, tmp_path):
     assert not (tmp_path / "band.obj").exists()
 
 
+@pytest.mark.parametrize(
+    "family, projection, fmt",
+    [
+        (["catenoid", "--n", "2"], "0,1", "obj"),
+        (["catenoid", "--n", "2"], "0,1,3", "ply"),
+        (["catenoid", "--n", "2"], "2,2,0", "csv"),
+        (["mobius", "--m", "2", "--n", "1"], "9,9,9", "csv"),
+    ],
+    ids=["catenoid-two-axes", "catenoid-axis-3", "catenoid-repeat", "band-csv-999"],
+)
+def test_surface_rejects_projection_outside_the_family(capsys, tmp_path, family, projection, fmt):
+    out = tmp_path / f"mesh.{fmt}"
+    argv = ["surface", "--family", *family, "--grid", "4x6", "--format", fmt]
+    _assert_one_error_line(*_run(capsys, *argv, "--projection", projection, "--out", str(out)))
+    assert not out.exists()
+
+
+def test_surface_permutes_catenoid_axes(capsys, tmp_path):
+    first = {}
+    for projection in ("0,1,2", "2,1,0"):
+        out = tmp_path / f"cat-{projection}.obj"
+        argv = ["surface", "--family", "catenoid", "--n", "2", "--grid", "4x6"]
+        code, _, _ = _run(capsys, *argv, "--projection", projection, "--out", str(out))
+        assert code == EXIT_OK
+        first[projection] = out.read_text().splitlines()[0].split()[1:]
+    assert first["2,1,0"] == first["0,1,2"][::-1]
+
+
 def test_surface_rejects_mobius_grid_below_six_columns(capsys, tmp_path):
     # the half-turn weld of a 4-column grid makes the core a 2-gon
     out = tmp_path / "band.obj"

@@ -4,13 +4,17 @@ import csv
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import mesh as mesh_module
 from steklov.exceptions import DomainError
 from steklov.mesh import MeshFormat, build_mesh, export_mesh
+from steklov.numtext import format_rows
 from steklov.surfaces import annulus_b4, catenoid_b3, evaluate, mobius_b4
 
 
@@ -103,6 +107,40 @@ def test_projection_choice(tmp_path):
         export_mesh(fam, 8, 16, MeshFormat.OBJ, str(path), projection=(0, 1, 4))
     with pytest.raises(DomainError):
         export_mesh(fam, 8, 16, MeshFormat.OBJ, str(path), projection=(0, 1, 1))
+
+
+@pytest.mark.parametrize("fmt", list(MeshFormat), ids=lambda f: f.value)
+def test_projection_permutes_catenoid(tmp_path, fmt):
+    fam = catenoid_b3(2)
+    path = tmp_path / f"cat.{fmt.value}"
+    export_mesh(fam, 8, 16, fmt, str(path), projection=(2, 1, 0))
+    mesh = build_mesh(fam, 8, 16)
+    lines = path.read_text().splitlines()
+    if fmt is MeshFormat.CSV:  # CSV carries every coordinate, unprojected
+        assert [float(x) for x in lines[1].split(",")[2:]] == list(mesh.vertices[0])
+        return
+    first = lines[0 if fmt is MeshFormat.OBJ else lines.index("end_header") + 1]
+    assert [float(x) for x in first.split()[-3:]] == list(mesh.vertices[0, [2, 1, 0]])
+
+
+@pytest.mark.parametrize("fmt", list(MeshFormat), ids=lambda f: f.value)
+@pytest.mark.parametrize(
+    "fam, projection",
+    [
+        (catenoid_b3(2), (0, 1)),
+        (catenoid_b3(2), (0, 1, 3)),
+        (catenoid_b3(2), (0, 0, 1)),
+        (mobius_b4(2, 1), (9, 9, 9)),
+        (mobius_b4(2, 1), (0, 1, 2, 3)),
+        (annulus_b4(3, 2), (-1, 1, 2)),
+    ],
+    ids=["cat-two-axes", "cat-axis-3", "cat-repeat", "band-999", "band-four-axes", "ann-negative"],
+)
+def test_projection_checked_for_every_family_and_format(tmp_path, fam, projection, fmt):
+    path = tmp_path / f"mesh.{fmt.value}"
+    with pytest.raises(DomainError, match="projection"):
+        export_mesh(fam, 8, 16, fmt, str(path), projection=projection)
+    assert not path.exists()  # checked before the mesh is built or the file opened
 
 
 def test_boundary_loops_vertex_counts():
@@ -228,3 +266,160 @@ def test_topology_matches_per_face_count(fam, grid):
     assert mesh.boundary_loops() == loops
     assert euler == 0
     assert loops == (1 if fam.is_quotient else 2)
+
+
+# ---------------------------------------------------------------------------
+# The block formatter against CPython's own ``%`` conversions.
+
+
+def _as_text(template, values):
+    column = np.asarray(values)[:, None]
+    return format_rows(template, column)
+
+
+def _percent(template, values):
+    return "".join(template % v for v in values)
+
+
+def _dyadic_ties():
+    """Doubles odd / 2**(17 - k) in [10**k, 10**(k + 1)): their exact decimal
+    has 18 significant digits ending in 5, a tie for 17 digits.  Such doubles
+    exist for k in -8..12 (a smaller k leaves no odd numerator in range, a
+    larger one needs more than 53 bits)."""
+    ties = []
+    for k in range(-8, 13):
+        den = 2 ** (17 - k)
+        low, high = Fraction(10) ** k * den, Fraction(10) ** (k + 1) * den
+        for odd in {math.ceil(low) | 1, (math.ceil(low) | 1) + 2, (math.ceil(high) - 1) | 1}:
+            if low <= odd < high:
+                x = odd / den
+                assert (Fraction(x) * Fraction(10) ** (16 - k)).denominator == 2
+                ties.append(x)
+    return ties
+
+
+def _float_cases():
+    cases = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    cases += [math.inf, -math.inf, math.nan, 0.1, 0.5, 1.5, 100.0, 120.0, 123.456]
+    for k in range(-30, 31):
+        p = float(f"1e{k}")  # the double nearest 10**k
+        cases += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        cases += [math.nextafter(math.nextafter(p, 0.0), 0.0)]
+    cases += _dyadic_ties()
+    # integers at and above 2**53, where doubles are spaced 2 apart or more
+    cases += [2.0**53, 2.0**53 + 2, 2.0**60, 1e16, 1e16 - 2, 99999999999999984.0, 1e17]
+    # 1e-14 lies below 10**-14 yet rounds up to 10**17 at 17 digits, and its
+    # product with 10**30 rounds to 1e16 from below
+    cases += [1e-14, 9.9999999999999995e-15]
+    return cases
+
+
+def test_g17_fixed_cases():
+    cases = _float_cases()
+    assert _as_text("%.17g\n", cases) == _percent("%.17g\n", cases)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=64))
+def test_g17_matches_percent(values):
+    assert _as_text("%.17g\n", values) == _percent("%.17g\n", values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-32, 32)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_g17_matches_percent_across_the_array_range(values):
+    # |x| in 1e-32..1e33: the table-driven path and both of its borders
+    assert _as_text("%.17g\n", values) == _percent("%.17g\n", values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+def test_d_matches_percent(values):
+    assert _as_text("%d\n", values) == _percent("%d\n", values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0], [0, 0, 7], [9999, 10000, 10001], [-1, 0, 1], [2**53, 2**53 + 1, 2**63 - 1, -(2**63)]],
+)
+def test_d_fixed_cases(values):
+    assert _as_text("%d\n", values) == _percent("%d\n", values)
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["v %.17g %.17g %.17g\n", "%.17g %.17g %.17g\n", ",".join(["%.17g"] * 6) + "\r\n"],
+)
+def test_format_rows_matches_row_templates(template):
+    rng = np.random.default_rng(7)
+    n_cols = template.count("%")
+    rows = rng.standard_normal((50, n_cols)) * 10.0 ** rng.integers(-20, 20, (50, n_cols))
+    rows[3] = 0.0
+    assert format_rows(template, rows) == (template * 50) % tuple(rows.ravel().tolist())
+
+
+def test_format_rows_rejects_a_template_that_does_not_fit():
+    with pytest.raises(ValueError):
+        format_rows("%.17g %.17g\n", np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        format_rows("%.17g %d\n", np.zeros((2, 2)))
+    with pytest.raises(TypeError):
+        format_rows("%d\n", np.zeros((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Exports at the benchmark's grids against the per-row ``%`` writers that the
+# block formatter replaced.
+
+
+def _reference_export(fam, n_t, n_theta, fmt, path, projection):
+    mesh = build_mesh(fam, n_t, n_theta)
+    if fmt is MeshFormat.CSV:
+        dim = fam.ambient_dim
+        row = ",".join(["%.17g"] * (2 + dim)) + "\r\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(["t", "theta"] + [f"x{i + 1}" for i in range(dim)]) + "\r\n")
+            for values in np.concatenate([mesh.params, mesh.vertices], axis=1).tolist():
+                fh.write(row % tuple(values))
+        return
+    pts = mesh.vertices[:, list(projection)].tolist()
+    faces = mesh.faces.tolist()
+    with open(path, "w") as fh:
+        if fmt is MeshFormat.OBJ:
+            for p in pts:
+                fh.write("v %.17g %.17g %.17g\n" % tuple(p))
+            for a, b, c in faces:
+                fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
+            return
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(pts)}\n")
+        fh.write("property double x\nproperty double y\nproperty double z\n")
+        fh.write(f"element face {len(faces)}\n")
+        fh.write("property list uchar int vertex_indices\nend_header\n")
+        for p in pts:
+            fh.write("%.17g %.17g %.17g\n" % tuple(p))
+        for f in faces:
+            fh.write("3 %d %d %d\n" % tuple(f))
+
+
+@pytest.mark.parametrize("fmt", list(MeshFormat), ids=lambda f: f.value)
+@pytest.mark.parametrize(
+    "fam, grid, projection",
+    [
+        (catenoid_b3(3), (32, 64), (0, 1, 2)),  # exact zeros on every theta = 0 row
+        (mobius_b4(8, 5), (96, 192), (3, 1, 0)),
+        (annulus_b4(7, 4), (128, 256), (0, 1, 2)),
+    ],
+    ids=["catenoid3-32x64", "mobius85-96x192", "annulus74-128x256"],
+)
+def test_export_matches_per_row_writer(tmp_path, fam, grid, projection, fmt):
+    got, want = tmp_path / f"block.{fmt.value}", tmp_path / f"rows.{fmt.value}"
+    export_mesh(fam, *grid, fmt, str(got), projection=projection)
+    _reference_export(fam, *grid, fmt, str(want), projection)
+    assert got.read_bytes() == want.read_bytes()
