@@ -11,8 +11,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import asdict, is_dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -55,26 +53,20 @@ def _jsonify(value, indent: int = 0) -> str:
             f'{pad}  "{k}": {_jsonify(v, indent + 1)}' for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
+    if isinstance(value, list):
+        if not value:
             return "[]"
-        items = ", ".join(_jsonify(v, indent + 1) for v in seq)
-        return "[" + items + "]"
-    if isinstance(value, Enum):
-        return f'"{value.value}"'
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "[" + ", ".join(_jsonify(v, indent + 1) for v in value) + "]"
+    if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
             return "null"
         return _fmt(value)
-    if is_dataclass(value):
-        return _jsonify(asdict(value), indent)
     return '"' + str(value).replace('"', '\\"') + '"'
 
 

@@ -4,11 +4,10 @@ This is the independent numerical check on every closed-form eigenvalue: a
 second-order 5-point discretization of the flat Laplacian, a one-sided
 second-order normal derivative, and a dense LAPACK eigensolve
 (``numpy.linalg.eigvalsh``) of the resulting boundary operator.  The scheme
-commutes with rotation in theta, so the harmonic extension is solved one
-theta-Fourier mode at a time: each mode is a tridiagonal system in t, all
-modes go into one banded solve, and each block of the operator is the
-circulant of its per-mode symbol.  ``scipy.linalg`` is imported on the first
-assembly, so ``import steklov`` does not load it.
+commutes with rotation in theta, so the harmonic extension separates into
+theta-Fourier modes: in each mode it is a constant-coefficient recurrence in
+t, solved in closed form, and each block of the operator is the circulant of
+its per-mode symbol.  No linear system is solved and SciPy is not used.
 
 The quotient surface is discretized on the fundamental domain [0, T] x S^1:
 the stencil at the seam row t = 0 reaches across to the node shifted by half
@@ -60,7 +59,6 @@ class OracleProblem:
 @dataclass(frozen=True)
 class DtNMatrix:
     entries: np.ndarray  # symmetrized dense boundary operator
-    weights: np.ndarray  # boundary quadrature weights (uniform)
     asymmetry: float  # relative asymmetry of the raw assembly
 
     @property
@@ -69,46 +67,49 @@ class DtNMatrix:
 
 
 def assemble_dtn(p: OracleProblem) -> DtNMatrix:
-    """Assemble the dense boundary operator one theta-Fourier mode at a time.
+    """Assemble the dense boundary operator from its exact per-mode symbols.
 
     Scaled by h_t^2, the scheme in mode q is the recurrence
     u[i+1] + d_q u[i] + u[i-1] = 0 with d_q = -(2 + 4 (h_t/h_theta)^2
-    sin^2(q h_theta / 2)), a tridiagonal system in t with one right-hand side
-    per boundary circle.  The annulus solves for rows 1..n_t-1.  The quotient
-    also keeps the seam row i = 0: u(-h_t) = u(h_t) in even modes, so it reads
-    d_q u[0] + 2 u[1] = 0, and a half-turn-invariant seam carries no odd mode,
-    so u[0] = 0 there.  Every mode block goes into one banded solve.  Each
-    (boundary row, boundary data) pair of the operator is the circulant of its
-    one-sided derivative symbol (3 u_b - 4 u_1 + u_2) / (2 h_t w).
+    sin^2(q h_theta / 2)).  The roots of r^2 + d_q r + 1 = 0 are e^{+-kappa_q},
+    kappa_q = 2 asinh((h_t/h_theta) sin(q h_theta / 2)), so the discrete
+    harmonic extension is cosh or sinh of kappa_q times the steps from the
+    centre row (t itself for the odd profile of mode 0).  The circle t = T is
+    H steps away: n_t / 2 on the annulus, whose centre is its middle row, and
+    n_t on the quotient, whose centre is the seam, where the half-turn keeps
+    cosh in even modes and sinh in odd ones.  Each profile's eigenvalue is
+    (3 u_n - 4 u_{n-1} + u_{n-2}) / (2 h_t w u_n), summed as
+    3 (u_n - u_{n-1}) - (u_{n-1} - u_{n-2}) from closed-form differences so
+    that no digits cancel.  The annulus takes both profiles, on the data
+    (1, 1) and (-1, 1) over its two circles.  Each (boundary row, boundary
+    data) block of the operator is the circulant of its symbol.
     """
-    from scipy.linalg import solve_banded
-
     n_t, n_theta = p.grid
     mobius = p.kind is SurfaceKind.MOBIUS_BAND
     h_t = (p.T if mobius else 2.0 * p.T) / n_t
     q = np.arange(n_theta // 2 + 1)
     ratio = h_t * n_theta / (2.0 * math.pi)  # h_t / h_theta
-    # per boundary circle: the unknown t-row next to it and the one after
-    ends = [(-1, -2)] if mobius else [(0, 1), (-1, -2)]
-    m = n_t if mobius else n_t - 1  # unknown t-rows per mode
+    x = ratio * np.sin(math.pi * q / n_theta)  # sinh(kappa_q / 2)
+    kappa = 2.0 * np.arcsinh(x)
+    H = n_t if mobius else n_t / 2.0
+    # 2 e^{-kappa H} cosh and sinh of kappa (H - k), k steps in from t = T:
+    # the profile values at k = 0, and over 2 sinh(kappa / 2) the one-step
+    # differences of the other profile at k = 1/2 and 3/2, with no overflow
+    k = np.array([0.0, 0.5, 1.5])
+    decay = np.exp(-np.outer(kappa, k))
+    y = -2.0 * np.outer(kappa, H - k)
+    c = decay * (1.0 + np.exp(y))
+    s = -decay * np.expm1(y)
+    scale = h_t * p.boundary_weight
+    e = x * (3.0 * s[:, 1] - s[:, 2]) / (scale * c[:, 0])
+    o = np.full(q.size, 1.0 / (scale * H))  # the linear profile t of mode 0
+    o[1:] = x[1:] * (3.0 * c[1:, 1] - c[1:, 2]) / (scale * s[1:, 0])
 
-    band = np.ones((3, q.size, m))  # super-, main and sub-diagonal per mode
-    band[1] = -(2.0 + (2.0 * ratio * np.sin(math.pi * q / n_theta)) ** 2)[:, None]
-    band[0, :, 0] = band[2, :, -1] = 0.0  # no coupling between mode blocks
-    rhs = np.zeros((q.size, m, len(ends)))
-    rhs[:, -1, -1] = -1.0  # boundary value 1 on the circle t = T
+    # symbol[q, row circle, data circle], circles ordered t = -T, t = T
     if mobius:
-        band[0, :, 1] = np.where(q % 2, 0.0, 2.0)  # seam row d_q u[0] + 2 u[1]
-        band[1, 1::2, 0] = 1.0  # seam row u[0] = 0 in odd modes
+        symbol = np.where(q % 2, o, e)[:, None, None]
     else:
-        rhs[:, 0, 0] = -1.0  # boundary value 1 on the circle t = -T
-    u = solve_banded((1, 1), band.reshape(3, -1), rhs.reshape(q.size * m, -1))
-    u = u.reshape(q.size, m, len(ends))
-
-    # symbol[q, row circle, data circle]
-    symbol = np.stack([u[:, b] - 4.0 * u[:, a] for a, b in ends], axis=1)
-    symbol += 3.0 * np.eye(len(ends))
-    symbol /= 2.0 * h_t * p.boundary_weight
+        symbol = 0.5 * np.stack([e + o, e - o, e - o, e + o], axis=1).reshape(-1, 2, 2)
     j = np.arange(n_theta)
     kernel = np.fft.irfft(symbol, n_theta, axis=0)[(j[:, None] - j) % n_theta]
     n_b = p.boundary_size
@@ -116,16 +117,16 @@ def assemble_dtn(p: OracleProblem) -> DtNMatrix:
 
     sym = 0.5 * (A + A.T)
     asym = float(np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300))
-    weights = np.full(n_b, 2.0 * math.pi / n_theta * p.boundary_weight)
-    return DtNMatrix(entries=sym, weights=weights, asymmetry=asym)
+    return DtNMatrix(entries=sym, asymmetry=asym)
 
 
 def rayleigh_quotient(dtn: DtNMatrix, data: np.ndarray) -> float:
-    """Weighted Rayleigh quotient of boundary data against the operator."""
+    """Rayleigh quotient of boundary data against the operator.
+
+    The boundary quadrature weights are uniform, so they cancel.
+    """
     data = np.asarray(data, dtype=float)
-    num = float(data @ (dtn.weights * (dtn.entries @ data)))
-    den = float(data @ (dtn.weights * data))
-    return num / den
+    return float(data @ (dtn.entries @ data) / (data @ data))
 
 
 def oracle_spectrum(p: OracleProblem, count: int) -> np.ndarray:

@@ -230,25 +230,30 @@ class QFormSample:
     h_thetatheta: Component
 
 
-def _boundary_sums(fam: ImmersionFamily, sample: QFormSample) -> tuple[float, float, float]:
+def _boundary_sums(
+    fam: ImmersionFamily, sample: QFormSample
+) -> tuple[float, float, float, np.ndarray]:
     """Rectangle-rule integrals over both boundary circles t = -T*, T*.
 
     With f = |du/dt| the boundary length element, returns the integrals of
-    h_thetatheta / f, of |h_thetatheta| / f and of f, on 512 nodes per circle.
+    h_thetatheta / f, of |h_thetatheta| / f and of f, and per component of u
+    that of (h_thetatheta / f) u_i^2, on 512 nodes per circle.
     """
     n_theta = 512
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     wth = 2.0 * math.pi / n_theta
     signed = absolute = length = 0.0
+    weighted = np.zeros(fam.ambient_dim)
     for t_side in (-fam.T_star, fam.T_star):
         tt = np.full_like(theta, t_side)
-        _, ut, _ = evaluate(fam, tt, theta)
+        u, ut, _ = evaluate(fam, tt, theta)
         f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
-        h = sample.h_thetatheta(tt, theta)
-        signed += float(np.sum(h / f) * wth)
-        absolute += float(np.sum(np.abs(h) / f) * wth)
+        hf = sample.h_thetatheta(tt, theta) / f
+        signed += float(np.sum(hf) * wth)
+        absolute += float(np.sum(np.abs(hf)) * wth)
         length += float(np.sum(f) * wth)
-    return signed, absolute, length
+        weighted += (hf @ u**2) * wth
+    return signed, absolute, length, weighted
 
 
 def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
@@ -258,9 +263,10 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     variation h over the interior and adds the boundary term weighted by the
     Steklov eigenvalue of the induced metric; for an admissible h the sum
     over components must vanish.  The interior uses Simpson's rule in t on
-    201 nodes (an odd count) and the rectangle rule on 256 theta nodes.
+    201 nodes (an odd count) and the rectangle rule on 256 theta nodes; the
+    boundary term is the quadrature of ``_boundary_sums``.
     """
-    residual, scale, _ = _boundary_sums(fam, sample)
+    residual, scale, _, boundary = _boundary_sums(fam, sample)
     if abs(residual) > 1e-8 * (scale + 1.0):
         raise ConstraintError(
             f"variation violates the boundary length constraint: {residual:.3e}"
@@ -277,7 +283,7 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     wth = 2.0 * math.pi / n_theta
     tt = t[:, None]
     th = theta[None, :]
-    u, ut, uth = evaluate(fam, tt, th)
+    _, ut, uth = evaluate(fam, tt, th)
     f2 = np.einsum("...i,...i->...", ut, ut)  # conformal factor squared
 
     h_tt = np.broadcast_to(sample.h_tt(tt, th), f2.shape)
@@ -298,15 +304,6 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     c = boundary_eigenvalue_factor(fam)
     ut_b = evaluate(fam, fam.T_star, 0.0)[1]
     sigma = c / float(np.linalg.norm(ut_b))
-
-    boundary = np.zeros(fam.ambient_dim)
-    for t_side in (-fam.T_star, fam.T_star):
-        tb = np.full_like(theta, t_side)
-        ub, utb, _ = evaluate(fam, tb, theta)
-        fb = np.sqrt(np.einsum("...i,...i->...", utb, utb))
-        weight = np.asarray(sample.h_thetatheta(tb, theta) / fb)
-        boundary += np.einsum("j,ji->i", np.broadcast_to(weight, theta.shape), ub**2) * wth
-
     return -interior - 0.5 * sigma * boundary
 
 
@@ -321,7 +318,7 @@ def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     pairing unchanged (the stress-energy tensor is trace-free) and shifts the
     boundary integral to zero.
     """
-    numerator, _, length = _boundary_sums(fam, sample)
+    numerator, _, length, _ = _boundary_sums(fam, sample)
     alpha = numerator / length
 
     def f2_of(t, th):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,7 +65,6 @@ def test_assembly_symmetric(kind, T):
     assert np.array_equal(dtn.entries, dtn.entries.T)
     assert dtn.size == (80 if kind is AN else 40)
     assert dtn.size == OracleProblem(kind=kind, T=T, grid=(40, 40)).boundary_size
-    assert np.all(dtn.weights > 0.0)
 
 
 def test_constants_in_kernel():
@@ -113,7 +113,7 @@ def test_mobius_parity_filter():
     assert np.min(np.abs(eigs - math.tanh(T))) > 0.1
 
 
-def _scheme_spectrum(kind, T, grid):
+def _scheme_spectrum(kind, T, grid, lib=math):
     """Every eigenvalue of the discrete operator, one theta-mode at a time.
 
     In theta-mode q the 5-point scheme reduces to the recurrence
@@ -124,15 +124,16 @@ def _scheme_spectrum(kind, T, grid):
     derivative of that profile at the boundary over its boundary value.
     The annulus takes both profiles; the quotient keeps cosh for even q
     and sinh for odd q.  Modes 0 and n_theta/2 are simple, the rest double.
+    ``lib`` is ``math``, or ``mpmath`` with T an ``mpf`` for the exact values.
     """
     n_t, n_theta = grid
     h = (T if kind is MB else 2.0 * T) / n_t
-    h_theta = 2.0 * math.pi / n_theta
+    h_theta = 2.0 * lib.pi / n_theta
     values = []
     for q in range(n_theta // 2 + 1):
-        kappa = 2.0 / h * math.asinh(h / h_theta * math.sin(q * h_theta / 2.0))
-        even = lambda t: math.cosh(kappa * t)  # noqa: E731
-        odd = (lambda t: math.sinh(kappa * t)) if q else (lambda t: t)  # noqa: E731
+        kappa = 2.0 / h * lib.asinh(h / h_theta * lib.sin(q * h_theta / 2.0))
+        even = lambda t: lib.cosh(kappa * t)  # noqa: E731
+        odd = (lambda t: lib.sinh(kappa * t)) if q else (lambda t: t)  # noqa: E731
         if kind is AN:
             profiles = (even, odd)
         else:
@@ -155,6 +156,18 @@ def test_spectrum_matches_exact_scheme(kind, T, grid):
     eigs = oracle_spectrum(problem, count)
     assert abs(eigs[0]) <= 1e-10  # constant mode
     np.testing.assert_allclose(eigs[1:], exact[1:count], rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind", [AN, MB])
+@pytest.mark.parametrize("T,grid", [(0.7, (80, 80)), (1e-3, (300, 600))])
+def test_spectrum_matches_exact_scheme_to_rounding(kind, T, grid):
+    # the whole spectrum against the scheme's exact one at 60 digits: only
+    # the eigensolve's rounding, relative to the largest eigenvalue, remains
+    problem = OracleProblem(kind=kind, T=T, grid=grid)
+    with mpmath.workdps(60):
+        exact = _scheme_spectrum(kind, mpmath.mpf(T), grid, mpmath).astype(float)
+    eigs = oracle_spectrum(problem, problem.boundary_size)
+    assert np.max(np.abs(eigs - exact)) <= 1e-14 * np.max(exact)
 
 
 def _reference_dtn(p):
@@ -233,21 +246,22 @@ def test_oracle_spectrum_rejects_bad_count(count):
         oracle_spectrum(OracleProblem(kind=AN, T=1.0, grid=(8, 8)), count)
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # neither the import nor an assembly of either surface loads scipy.sparse
+def test_import_and_oracle_leave_scipy_unloaded():
+    # neither the import nor the oracle spectrum of either surface loads
+    # scipy.sparse or scipy.linalg
     src = str(Path(steklov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, steklov, steklov.cli\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         "for kind in steklov.SurfaceKind:\n"
-        "    steklov.assemble_dtn(steklov.OracleProblem(kind=kind, T=1.0, grid=(8, 8)))\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "    steklov.oracle_spectrum(steklov.OracleProblem(kind=kind, T=1.0, grid=(8, 8)), 3)\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False"] * 4
 
 
 def test_boundary_weight_scales_eigenvalues():
