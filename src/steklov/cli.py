@@ -572,6 +572,9 @@ def run(argv=None) -> int:
         target = exc.filename if exc.filename is not None else "output"
         sys.stderr.write(f"error: cannot write {target}: {exc.strerror or exc}\n")
         return EXIT_USAGE
+    except MemoryError as exc:
+        sys.stderr.write(f"error: not enough memory: {str(exc) or 'allocation failed'}\n")
+        return EXIT_USAGE
 
 
 def main() -> None:

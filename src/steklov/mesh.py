@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .numtext import format_rows
-from .surfaces import ImmersionFamily, evaluate
+from .surfaces import ImmersionFamily, _position
 
 # Rows formatted per write call: bounds the size of each formatted string, so
 # peak memory does not grow with the mesh.
@@ -111,7 +111,11 @@ def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:
     rows = np.column_stack([np.repeat(t_rows, n_theta), np.tile(th_vals, len(t_rows))])
     params = np.concatenate([core, rows])
 
-    vertices = evaluate(fam, params[:, 0], params[:, 1])[0]
+    # the (row, theta) tensor grid, flattened row-major, is in the order of rows
+    grid = _position(fam, t_rows[:, None], th_vals)
+    vertices = np.concatenate(
+        [_position(fam, core[:, 0], core[:, 1]), grid.reshape(-1, fam.ambient_dim)]
+    )
 
     # two triangles per cell (i, j), cells in row-major order
     v00, v01 = vid[:-1, :-1], vid[:-1, 1:]

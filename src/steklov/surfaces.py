@@ -107,38 +107,76 @@ def make_family(family: FamilyKind, m: int | None = None, n: int | None = None) 
     return mobius_b4(m, n)
 
 
-def evaluate(fam: ImmersionFamily, t, theta, check_domain: bool = True):
+_U, _U_T, _U_THETA = range(3)  # the outputs of evaluate, in order
+
+
+def evaluate(fam: ImmersionFamily, t, theta):
     """Position and first derivatives of the immersion, broadcast over grids.
 
     Returns (u, du_dt, du_dtheta), each with a trailing axis of length
-    ambient_dim.
+    ambient_dim; raises DomainError if some |t| exceeds T*.  Every coordinate
+    is a t-profile times a theta-mode, so the hyperbolic profiles are
+    computed on ``t`` and the modes on ``theta`` as given and only their
+    products broadcast: a tensor grid ``t[:, None]``, ``theta[None, :]``
+    costs O(n_t + n_theta) transcendental calls.  The routines below compute
+    only the outputs they read, unchecked, through ``_outputs`` (or
+    ``_position`` and ``_velocity`` for one output).
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > fam.T_star * (1.0 + 1e-12)):
+        raise DomainError(f"|t| must not exceed T* = {fam.T_star}")
+    return tuple(_outputs(fam, t, theta, (_U, _U_T, _U_THETA)))
+
+
+def _position(fam: ImmersionFamily, t, theta) -> np.ndarray:
+    """u of ``evaluate`` alone, without the domain check."""
+    return _outputs(fam, t, theta, (_U,))[0]
+
+
+def _velocity(fam: ImmersionFamily, t, theta) -> np.ndarray:
+    """du/dt of ``evaluate`` alone, without the domain check."""
+    return _outputs(fam, t, theta, (_U_T,))[0]
+
+
+def _outputs(fam: ImmersionFamily, t, theta, outputs) -> list[np.ndarray]:
+    """The selected outputs (``_U``, ``_U_T``, ``_U_THETA``) of the immersion.
+
+    Each rotating plane of the map is c*h(k t) (cos j th, sin j th) / r: the
+    catenoid has one, (1, cosh, n, n), beside its axial coordinate n t / r;
+    the four-dimensional families have (m, sinh, n, n) and (n, cosh, m, m).
+    The plane's t-derivative is c*k*h'(k t) (cos, sin) / r and its
+    theta-derivative c*j*h(k t) (-sin, cos) / r.  Each coordinate is
+    ((coefficient * profile) * mode) / r, written into its column of the
+    output, so no grid-sized temporary is made.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if check_domain and np.any(np.abs(t) > fam.T_star * (1.0 + 1e-12)):
-        raise DomainError(f"|t| must not exceed T* = {fam.T_star}")
-    t, theta = np.broadcast_arrays(t, theta)
-    r = fam.radius
-    if fam.family is FamilyKind.CATENOID_B3:
-        n = fam.n
-        ch, sh = np.cosh(n * t), np.sinh(n * t)
-        c, s = np.cos(n * theta), np.sin(n * theta)
-        u = np.stack([ch * c, ch * s, n * t], axis=-1) / r
-        ut = np.stack([n * sh * c, n * sh * s, np.full_like(t, float(n))], axis=-1) / r
-        uth = np.stack([-n * ch * s, n * ch * c, np.zeros_like(t)], axis=-1) / r
-        return u, ut, uth
+    shape = np.broadcast_shapes(t.shape, theta.shape) + (fam.ambient_dim,)
+    arrays = [np.empty(shape) for _ in outputs]
     m, n = fam.m, fam.n
-    shn, chn = np.sinh(n * t), np.cosh(n * t)
-    shm, chm = np.sinh(m * t), np.cosh(m * t)
-    cn, sn = np.cos(n * theta), np.sin(n * theta)
-    cm, sm = np.cos(m * theta), np.sin(m * theta)
-    u = np.stack([m * shn * cn, m * shn * sn, n * chm * cm, n * chm * sm], axis=-1) / r
-    mn = m * n
-    ut = np.stack([mn * chn * cn, mn * chn * sn, mn * shm * cm, mn * shm * sm], axis=-1) / r
-    uth = np.stack(
-        [-mn * shn * sn, mn * shn * cn, -mn * chm * sm, mn * chm * cm], axis=-1
-    ) / r
-    return u, ut, uth
+    if fam.family is FamilyKind.CATENOID_B3:
+        planes = [(1, np.cosh, np.sinh, n, n)]
+        axial = {_U: n * t, _U_T: float(n), _U_THETA: 0.0}
+        for out, u in zip(outputs, arrays):
+            u[..., 2] = axial[out]
+    else:
+        planes = [(m, np.sinh, np.cosh, n, n), (n, np.cosh, np.sinh, m, m)]
+    for col, (c, h, dh, k, j) in zip((0, 2), planes):
+        cos, sin = np.cos(j * theta), np.sin(j * theta)
+        if _U in outputs or _U_THETA in outputs:
+            profile = h(k * t)
+        for out, u in zip(outputs, arrays):
+            if out == _U:
+                a, x, y = c * profile, cos, sin
+            elif out == _U_T:
+                a, x, y = c * k * dh(k * t), cos, sin
+            else:
+                a, x, y = c * j * profile, -sin, cos
+            np.multiply(a, x, out=u[..., col])
+            np.multiply(a, y, out=u[..., col + 1])
+    for u in arrays:
+        u /= fam.radius
+    return arrays
 
 
 def boundary_eigenvalue_factor(fam: ImmersionFamily) -> float:
@@ -166,7 +204,7 @@ def verify_identities(fam: ImmersionFamily) -> IdentityReport:
     theta = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
     tt = t[:, None]
     th = theta[None, :]
-    u, ut, uth = evaluate(fam, tt, th)
+    ut, uth = _outputs(fam, tt, th, (_U_T, _U_THETA))
 
     cross = np.einsum("...i,...i->...", ut, uth)
     norm_t = np.einsum("...i,...i->...", ut, ut)
@@ -176,7 +214,7 @@ def verify_identities(fam: ImmersionFamily) -> IdentityReport:
     conformal = float(np.max(abs_cross + abs_gap))
     stress = float(np.max(abs_gap) + np.max(abs_cross))
 
-    ub, utb, _ = evaluate(fam, np.array([[-T], [T]]), th)
+    ub, utb = _outputs(fam, np.array([[-T], [T]]), th, (_U, _U_T))
     norms = np.linalg.norm(ub, axis=-1)
     boundary_norm = float(np.max(np.abs(norms - 1.0)))
 
@@ -210,7 +248,7 @@ def _fd_laplacian_residual(fam: ImmersionFamily, h: float) -> float:
     th = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)[None, :]
 
     def pos(dt, dth):
-        return evaluate(fam, t + dt, th + dth, check_domain=False)[0]
+        return _position(fam, t + dt, th + dth)
 
     lap = (
         pos(h, 0.0) + pos(-h, 0.0) + pos(0.0, h) + pos(0.0, -h) - 4.0 * pos(0.0, 0.0)
@@ -246,7 +284,7 @@ def _boundary_sums(
     weighted = np.zeros(fam.ambient_dim)
     for t_side in (-fam.T_star, fam.T_star):
         tt = np.full_like(theta, t_side)
-        u, ut, _ = evaluate(fam, tt, theta)
+        u, ut = _outputs(fam, tt, theta, (_U, _U_T))
         f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
         hf = sample.h_thetatheta(tt, theta) / f
         signed += float(np.sum(hf) * wth)
@@ -283,7 +321,7 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     wth = 2.0 * math.pi / n_theta
     tt = t[:, None]
     th = theta[None, :]
-    _, ut, uth = evaluate(fam, tt, th)
+    ut, uth = _outputs(fam, tt, th, (_U_T, _U_THETA))
     f2 = np.einsum("...i,...i->...", ut, ut)  # conformal factor squared
 
     h_tt = np.broadcast_to(sample.h_tt(tt, th), f2.shape)
@@ -302,7 +340,7 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
 
     # eigenvalue of the induced metric (equals 1 for these unit-ball surfaces)
     c = boundary_eigenvalue_factor(fam)
-    ut_b = evaluate(fam, fam.T_star, 0.0)[1]
+    ut_b = _velocity(fam, fam.T_star, 0.0)
     sigma = c / float(np.linalg.norm(ut_b))
     return -interior - 0.5 * sigma * boundary
 
@@ -322,7 +360,7 @@ def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     alpha = numerator / length
 
     def f2_of(t, th):
-        _, ut, _ = evaluate(fam, t, th, check_domain=False)
+        ut = _velocity(fam, t, th)
         return np.einsum("...i,...i->...", ut, ut)
 
     return QFormSample(
@@ -365,8 +403,8 @@ def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
     if d > 1:
         t = np.linspace(-T, T, 17)[:, None]
         th = np.linspace(0.0, 2.0 * math.pi, 33)[None, :]
-        u0 = evaluate(fam, t, th)[0]
-        u1 = evaluate(fam, t, th + 2.0 * math.pi / d)[0]
+        u0 = _position(fam, t, th)
+        u1 = _position(fam, t, th + 2.0 * math.pi / d)
         gap = float(np.max(np.linalg.norm(u1 - u0, axis=-1)))
         if gap > 1e-10:  # pragma: no cover - periodicity is exact
             raise RuntimeError("expected covering periodicity not observed")
@@ -385,10 +423,11 @@ def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
     dth = th_vals[1] - th_vals[0]
 
     params = np.column_stack([np.repeat(t_vals, n_theta), np.tile(th_vals, n_t)])
-    pts = evaluate(fam, params[:, 0], params[:, 1])[0]
+    grid = _position(fam, t_vals[:, None], th_vals)
+    pts = grid.reshape(-1, fam.ambient_dim)  # row-major: the order of params
 
     tree = cKDTree(pts)
-    edge = _min_image_edge(fam, t_vals, th_vals)
+    edge = _min_image_edge(grid)
     threshold = 0.1 * edge
     pairs = tree.query_pairs(threshold, output_type="ndarray").reshape(-1, 2)
     injective = bool(
@@ -406,10 +445,8 @@ def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
     )
 
 
-def _min_image_edge(fam: ImmersionFamily, t_vals, th_vals) -> float:
-    tt = t_vals[:, None]
-    th = th_vals[None, :]
-    u = evaluate(fam, tt, th)[0]
+def _min_image_edge(u: np.ndarray) -> float:
+    """Shortest edge of the image of a (t, theta) grid, theta periodic."""
     d_t = np.linalg.norm(np.diff(u, axis=0), axis=-1)
     d_th = np.linalg.norm(u - np.roll(u, 1, axis=1), axis=-1)
     return float(min(np.min(d_t), np.min(d_th)))

@@ -335,6 +335,18 @@ def test_surface_unwritable_out_exits_one(capsys, tmp_path, which):
     assert err.startswith(f"error: cannot write {path}: ")
 
 
+@pytest.mark.parametrize("grid", ["3x100000000000000000", "100000000000000000x3"])
+def test_surface_refused_allocation_exits_one(capsys, tmp_path, grid):
+    # the first grid-sized array is 711 PiB: NumPy refuses it before
+    # touching any memory, so this never allocates a real mesh
+    path = tmp_path / "big.obj"
+    argv = ["surface", "--family", "catenoid", "--n", "2", "--grid", grid, "--out", str(path)]
+    code, out, err = _run(capsys, *argv)
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: not enough memory: ")
+    assert not path.exists()
+
+
 def test_verify_rejects_nonpositive_max_mode(capsys):
     _assert_one_error_line(*_run(capsys, "verify", "--suite", "lemmas", "--max-mode", "0"))
 

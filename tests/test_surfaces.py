@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from steklov import mesh, surfaces
 from steklov.crossings import solve_crossing, solve_t10
 from steklov.exceptions import ConstraintError, DomainError, ParameterError
 from steklov.surfaces import (
+    FamilyKind,
     QFormSample,
     annulus_b4,
     boundary_eigenvalue_factor,
@@ -22,7 +24,15 @@ from steklov.surfaces import (
     radial_monotonicity_margin,
     verify_identities,
 )
-from steklov.surfaces import _params_adjacent
+from steklov.surfaces import (
+    _U,
+    _U_T,
+    _U_THETA,
+    _outputs,
+    _params_adjacent,
+    _position,
+    _velocity,
+)
 
 FAMILIES = [
     catenoid_b3(1),
@@ -75,6 +85,104 @@ def test_evaluate_center_point():
     u, ut, uth = evaluate(mobius_b4(2, 1), 0.0, 0.0)
     assert np.allclose(u * mobius_b4(2, 1).radius, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
     assert u.shape == (4,)
+
+
+def _reference_evaluate(fam, t, theta):
+    # the broadcast-first evaluation: every transcendental call on the full grid
+    t, theta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(theta, dtype=float))
+    r = fam.radius
+    if fam.family is FamilyKind.CATENOID_B3:
+        n = fam.n
+        ch, sh = np.cosh(n * t), np.sinh(n * t)
+        c, s = np.cos(n * theta), np.sin(n * theta)
+        u = np.stack([ch * c, ch * s, n * t], axis=-1) / r
+        ut = np.stack([n * sh * c, n * sh * s, np.full_like(t, float(n))], axis=-1) / r
+        uth = np.stack([-n * ch * s, n * ch * c, np.zeros_like(t)], axis=-1) / r
+        return u, ut, uth
+    m, n = fam.m, fam.n
+    shn, chn = np.sinh(n * t), np.cosh(n * t)
+    shm, chm = np.sinh(m * t), np.cosh(m * t)
+    cn, sn = np.cos(n * theta), np.sin(n * theta)
+    cm, sm = np.cos(m * theta), np.sin(m * theta)
+    u = np.stack([m * shn * cn, m * shn * sn, n * chm * cm, n * chm * sm], axis=-1) / r
+    mn = m * n
+    ut = np.stack([mn * chn * cn, mn * chn * sn, mn * shm * cm, mn * shm * sm], axis=-1) / r
+    uth = np.stack(
+        [-mn * shn * sn, mn * shn * cn, -mn * chm * sm, mn * chm * cm], axis=-1
+    ) / r
+    return u, ut, uth
+
+
+def _evaluate_inputs(fam):
+    rng = np.random.default_rng(11)
+    T = fam.T_star
+    t = np.concatenate([[-T, 0.0, T], rng.uniform(-T, T, 17)])
+    th = np.concatenate([[0.0, math.pi], rng.uniform(0.0, 2.0 * math.pi, 22)])
+    return [
+        (0.4 * T, 1.3),  # scalar t, scalar theta
+        (-0.4 * T, th),  # scalar t, theta array
+        (t, 2.9),  # t array, scalar theta
+        (t, th[: len(t)]),  # equal-length 1-D arrays
+        (t[:, None], th[None, :]),  # tensor grid
+    ]
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # array_equal takes -0.0 == 0.0; exports print the sign
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "fam", [catenoid_b3(3), annulus_b4(5, 3), mobius_b4(6, 5)], ids=["catenoid", "annulus", "mobius"]
+)
+def test_separable_evaluate_matches_broadcast_reference(fam):
+    for t, th in _evaluate_inputs(fam):
+        want = _reference_evaluate(fam, t, th)
+        got = evaluate(fam, t, th)
+        for g, w in zip(got, want):
+            _assert_bitwise(g, w)
+        _assert_bitwise(_position(fam, t, th), want[0])
+        _assert_bitwise(_velocity(fam, t, th), want[1])
+        for pair in ((_U, _U_T), (_U_T, _U_THETA)):
+            for g, out in zip(_outputs(fam, t, th, pair), pair):
+                _assert_bitwise(g, want[out])
+
+
+class _CountingNumpy:
+    """numpy, with the elements passed to sinh, cosh, sin and cos counted."""
+
+    def __init__(self):
+        self.elements = 0
+        for name in ("sinh", "cosh", "sin", "cos"):
+            setattr(self, name, self._counted(getattr(np, name)))
+
+    def _counted(self, fn):
+        def counted(x, *args, **kwargs):
+            self.elements += np.size(x)
+            return fn(x, *args, **kwargs)
+
+        return counted
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize(
+    "fam", [catenoid_b3(1), annulus_b4(3, 2), mobius_b4(4, 3)], ids=["catenoid", "annulus", "mobius"]
+)
+def test_transcendental_calls_scale_with_grid_sides(fam, monkeypatch):
+    # the profiles see each t once and the modes each theta once, so the
+    # count grows with n_t + n_theta; a broadcast-first evaluation would
+    # pass every one of the n_t * n_theta grid points to each function
+    counting = _CountingNumpy()
+    monkeypatch.setattr(surfaces, "np", counting)
+    mesh.build_mesh(fam, 128, 256)
+    assert 0 < counting.elements <= 16 * (128 + 256)
+    counting.elements = 0
+    surfaces.verify_identities(fam)  # 200 x 400 grid
+    assert 0 < counting.elements <= 16 * (200 + 400)
 
 
 def test_evaluate_domain_error():
@@ -161,7 +269,7 @@ def test_q_form_admissible_metric_variation():
     fam = mobius_b4(2, 1)
 
     def f2(t, th):
-        _, ut, _ = evaluate(fam, t, th, check_domain=False)
+        _, ut, _ = evaluate(fam, t, th)
         return np.einsum("...i,...i->...", ut, ut)
 
     g_like = QFormSample(
