@@ -1,18 +1,29 @@
 """Closed-form normalized Steklov eigenvalue branches.
 
 On the flat cylinder [-T, T] x S^1 separation of variables gives harmonic
-functions alpha(t)*beta(theta) with alpha in {cosh(kt), sinh(kt), t, 1}.
+functions alpha(t)*beta(theta) with alpha in {cosh(at), sinh(at), t, 1}.
 Each profile yields one eigenvalue branch as a function of the conformal
 modulus T; normalizing by total boundary length removes the conformal
-factor entirely, so the branches below are functions of T alone.
+factor entirely, so every branch is one formula in T alone:
 
-Mobius band (quotient by (t, theta) ~ (-t, theta + pi)):
-    even branch   4*pi*k * tanh(2kT)        theta-frequency 2k
-    odd branch    2*pi*(2l-1) * coth((2l-1)T)  theta-frequency 2l-1
-Annulus (no quotient, two boundary circles, length 4*pi*f(T)):
-    even branch   4*pi*k * tanh(kT)
-    odd branch    4*pi*n * coth(nT)
-    linear branch 4*pi / T                  (profile t, frequency 0)
+    scale * a * tanh(a*T)   even (cosh profile)
+    scale * a * coth(a*T)   odd (sinh profile)
+    scale / T               linear (profile t, mode 0; the a -> 0 limit of the odd one)
+
+where a is the branch's theta-mode and scale is the boundary length per
+unit conformal factor, 2*pi per boundary circle (`_SCALE`):
+
+    Mobius band (one circle, scale 2*pi; quotient (t, theta) ~ (-t, theta + pi)):
+        even branch k   mode a = 2k
+        odd branch l    mode a = 2l-1
+    Annulus (two circles, scale 4*pi):
+        even branch k   mode a = k
+        odd branch n    mode a = n
+        linear branch   mode 0, value 4*pi / T
+
+`_value` evaluates the formula and `_crossing` turns a crossing of an even
+and an odd (or the linear) branch into its modulus and value; every
+supremum in `extrema` is read off one such crossing.
 """
 
 from __future__ import annotations
@@ -54,6 +65,9 @@ class Branch:
 
     def label(self) -> str:
         return f"{self.kind.value}:{self.mode}"
+
+
+_LINEAR = Branch(BranchKind.LINEAR, 0)
 
 
 @dataclass(frozen=True)
@@ -99,62 +113,80 @@ def _check_index(value, name: str = "mode index") -> int:
     return index
 
 
+# Boundary length per unit conformal factor: 2*pi per boundary circle.
+_SCALE = {SurfaceKind.MOBIUS_BAND: 2.0 * math.pi, SurfaceKind.ANNULUS: 4.0 * math.pi}
+
+# Enum members bound once for the scalar path: reading a member off its Enum
+# class costs about 0.1 us in Python 3.11, a tenth of a branch evaluation.
+_MOBIUS = SurfaceKind.MOBIUS_BAND
+_EVEN = BranchKind.EVEN_HYPERBOLIC
+_ODD = BranchKind.ODD_HYPERBOLIC
+
+
+def _even_mode(kind: SurfaceKind, k: int) -> int:
+    """Theta-mode of the k-th even branch."""
+    return 2 * k if kind is _MOBIUS else k
+
+
+def _odd_mode(kind: SurfaceKind, l: int) -> int:
+    """Theta-mode of the l-th odd branch."""
+    return 2 * l - 1 if kind is _MOBIUS else l
+
+
+def _value(kind: SurfaceKind, profile: BranchKind, a: int, T: float) -> float:
+    """scale * a * phi(a*T) for the profile's phi; the linear branch is scale / T."""
+    if profile is _EVEN:
+        return _SCALE[kind] * a * math.tanh(a * T)
+    if profile is _ODD:
+        return _SCALE[kind] * a * coth(a * T)
+    return _SCALE[kind] / T
+
+
 def lambda_bar(kind: SurfaceKind, mode_index: int, T: float):
     """Even (cosh-profile) normalized eigenvalue; increasing in T."""
     k = _check_index(mode_index)
-    T = _check_modulus(T)
-    if math.isinf(T):
-        return 4.0 * math.pi * k
-    freq = 2 * k if kind is SurfaceKind.MOBIUS_BAND else k
-    return 4.0 * math.pi * k * math.tanh(freq * T)
+    return _value(kind, _EVEN, _even_mode(kind, k), _check_modulus(T))
 
 
 def mu_bar(kind: SurfaceKind, mode_index: int, T: float):
     """Odd (sinh-profile) normalized eigenvalue; decreasing in T, +inf at 0+."""
     l = _check_index(mode_index)
-    T = _check_modulus(T)
-    if kind is SurfaceKind.MOBIUS_BAND:
-        freq = 2 * l - 1
-        scale = 2.0 * math.pi * freq
-    else:
-        freq = l
-        scale = 4.0 * math.pi * l
-    if math.isinf(T):
-        return scale
-    return scale * coth(freq * T)
+    return _value(kind, _ODD, _odd_mode(kind, l), _check_modulus(T))
 
 
 def nu_bar(T: float, kind: SurfaceKind = SurfaceKind.ANNULUS):
     """Linear-profile normalized eigenvalue 4*pi/T; annulus only."""
     if kind is SurfaceKind.MOBIUS_BAND:
         raise UnsupportedBranchError("the Mobius band has no linear branch")
-    T = _check_modulus(T)
-    if math.isinf(T):
-        return 0.0
-    return 4.0 * math.pi / T
+    return _value(kind, BranchKind.LINEAR, 0, _check_modulus(T))
 
 
 def branch_value(kind: SurfaceKind, branch: Branch, T: float) -> float:
-    """Evaluate a Branch descriptor at modulus T."""
+    """Evaluate a Branch descriptor at modulus T.
+
+    The surface must carry the branch: the linear one is mode 0 on the
+    annulus only, and Mobius modes are even (2k) or odd (2l-1) by profile.
+    """
     if branch.kind is BranchKind.LINEAR:
+        if branch.mode != 0:
+            raise UnsupportedBranchError(f"the linear branch has mode 0, got {branch.mode}")
         return nu_bar(T, kind)
-    if branch.kind is BranchKind.EVEN_HYPERBOLIC:
-        return lambda_bar(kind, branch_index(kind, branch), T)
-    return mu_bar(kind, branch_index(kind, branch), T)
+    mode = _check_index(branch.mode)
+    if kind is SurfaceKind.MOBIUS_BAND and mode % 2 != (branch.kind is BranchKind.ODD_HYPERBOLIC):
+        raise UnsupportedBranchError(f"the Mobius band has no branch {branch.label()}")
+    return _value(kind, branch.kind, mode, _check_modulus(T))
 
 
 def _even_branch(kind: SurfaceKind, k: int) -> Branch:
-    mode = 2 * k if kind is SurfaceKind.MOBIUS_BAND else k
-    return Branch(BranchKind.EVEN_HYPERBOLIC, mode)
+    return Branch(_EVEN, _even_mode(kind, k))
 
 
 def _odd_branch(kind: SurfaceKind, l: int) -> Branch:
-    mode = 2 * l - 1 if kind is SurfaceKind.MOBIUS_BAND else l
-    return Branch(BranchKind.ODD_HYPERBOLIC, mode)
+    return Branch(_ODD, _odd_mode(kind, l))
 
 
 def branch_index(kind: SurfaceKind, branch: Branch) -> int:
-    """Inverse of _even_branch and _odd_branch: the k of mode 2k, the l of mode 2l-1.
+    """Inverse of _even_mode and _odd_mode: the k of mode 2k, the l of mode 2l-1.
 
     On the annulus the mode is its own index (0 for the linear branch).
     """
@@ -174,13 +206,15 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
         raise DomainError("spectrum requires a finite modulus")
     count = _check_index(count, "count")
 
-    # the rank breaks exact ties in the order linear, even 1, odd 1, even 2, ...
-    sequences = [
-        ((lambda_bar(kind, m, T), 2 * m - 1, _even_branch(kind, m)) for m in itertools.count(1)),
-        ((mu_bar(kind, m, T), 2 * m, _odd_branch(kind, m)) for m in itertools.count(1)),
-    ]
+    def ranked(branch_of, shift: int):
+        # the rank breaks exact ties in the order linear, even 1, odd 1, even 2, ...
+        for m in itertools.count(1):
+            b = branch_of(kind, m)
+            yield _value(kind, b.kind, b.mode, T), 2 * m - shift, b
+
+    sequences = [ranked(_even_branch, 1), ranked(_odd_branch, 0)]
     if kind is SurfaceKind.ANNULUS:
-        sequences.append([(nu_bar(T), 0, Branch(BranchKind.LINEAR, 0))])
+        sequences.append([(_value(kind, BranchKind.LINEAR, 0, T), 0, _LINEAR)])
     merged = heapq.merge(*sequences)
 
     entries: list[EigenvalueEntry] = []
@@ -222,8 +256,8 @@ def _crosses(
         return False
     if increasing.mode <= decreasing.mode:  # the linear branch has mode 0
         return False
-    scale = 2.0 * math.pi if kind is SurfaceKind.MOBIUS_BAND else 4.0 * math.pi
-    return v_second - v_first <= scale * RESIDUAL_SCALE * (increasing.mode + decreasing.mode)
+    bound = _SCALE[kind] * RESIDUAL_SCALE * (increasing.mode + decreasing.mode)
+    return v_second - v_first <= bound
 
 
 def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
@@ -245,16 +279,15 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     # the even branches of modes 1..ceil(j_max/2) alone give j_max values,
     # and every branch of a higher mode lies above them
     n_modes = (j_max + 1) // 2
+    # np.tanh, not the math.tanh of _value: the two differ in the last bit
+    scale = _SCALE[kind]
     rows = []
     if kind is SurfaceKind.ANNULUS:
-        rows.append(4.0 * math.pi / T)
+        rows.append(scale / T)
     for m in range(1, n_modes + 2):
-        if kind is SurfaceKind.MOBIUS_BAND:
-            lam = 4.0 * math.pi * m * np.tanh(2 * m * T)
-            mus = 2.0 * math.pi * (2 * m - 1) * coth((2 * m - 1) * T)
-        else:
-            lam = 4.0 * math.pi * m * np.tanh(m * T)
-            mus = 4.0 * math.pi * m * coth(m * T)
+        a, b = _even_mode(kind, m), _odd_mode(kind, m)
+        lam = scale * a * np.tanh(a * T)
+        mus = scale * b * coth(b * T)
         if m <= n_modes:
             rows.extend([lam, lam, mus, mus])
     stacked = np.vstack(rows)
@@ -276,57 +309,63 @@ class LatticeCrossing:
     modulus: float
     height: float  # common value of the unnormalized branch heights
     value: float  # normalized eigenvalue at the crossing
-    residual: float  # crossing-equation residual at the solved modulus
     first_index: int  # lowest eigenvalue index of the cluster
 
     @property
     def multiplicity(self) -> int:
         return self.increasing.multiplicity + self.decreasing.multiplicity
 
+    @property
+    def residual(self) -> float:
+        """Crossing-equation residual at the solved modulus; 0 on the linear branch."""
+        if self.decreasing.kind is BranchKind.LINEAR:
+            return 0.0
+        return solve_crossing(self.increasing.mode, self.decreasing.mode).residual
+
+
+def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
+    """The crossing of even branch m with odd branch n (n = 0: the linear branch).
+
+    It solves a*tanh(a*x) = b*coth(b*x) for the two modes a > b, or sits at
+    t10/m on the linear branch.  The cluster's first index counts the values
+    below it: each branch family increases with mode at fixed T, every odd
+    annulus branch lies above the linear one, and the linear branch lies
+    below even mode m exactly when T > t10/m.
+    """
+    scale = _SCALE[kind]
+    t10 = solve_t10()
+    even = _even_branch(kind, m)
+    if n == 0:
+        return LatticeCrossing(
+            increasing=even,
+            decreasing=_LINEAR,
+            modulus=t10 / m,
+            height=m / t10,
+            value=scale * m / t10,
+            first_index=2 * m - 1,
+        )
+    odd = _odd_branch(kind, n)
+    point = solve_crossing(even.mode, odd.mode)
+    return LatticeCrossing(
+        increasing=even,
+        decreasing=odd,
+        modulus=point.x,
+        height=point.height,
+        value=scale * point.height,
+        # on the annulus the linear value is below the cluster too
+        first_index=2 * (m + n) - 3 + (kind is not _MOBIUS and point.x > t10 / m),
+    )
+
 
 def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:
     """Every crossing of an increasing and a decreasing branch up to max_mode.
 
     Mobius band: even mode 2k meets odd mode 2l-1 at T_{k,l}, l <= k.
-    Annulus: even mode m meets the linear branch at t10/m, then odd mode n at
-    t_{m,n}, n < m.  Either way the crossing solves a*tanh(a*x) = b*coth(b*x)
-    with a, b the two modes.  The cluster's first index counts the values
-    below it: each branch family increases with mode at fixed T, every odd
-    annulus branch lies above the linear one, and the linear branch lies
-    below even mode m exactly when T > t10/m.
+    Annulus: even mode m meets the linear branch (n = 0) at t10/m, then odd
+    mode n at t_{m,n}, n < m.
     """
     max_mode = _check_index(max_mode, "max_mode")
-    mobius = kind is SurfaceKind.MOBIUS_BAND
-    scale = 2.0 * math.pi if mobius else 4.0 * math.pi
-    t10 = solve_t10()
-    lattice: list[LatticeCrossing] = []
-    for m in range(1, max_mode + 1):
-        even = _even_branch(kind, m)
-        if not mobius:
-            lattice.append(
-                LatticeCrossing(
-                    increasing=even,
-                    decreasing=Branch(BranchKind.LINEAR, 0),
-                    modulus=t10 / m,
-                    height=m / t10,
-                    value=scale * m / t10,
-                    residual=0.0,
-                    first_index=2 * m - 1,
-                )
-            )
-        for n in range(1, m + 1 if mobius else m):
-            odd = _odd_branch(kind, n)
-            point = solve_crossing(float(even.mode), float(odd.mode))
-            lattice.append(
-                LatticeCrossing(
-                    increasing=even,
-                    decreasing=odd,
-                    modulus=point.x,
-                    height=point.height,
-                    value=scale * point.height,
-                    residual=point.residual,
-                    # on the annulus the linear value is below the cluster too
-                    first_index=2 * (m + n) - 3 + (not mobius and point.x > t10 / m),
-                )
-            )
-    return lattice
+    first = 1 if kind is SurfaceKind.MOBIUS_BAND else 0
+    return [
+        _crossing(kind, m, n) for m in range(1, max_mode + 1) for n in range(first, m + first)
+    ]

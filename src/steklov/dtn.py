@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import SurfaceKind, spectrum
+from .branches import _SCALE, SurfaceKind, spectrum
 from .exceptions import DomainError
 
 
@@ -140,7 +140,7 @@ def oracle_spectrum(p: OracleProblem, count: int) -> np.ndarray:
 
 def closed_form_sigma(kind: SurfaceKind, T: float, f: float, count: int) -> np.ndarray:
     """First `count` nonzero unnormalized eigenvalues from the branch formulas."""
-    length = (2.0 if kind is SurfaceKind.MOBIUS_BAND else 4.0) * math.pi * f
+    length = _SCALE[kind] * f
     values = []
     for entry in spectrum(kind, T, count):
         values.extend([entry.value / length] * entry.multiplicity)

@@ -3,8 +3,11 @@
 Suprema of the normalized eigenvalues over all S^1-invariant metrics reduce
 to one-dimensional optimization over the conformal modulus, and every
 extremum sits at a crossing of an increasing and a decreasing branch (or
-escapes to infinity, for the second annulus eigenvalue).  Each closed-form
-supremum here is cross-checked against a dense grid search in the tests.
+escapes to infinity, for the second annulus eigenvalue).  Each supremum is
+read off one crossing of the lattice (`branches._crossing`): on the Mobius
+band sigma_bar_j peaks at T_{ceil(j/2),1}, on the annulus at t10/k for
+j = 2k-1 and at t_{k,1} for j = 2k > 2.  The tests cross-check every one
+against a dense grid search.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from .branches import (
     BranchKind,
     SurfaceKind,
     _check_index,
-    branch_index,
+    _crossing,
     crossing_lattice,
     lambda_bar,
     sigma_bar_grid,
 )
-from .crossings import solve_crossing, solve_t10
+from .crossings import solve_t10
 
 # Largest modulus on the default search grid.  Past T ~ 19 the even annulus
 # branch saturates to exactly 4*pi in double precision, which would make the
@@ -79,54 +82,27 @@ def grid_supremum(kind: SurfaceKind, j: int) -> tuple[float, float]:
 
 
 def sup_sigma_mobius(j: int) -> SupremumResult:
-    """Supremum of the j-th Mobius eigenvalue; always attained, at T_{k,1}."""
+    """Supremum of the j-th Mobius eigenvalue; always attained, at T_{ceil(j/2),1}."""
     j = _check_index(j, "eigenvalue index")
-    k = (j + 1) // 2
-    point = solve_crossing(2.0 * k, 1.0)
-    return SupremumResult(
-        kind=SurfaceKind.MOBIUS_BAND,
-        j=j,
-        value=2.0 * math.pi * point.height,
-        attained=True,
-        attaining_modulus=point.x,
-    )
+    mb = SurfaceKind.MOBIUS_BAND
+    c = _crossing(mb, (j + 1) // 2, 1)
+    return SupremumResult(mb, j, c.value, attained=True, attaining_modulus=c.modulus)
 
 
 def sup_sigma_annulus(j: int) -> SupremumResult:
     """Supremum of the j-th annulus eigenvalue.
 
-    Odd j = 2k-1: attained at the linear/even crossing T = t10/k with value
-    4*pi*k/t10.  j = 2: the even branch increases to 4*pi but never reaches
-    it.  Even j = 2k > 2: attained at the even/odd crossing t_{k,1}.
+    Odd j = 2k-1: attained at the linear/even crossing T = t10/k.  j = 2: the
+    even branch increases to its limit 4*pi but never reaches it.  Even
+    j = 2k > 2: attained at the even/odd crossing t_{k,1}.
     """
     j = _check_index(j, "eigenvalue index")
-    t10 = solve_t10()
-    if j % 2 == 1:
-        k = (j + 1) // 2
-        return SupremumResult(
-            kind=SurfaceKind.ANNULUS,
-            j=j,
-            value=4.0 * math.pi * k / t10,
-            attained=True,
-            attaining_modulus=t10 / k,
-        )
-    k = j // 2
-    if k == 1:
-        return SupremumResult(
-            kind=SurfaceKind.ANNULUS,
-            j=2,
-            value=4.0 * math.pi,
-            attained=False,
-            attaining_modulus=None,
-        )
-    point = solve_crossing(float(k), 1.0)
-    return SupremumResult(
-        kind=SurfaceKind.ANNULUS,
-        j=j,
-        value=4.0 * math.pi * point.height,
-        attained=True,
-        attaining_modulus=point.x,
-    )
+    an = SurfaceKind.ANNULUS
+    if j == 2:
+        limit = lambda_bar(an, 1, math.inf)
+        return SupremumResult(an, 2, limit, attained=False, attaining_modulus=None)
+    c = _crossing(an, (j + 1) // 2, 1 - j % 2)  # branch n = 0 is the linear one
+    return SupremumResult(an, j, c.value, attained=True, attaining_modulus=c.modulus)
 
 
 def critical_set(kind: SurfaceKind, max_mode: int) -> list[CriticalMetric]:
@@ -189,9 +165,11 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
     value at T_{k,l} is strictly below the value at T_{k+c,l-c}.
     """
     mb = SurfaceKind.MOBIUS_BAND
+    max_mode = _check_index(max_mode, "max_mode")
     moduli = {
-        (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.modulus
-        for c in crossing_lattice(mb, max_mode)
+        (k, l): _crossing(mb, k, l).modulus
+        for k in range(1, max_mode + 1)
+        for l in range(1, k + 1)
     }
     records = []
     for (k, l), modulus in moduli.items():
@@ -222,16 +200,17 @@ def verify_no_asymptote(max_even: int) -> list[NoAsymptoteRecord]:
     2k*tanh(2k*T_k) = 1/T_k satisfies 2k*T_k = t10 and T_k < T_{k,1}.
     """
     max_even = _check_index(max_even, "max_even")
+    mb = SurfaceKind.MOBIUS_BAND
     t10 = solve_t10()
     records = []
     for k in range(2, max_even + 1, 2):
-        t_k1 = solve_crossing(2.0 * k, 1.0).x
+        t_k1 = _crossing(mb, k, 1).modulus
         t_k = t10 / (2.0 * k)
         records.append(
             NoAsymptoteRecord(
                 k=k,
-                limit_value=2.0 * math.pi * k,
-                crossing_value=lambda_bar(SurfaceKind.MOBIUS_BAND, k, t_k1),
+                limit_value=lambda_bar(mb, k // 2, math.inf),
+                crossing_value=lambda_bar(mb, k, t_k1),
                 t_k=t_k,
                 t_k1=t_k1,
             )

@@ -30,6 +30,10 @@ from .surfaces import ImmersionFamily, _position
 # peak memory does not grow with the mesh.
 _BLOCK_ROWS = 4096
 
+# Most vertices a grid may have, checked as (n_t + 1) * n_theta before any
+# allocation: PLY writes face vertex indices as signed 32-bit "int".
+_MAX_VERTICES = 2**31 - 1
+
 
 class MeshFormat(Enum):
     OBJ = "obj"
@@ -90,6 +94,8 @@ def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:
     if fam.is_quotient and n_theta < 6:
         # the weld leaves n_theta / 2 core vertices; two make a 2-gon, not a circle
         raise DomainError(f"the half-turn weld needs n_theta >= 6, got {n_theta}")
+    if (int(n_t) + 1) * int(n_theta) > _MAX_VERTICES:
+        raise DomainError(f"grid {n_t}x{n_theta} exceeds {_MAX_VERTICES} vertices, PLY's limit")
     T = fam.T_star
     th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     # vertex id of grid node (i, j) for j = 0..n_theta; column n_theta is the

@@ -20,8 +20,11 @@ from steklov.branches import (
     sigma_bar_grid,
     spectrum,
 )
-from steklov.crossings import solve_crossing
+from steklov.crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
+from steklov.dtn import closed_form_sigma
 from steklov.exceptions import DomainError, UnsupportedBranchError
+from steklov.extrema import sup_sigma_annulus, sup_sigma_mobius
+from steklov.hyperbolic import coth
 
 from mobius_reference import mobius_crossing_modulus, sigma_bar_piecewise_mobius
 
@@ -228,3 +231,224 @@ def test_sigma_bar_grid_rejects_empty_index_range():
         for j_max in (0, -2):
             with pytest.raises(DomainError):
                 sigma_bar_grid(kind, j_max, [1.0])
+
+
+@pytest.mark.parametrize(
+    "kind, branch",
+    [
+        (MB, Branch(BranchKind.EVEN_HYPERBOLIC, 1)),  # even Mobius modes are 2k
+        (MB, Branch(BranchKind.EVEN_HYPERBOLIC, 7)),
+        (MB, Branch(BranchKind.ODD_HYPERBOLIC, 2)),  # odd Mobius modes are 2l - 1
+        (MB, Branch(BranchKind.ODD_HYPERBOLIC, 10)),
+        (MB, Branch(BranchKind.LINEAR, 0)),
+        (AN, Branch(BranchKind.LINEAR, 5)),  # the linear branch is mode 0
+        (AN, Branch(BranchKind.LINEAR, -1)),
+    ],
+)
+def test_branch_value_refuses_a_branch_the_surface_lacks(kind, branch):
+    with pytest.raises(UnsupportedBranchError):
+        branch_value(kind, branch, 1.0)
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+@pytest.mark.parametrize("profile", [BranchKind.EVEN_HYPERBOLIC, BranchKind.ODD_HYPERBOLIC])
+@pytest.mark.parametrize("mode", [0, -1, -2])
+def test_branch_value_hyperbolic_mode_below_one(kind, profile, mode):
+    with pytest.raises(DomainError):
+        branch_value(kind, Branch(profile, mode), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the branch formulas written out case by case, one per
+# surface and profile, with T = inf handled apart.  The library evaluates them
+# through one scale and one crossing constructor, and every routine must
+# reproduce these bit for bit.
+
+_REF_T = [1e-14, 0.7, 30.0, 1e6, math.inf]
+_REF_MODES = list(range(1, 41)) + [997, 10**6]
+
+
+def _ref_lambda(kind, k, T):
+    if math.isinf(T):
+        return 4.0 * math.pi * k
+    freq = 2 * k if kind is MB else k
+    return 4.0 * math.pi * k * math.tanh(freq * T)
+
+
+def _ref_mu(kind, l, T):
+    if kind is MB:
+        freq = 2 * l - 1
+        scale = 2.0 * math.pi * freq
+    else:
+        freq = l
+        scale = 4.0 * math.pi * l
+    if math.isinf(T):
+        return scale
+    return scale * coth(freq * T)
+
+
+def _ref_nu(T):
+    if math.isinf(T):
+        return 0.0
+    return 4.0 * math.pi / T
+
+
+def _ref_even(kind, k):
+    return Branch(BranchKind.EVEN_HYPERBOLIC, 2 * k if kind is MB else k)
+
+
+def _ref_odd(kind, l):
+    return Branch(BranchKind.ODD_HYPERBOLIC, 2 * l - 1 if kind is MB else l)
+
+
+def _ref_crosses(kind, first, v_first, second, v_second):
+    even = BranchKind.EVEN_HYPERBOLIC
+    increasing, decreasing = (first, second) if first.kind is even else (second, first)
+    if increasing.kind is not even or decreasing.kind is even:
+        return False
+    if increasing.mode <= decreasing.mode:
+        return False
+    scale = 2.0 * math.pi if kind is MB else 4.0 * math.pi
+    return v_second - v_first <= scale * RESIDUAL_SCALE * (increasing.mode + decreasing.mode)
+
+
+def _ref_spectrum(kind, T, count):
+    # the first count + 3 values of each family hold the first count + 3
+    # values overall, because each family increases with the mode
+    n = count + 3
+    items = [(_ref_lambda(kind, m, T), 2 * m - 1, _ref_even(kind, m)) for m in range(1, n + 1)]
+    items += [(_ref_mu(kind, m, T), 2 * m, _ref_odd(kind, m)) for m in range(1, n + 1)]
+    if kind is AN:
+        items.append((_ref_nu(T), 0, Branch(BranchKind.LINEAR, 0)))
+    merged = iter(sorted(items))
+    entries = []
+    position = 1
+    value, _, branch = next(merged)
+    while position <= count:
+        next_value, _, next_branch = next(merged)
+        group = (branch,)
+        if _ref_crosses(kind, branch, value, next_branch, next_value):
+            group = (branch, next_branch)
+            next_value, _, next_branch = next(merged)
+        mult = sum(b.multiplicity for b in group)
+        entries.append((value, group, (position, position + mult - 1)))
+        position += mult
+        value, branch = next_value, next_branch
+    return entries
+
+
+def _ref_grid(kind, j_max, T):
+    n_modes = (j_max + 1) // 2
+    rows = []
+    if kind is AN:
+        rows.append(4.0 * math.pi / T)
+    for m in range(1, n_modes + 1):
+        if kind is MB:
+            lam = 4.0 * math.pi * m * np.tanh(2 * m * T)
+            mus = 2.0 * math.pi * (2 * m - 1) * coth((2 * m - 1) * T)
+        else:
+            lam = 4.0 * math.pi * m * np.tanh(m * T)
+            mus = 4.0 * math.pi * m * coth(m * T)
+        rows.extend([lam, lam, mus, mus])
+    stacked = np.vstack(rows)
+    stacked.sort(axis=0)
+    return stacked[:j_max]
+
+
+def _ref_lattice(kind, max_mode):
+    mobius = kind is MB
+    scale = 2.0 * math.pi if mobius else 4.0 * math.pi
+    t10 = solve_t10()
+    lattice = []
+    for m in range(1, max_mode + 1):
+        even = _ref_even(kind, m)
+        if not mobius:
+            linear = Branch(BranchKind.LINEAR, 0)
+            lattice.append((even, linear, t10 / m, m / t10, scale * m / t10, 0.0, 2 * m - 1))
+        for n in range(1, m + 1 if mobius else m):
+            odd = _ref_odd(kind, n)
+            point = solve_crossing(float(even.mode), float(odd.mode))
+            first = 2 * (m + n) - 3 + (not mobius and point.x > t10 / m)
+            lattice.append(
+                (even, odd, point.x, point.height, scale * point.height, point.residual, first)
+            )
+    return lattice
+
+
+def _ref_sup_mobius(j):
+    k = (j + 1) // 2
+    point = solve_crossing(2.0 * k, 1.0)
+    return 2.0 * math.pi * point.height, True, point.x
+
+
+def _ref_sup_annulus(j):
+    t10 = solve_t10()
+    if j % 2 == 1:
+        k = (j + 1) // 2
+        return 4.0 * math.pi * k / t10, True, t10 / k
+    k = j // 2
+    if k == 1:
+        return 4.0 * math.pi, False, None
+    point = solve_crossing(float(k), 1.0)
+    return 4.0 * math.pi * point.height, True, point.x
+
+
+def _hex(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_branch_formulas_match_frozen_reference_bitwise(kind):
+    for T in _REF_T:
+        for m in _REF_MODES:
+            want = _hex([_ref_lambda(kind, m, T), _ref_mu(kind, m, T)])
+            assert _hex([lambda_bar(kind, m, T), mu_bar(kind, m, T)]) == want, (m, T)
+            got = [
+                branch_value(kind, _ref_even(kind, m), T),
+                branch_value(kind, _ref_odd(kind, m), T),
+            ]
+            assert _hex(got) == want, (m, T)
+        if kind is AN:
+            got = [nu_bar(T), branch_value(kind, Branch(BranchKind.LINEAR, 0), T)]
+            assert _hex(got) == _hex([_ref_nu(T)] * 2)
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_spectrum_matches_frozen_reference_bitwise(kind):
+    for T in _REF_T[:-1]:  # spectrum refuses T = inf
+        reference = _ref_spectrum(kind, T, 60)
+        got = [(e.value.hex(), e.branches, e.index_range) for e in spectrum(kind, T, 60)]
+        assert got == [(v.hex(), b, r) for v, b, r in reference], T
+        for f in (1.0, 0.3):
+            length = (2.0 if kind is MB else 4.0) * math.pi * f
+            values = [v / length for v, _, (lo, hi) in reference for _ in range(lo, hi + 1)]
+            assert closed_form_sigma(kind, T, f, 60).tobytes() == np.array(values[:60]).tobytes()
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_sigma_bar_grid_matches_frozen_reference_bitwise(kind):
+    moduli = np.geomspace(1e-14, 30.0, 2000)
+    for j_max in (1, 2, 13):
+        got = sigma_bar_grid(kind, j_max, moduli)
+        assert got.tobytes() == _ref_grid(kind, j_max, moduli).tobytes()
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_crossing_lattice_matches_frozen_reference_bitwise(kind):
+    got = [
+        (c.increasing, c.decreasing, _hex([c.modulus, c.height, c.value, c.residual]),
+         c.first_index)
+        for c in crossing_lattice(kind, 20)
+    ]
+    want = [(inc, dec, _hex(floats), first) for inc, dec, *floats, first in _ref_lattice(kind, 20)]
+    assert got == want
+
+
+def test_suprema_match_frozen_reference_bitwise():
+    routes = ((sup_sigma_mobius, _ref_sup_mobius), (sup_sigma_annulus, _ref_sup_annulus))
+    for j in range(1, 41):
+        for sup, ref in routes:
+            r = sup(j)
+            value, attained, modulus = ref(j)
+            assert r.j == j and r.attained is attained
+            assert _hex([r.value, r.attaining_modulus]) == _hex([value, modulus]), (sup, j)

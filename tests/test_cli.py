@@ -335,15 +335,32 @@ def test_surface_unwritable_out_exits_one(capsys, tmp_path, which):
     assert err.startswith(f"error: cannot write {path}: ")
 
 
-@pytest.mark.parametrize("grid", ["3x100000000000000000", "100000000000000000x3"])
+@pytest.mark.parametrize(
+    "grid", ["3x100000000000000000", "100000000000000000x3", "100000000x100000000"]
+)
 def test_surface_refused_allocation_exits_one(capsys, tmp_path, grid):
-    # the first grid-sized array is 711 PiB: NumPy refuses it before
-    # touching any memory, so this never allocates a real mesh
+    # the vertex count is checked before any grid-sized array is allocated
     path = tmp_path / "big.obj"
     argv = ["surface", "--family", "catenoid", "--n", "2", "--grid", grid, "--out", str(path)]
     code, out, err = _run(capsys, *argv)
     _assert_one_error_line(code, out, err)
-    assert err.startswith("error: not enough memory: ")
+    assert err.startswith(f"error: grid {grid} exceeds 2147483647 vertices")
+    assert not path.exists()
+
+
+def test_surface_memory_error_exits_one(capsys, monkeypatch, tmp_path):
+    # a grid inside the vertex bound can still be more than the host holds;
+    # the refusal is simulated, so nothing large is allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 48.0 GiB")
+
+    monkeypatch.setattr("steklov.cli.export_mesh", refuse)
+    path = tmp_path / "big.obj"
+    grid = "40000x50000"
+    argv = ["surface", "--family", "catenoid", "--n", "2", "--grid", grid, "--out", str(path)]
+    code, out, err = _run(capsys, *argv)
+    _assert_one_error_line(code, out, err)
+    assert err == "error: not enough memory: Unable to allocate 48.0 GiB\n"
     assert not path.exists()
 
 

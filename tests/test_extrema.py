@@ -107,6 +107,12 @@ def test_integer_arguments_refuse_fractions_and_non_finite(entry, value):
         _INTEGER_ARGUMENT[entry](value)
 
 
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ARGUMENT))
+def test_integer_arguments_accept_integral_floats(entry):
+    # 6.0 passes as 6, and the routine must go on with the int
+    np.testing.assert_equal(_INTEGER_ARGUMENT[entry](6.0), _INTEGER_ARGUMENT[entry](6))
+
+
 def test_integer_arguments_below_one_keep_their_message():
     with pytest.raises(DomainError, match=r"^count must be >= 1, got 0$"):
         spectrum(AN, 1.0, 0)

@@ -62,6 +62,26 @@ def test_grid_validation():
         build_mesh(mobius_b4(2, 1), 16, 15)  # odd theta count cannot weld
 
 
+@pytest.mark.parametrize(
+    "n_t, n_theta",
+    [
+        (2**31 // 6, 6),  # (n_t + 1) * n_theta = 2**31 + 4, just past the bound
+        (3, 2**30),
+        (10**8, 10**8),
+        (np.int64(2**61), np.int64(8)),  # the product would wrap in int64
+    ],
+)
+def test_grid_past_ply_index_range_is_refused(tmp_path, n_t, n_theta):
+    # refused before any allocation, so none of these grids touches memory
+    for fam in (catenoid_b3(1), mobius_b4(2, 1)):
+        with pytest.raises(DomainError, match="exceeds 2147483647 vertices"):
+            build_mesh(fam, n_t, n_theta)
+    path = tmp_path / "big.ply"
+    with pytest.raises(DomainError, match="exceeds"):
+        export_mesh(catenoid_b3(1), n_t, n_theta, MeshFormat.PLY, str(path))
+    assert not path.exists()
+
+
 def test_csv_round_trip(tmp_path):
     fam = mobius_b4(2, 1)
     path = tmp_path / "band.csv"
