@@ -317,9 +317,14 @@ class LatticeCrossing:
 
     @property
     def residual(self) -> float:
-        """Crossing-equation residual at the solved modulus; 0 on the linear branch."""
+        """Crossing-equation residual at the solved modulus.
+
+        On the linear branch the equation is m*tanh(m*x) = 1/x, and x is the
+        float t10/m, so the residual is a rounding error, not zero.
+        """
         if self.decreasing.kind is BranchKind.LINEAR:
-            return 0.0
+            m, x = self.increasing.mode, self.modulus
+            return abs(m * math.tanh(m * x) - 1.0 / x)
         return solve_crossing(self.increasing.mode, self.decreasing.mode).residual
 
 

@@ -79,11 +79,21 @@ class SurfaceMesh:
 
 
 def _edge_counts(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct undirected edges, keyed lo * n_vertices + hi, with face counts."""
-    following = np.roll(faces, -1, axis=1)  # edges (a, b), (b, c), (c, a)
-    lo = np.minimum(faces, following).ravel()
-    hi = np.maximum(faces, following).ravel()
-    return np.unique(lo * n_vertices + hi, return_counts=True)
+    """Distinct undirected edges, keyed lo * n_vertices + hi, with face counts.
+
+    The keys of the edges (a, b), (b, c), (c, a) of every face are sorted
+    once; each run of equal keys is one edge, its length the count.
+    """
+    keys = np.empty((3, len(faces)), dtype=np.int64)
+    for key, (i, j) in zip(keys, ((0, 1), (1, 2), (2, 0))):
+        a, b = faces[:, i], faces[:, j]
+        np.minimum(a, b, out=key)
+        key *= n_vertices
+        key += np.maximum(a, b)
+    keys = keys.ravel()
+    keys.sort()
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.diff(np.r_[starts, len(keys)])
 
 
 def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:

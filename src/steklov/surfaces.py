@@ -17,6 +17,13 @@ Every identity used to certify these surfaces (conformality, harmonicity,
 unit boundary norm, boundary orthogonality, vanishing total stress-energy,
 and the vanishing of the summed eigenvalue-perturbation form) is evaluated
 numerically on grids here.
+
+Every coordinate is a t-profile times a theta-mode.  ``_factors`` is the one
+table of these formulas: per output a t-factor and a theta-factor per
+column.  Positions and derivatives are their products; the interior
+certificates (conformality, stress-energy, the perturbation form) contract
+the t-factors with the theta-factors by matrix products and never build an
+(n_t, n_theta, dim) grid.
 """
 
 from __future__ import annotations
@@ -115,12 +122,12 @@ def evaluate(fam: ImmersionFamily, t, theta):
 
     Returns (u, du_dt, du_dtheta), each with a trailing axis of length
     ambient_dim; raises DomainError if some |t| exceeds T*.  Every coordinate
-    is a t-profile times a theta-mode, so the hyperbolic profiles are
-    computed on ``t`` and the modes on ``theta`` as given and only their
-    products broadcast: a tensor grid ``t[:, None]``, ``theta[None, :]``
-    costs O(n_t + n_theta) transcendental calls.  The routines below compute
-    only the outputs they read, unchecked, through ``_outputs`` (or
-    ``_position`` and ``_velocity`` for one output).
+    is a t-profile times a theta-mode: ``_factors`` computes the profiles on
+    ``t`` and the modes on ``theta`` as given, and only their products
+    broadcast, so a tensor grid ``t[:, None]``, ``theta[None, :]`` costs
+    O(n_t + n_theta) transcendental calls.  The routines below compute only
+    the outputs they read, unchecked, through ``_outputs`` (or ``_position``
+    and ``_velocity`` for one output), or contract the factor table itself.
     """
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > fam.T_star * (1.0 + 1e-12)):
@@ -138,44 +145,61 @@ def _velocity(fam: ImmersionFamily, t, theta) -> np.ndarray:
     return _outputs(fam, t, theta, (_U_T,))[0]
 
 
-def _outputs(fam: ImmersionFamily, t, theta, outputs) -> list[np.ndarray]:
-    """The selected outputs (``_U``, ``_U_T``, ``_U_THETA``) of the immersion.
+def _factors(fam: ImmersionFamily, t, theta, outputs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The factor table of the selected outputs (``_U``, ``_U_T``, ``_U_THETA``).
 
-    Each rotating plane of the map is c*h(k t) (cos j th, sin j th) / r: the
-    catenoid has one, (1, cosh, n, n), beside its axial coordinate n t / r;
-    the four-dimensional families have (m, sinh, n, n) and (n, cosh, m, m).
-    The plane's t-derivative is c*k*h'(k t) (cos, sin) / r and its
-    theta-derivative c*j*h(k t) (-sin, cos) / r.  Each coordinate is
-    ((coefficient * profile) * mode) / r, written into its column of the
-    output, so no grid-sized temporary is made.
+    For each output returns (a, x), a of shape ``t.shape + (dim,)`` and x of
+    shape ``theta.shape + (dim,)``: column i of the output is
+    a[..., i] * x[..., i] / r.  Each rotating plane of the map is
+    c*h(k t) (cos j th, sin j th) / r: the catenoid has one, (1, cosh, n, n),
+    beside its axial coordinate n t / r (x = 1); the four-dimensional
+    families have (m, sinh, n, n) and (n, cosh, m, m).  The plane's
+    t-derivative is c*k*h'(k t) (cos, sin) / r and its theta-derivative
+    c*j*h(k t) (-sin, cos) / r.  The modes and each profile are computed once
+    for all the outputs requested.  This is the one place the formulas live.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(t.shape, theta.shape) + (fam.ambient_dim,)
-    arrays = [np.empty(shape) for _ in outputs]
+    dim = fam.ambient_dim
+    table = [(np.empty(t.shape + (dim,)), np.empty(theta.shape + (dim,))) for _ in outputs]
     m, n = fam.m, fam.n
     if fam.family is FamilyKind.CATENOID_B3:
         planes = [(1, np.cosh, np.sinh, n, n)]
         axial = {_U: n * t, _U_T: float(n), _U_THETA: 0.0}
-        for out, u in zip(outputs, arrays):
-            u[..., 2] = axial[out]
+        for out, (a, x) in zip(outputs, table):
+            a[..., 2], x[..., 2] = axial[out], 1.0
     else:
         planes = [(m, np.sinh, np.cosh, n, n), (n, np.cosh, np.sinh, m, m)]
     for col, (c, h, dh, k, j) in zip((0, 2), planes):
         cos, sin = np.cos(j * theta), np.sin(j * theta)
         if _U in outputs or _U_THETA in outputs:
             profile = h(k * t)
-        for out, u in zip(outputs, arrays):
+        for out, (a, x) in zip(outputs, table):
             if out == _U:
-                a, x, y = c * profile, cos, sin
+                a[..., col], x[..., col], x[..., col + 1] = c * profile, cos, sin
             elif out == _U_T:
-                a, x, y = c * k * dh(k * t), cos, sin
+                a[..., col], x[..., col], x[..., col + 1] = c * k * dh(k * t), cos, sin
             else:
-                a, x, y = c * j * profile, -sin, cos
-            np.multiply(a, x, out=u[..., col])
-            np.multiply(a, y, out=u[..., col + 1])
-    for u in arrays:
+                a[..., col], x[..., col], x[..., col + 1] = c * j * profile, -sin, cos
+            a[..., col + 1] = a[..., col]
+    return table
+
+
+def _outputs(fam: ImmersionFamily, t, theta, outputs) -> list[np.ndarray]:
+    """The selected outputs of the immersion, multiplied out of ``_factors``.
+
+    Each column is (a * x) / r, written into the output column by column, so
+    no grid-sized temporary is made.
+    """
+    dim = fam.ambient_dim
+    shape = np.broadcast_shapes(np.shape(t), np.shape(theta)) + (dim,)
+    arrays = []
+    for a, x in _factors(fam, t, theta, outputs):
+        u = np.empty(shape)
+        for i in range(dim):
+            np.multiply(a[..., i], x[..., i], out=u[..., i])
         u /= fam.radius
+        arrays.append(u)
     return arrays
 
 
@@ -202,17 +226,18 @@ def verify_identities(fam: ImmersionFamily) -> IdentityReport:
     T = fam.T_star
     t = np.linspace(-T, T, 200)
     theta = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
-    tt = t[:, None]
     th = theta[None, :]
-    ut, uth = _outputs(fam, tt, th, (_U_T, _U_THETA))
-
-    cross = np.einsum("...i,...i->...", ut, uth)
-    norm_t = np.einsum("...i,...i->...", ut, ut)
-    norm_th = np.einsum("...i,...i->...", uth, uth)
-    abs_cross = np.abs(cross)
-    abs_gap = np.abs(norm_t - norm_th)
-    conformal = float(np.max(abs_cross + abs_gap))
-    stress = float(np.max(abs_gap) + np.max(abs_cross))
+    # the (t, theta) grids <u_t, u_theta> and |u_t|^2 - |u_theta|^2 as
+    # products of the factor table, of rank dim and 2 * dim
+    r2 = fam.radius**2
+    (a_t, x_t), (a_th, x_th) = _factors(fam, t, theta, (_U_T, _U_THETA))
+    cross = (a_t * a_th / r2) @ (x_t * x_th).T
+    gap = (np.hstack([a_t**2, -(a_th**2)]) / r2) @ np.vstack([x_t.T**2, x_th.T**2])
+    # in place: the grids are 640 KB each, and every new one is fresh pages
+    np.abs(cross, out=cross)
+    np.abs(gap, out=gap)
+    stress = float(np.max(gap) + np.max(cross))
+    conformal = float(np.max(np.add(cross, gap, out=cross)))
 
     ub, utb = _outputs(fam, np.array([[-T], [T]]), th, (_U, _U_T))
     norms = np.linalg.norm(ub, axis=-1)
@@ -280,17 +305,17 @@ def _boundary_sums(
     n_theta = 512
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     wth = 2.0 * math.pi / n_theta
+    sides = np.array([[-fam.T_star], [fam.T_star]])
+    u, ut = _outputs(fam, sides, theta, (_U, _U_T))
+    f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
+    hf = sample.h_thetatheta(sides, theta) / f
     signed = absolute = length = 0.0
     weighted = np.zeros(fam.ambient_dim)
-    for t_side in (-fam.T_star, fam.T_star):
-        tt = np.full_like(theta, t_side)
-        u, ut = _outputs(fam, tt, theta, (_U, _U_T))
-        f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
-        hf = sample.h_thetatheta(tt, theta) / f
-        signed += float(np.sum(hf) * wth)
-        absolute += float(np.sum(np.abs(hf)) * wth)
-        length += float(np.sum(f) * wth)
-        weighted += (hf @ u**2) * wth
+    for side in range(2):
+        signed += float(np.sum(hf[side]) * wth)
+        absolute += float(np.sum(np.abs(hf[side])) * wth)
+        length += float(np.sum(f[side]) * wth)
+        weighted += (hf[side] @ u[side] ** 2) * wth
     return signed, absolute, length, weighted
 
 
@@ -321,22 +346,21 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     wth = 2.0 * math.pi / n_theta
     tt = t[:, None]
     th = theta[None, :]
-    ut, uth = _outputs(fam, tt, th, (_U_T, _U_THETA))
-    f2 = np.einsum("...i,...i->...", ut, ut)  # conformal factor squared
+    r2 = fam.radius**2
+    (a_t, x_t), (a_th, x_th) = _factors(fam, t, theta, (_U_T, _U_THETA))
+    f2 = (a_t**2 / r2) @ (x_t**2).T  # conformal factor squared
+    w = wt[:, None] / f2
+    d = w * (sample.h_tt(tt, th) - sample.h_thetatheta(tt, th))
+    e = w * sample.h_ttheta(tt, th)
 
-    h_tt = np.broadcast_to(sample.h_tt(tt, th), f2.shape)
-    h_tth = np.broadcast_to(sample.h_ttheta(tt, th), f2.shape)
-    h_thth = np.broadcast_to(sample.h_thetatheta(tt, th), f2.shape)
-
-    tau_tt = 0.5 * (ut**2 - uth**2)  # per-component stress-energy, flat frame
-    tau_tth = ut * uth
-
-    integrand = (
-        tau_tt * h_tt[..., None]
-        + 2.0 * tau_tth * h_tth[..., None]
-        - tau_tt * h_thth[..., None]
-    ) / f2[..., None]
-    interior = (wt[:, None, None] * integrand).sum(axis=(0, 1)) * wth
+    # per component the stress-energy tau_tt = (u_t^2 - u_theta^2) / 2 and
+    # tau_ttheta = u_t u_theta, paired with h, summed over theta by products
+    # of the grids d and e with the theta factors
+    interior = (
+        0.5 * a_t**2 * (d @ x_t**2)
+        - 0.5 * a_th**2 * (d @ x_th**2)
+        + 2.0 * a_t * a_th * (e @ (x_t * x_th))
+    ).sum(axis=0) * (wth / r2)
 
     # eigenvalue of the induced metric (equals 1 for these unit-ball surfaces)
     c = boundary_eigenvalue_factor(fam)
@@ -359,9 +383,11 @@ def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     numerator, _, length, _ = _boundary_sums(fam, sample)
     alpha = numerator / length
 
+    r2 = fam.radius**2
+
     def f2_of(t, th):
-        ut = _velocity(fam, t, th)
-        return np.einsum("...i,...i->...", ut, ut)
+        ((a, x),) = _factors(fam, t, th, (_U_T,))
+        return np.einsum("...i,...i->...", a**2 / r2, x**2, optimize=True)
 
     return QFormSample(
         h_tt=lambda t, th: sample.h_tt(t, th) - alpha * f2_of(t, th),

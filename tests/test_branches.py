@@ -226,6 +226,22 @@ def test_spectrum_merges_every_lattice_crossing(kind):
         assert all(len(e.branches) == 1 for e in entries[:-1])
 
 
+def test_linear_crossing_residual_is_measured():
+    # the linear/even crossing sits at the float t10/m, where m*tanh(m*x) = 1/x
+    # holds only to rounding; the residual reports that rounding, within one
+    # ulp of 1/x of the exact (50-digit) residual at the same float x
+    import mpmath
+
+    linear = [c for c in crossing_lattice(AN, 40) if c.decreasing.kind is BranchKind.LINEAR]
+    assert [c.increasing.mode for c in linear] == list(range(1, 41))
+    with mpmath.workdps(50):
+        for c in linear:
+            m, x = c.increasing.mode, mpmath.mpf(c.modulus)
+            exact = float(abs(m * mpmath.tanh(m * x) - 1 / x))
+            assert abs(c.residual - exact) <= math.ulp(1.0 / c.modulus), m
+    assert max(c.residual for c in linear) > 0.0
+
+
 def test_sigma_bar_grid_rejects_empty_index_range():
     for kind in (MB, AN):
         for j_max in (0, -2):
@@ -364,7 +380,9 @@ def _ref_lattice(kind, max_mode):
         even = _ref_even(kind, m)
         if not mobius:
             linear = Branch(BranchKind.LINEAR, 0)
-            lattice.append((even, linear, t10 / m, m / t10, scale * m / t10, 0.0, 2 * m - 1))
+            x = t10 / m
+            residual = abs(m * math.tanh(m * x) - 1.0 / x)  # m tanh(m x) = 1/x
+            lattice.append((even, linear, x, m / t10, scale * m / t10, residual, 2 * m - 1))
         for n in range(1, m + 1 if mobius else m):
             odd = _ref_odd(kind, n)
             point = solve_crossing(float(even.mode), float(odd.mode))

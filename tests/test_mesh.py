@@ -288,6 +288,25 @@ def test_topology_matches_per_face_count(fam, grid):
     assert loops == (1 if fam.is_quotient else 2)
 
 
+@pytest.mark.parametrize(
+    "fam", [catenoid_b3(2), mobius_b4(8, 3)], ids=["catenoid2", "mobius83"]
+)
+def test_edge_counts_match_per_face_count(fam):
+    # every distinct edge, in key order, with the number of faces it borders
+    rng = np.random.default_rng(5)
+    mesh = build_mesh(fam, 9, 20)
+    n_vertices = len(mesh.vertices)
+    soup = rng.integers(0, 12, size=(40, 3))  # repeated and degenerate edges
+    for faces, n in ((mesh.faces, n_vertices), (soup, 12)):
+        count = Counter()
+        for a, b, c in faces.tolist():
+            for e in ((a, b), (b, c), (c, a)):
+                count[min(e) * n + max(e)] += 1
+        edges, counts = mesh_module._edge_counts(faces, n)
+        assert edges.tolist() == sorted(count)
+        assert counts.tolist() == [count[k] for k in sorted(count)]
+
+
 # ---------------------------------------------------------------------------
 # The block formatter against CPython's own ``%`` conversions.
 

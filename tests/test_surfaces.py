@@ -28,6 +28,7 @@ from steklov.surfaces import (
     _U,
     _U_T,
     _U_THETA,
+    _factors,
     _outputs,
     _params_adjacent,
     _position,
@@ -183,6 +184,10 @@ def test_transcendental_calls_scale_with_grid_sides(fam, monkeypatch):
     counting.elements = 0
     surfaces.verify_identities(fam)  # 200 x 400 grid
     assert 0 < counting.elements <= 16 * (200 + 400)
+    counting.elements = 0
+    # a 201 x 256 interior grid and two boundary circles of 512 nodes
+    q_form_components(fam, make_admissible(fam, SAMPLES[0]))
+    assert 0 < counting.elements <= 16 * (201 + 256 + 512)
 
 
 def test_evaluate_domain_error():
@@ -242,10 +247,21 @@ SAMPLES = [
 ]
 
 
+# SAMPLES are even in t and have mean-free theta terms, so several terms of
+# the form integrate to 0 on them and make_admissible subtracts 0 from each;
+# this one has neither symmetry and a nonzero projection
+LOPSIDED = QFormSample(
+    h_tt=lambda t, th: np.exp(t) * np.cos(th) ** 2 + 1.0,
+    h_ttheta=lambda t, th: np.sin(th + t),
+    h_thetatheta=lambda t, th: (t * t + t) * np.cos(2.0 * th) + 0.5 + t,
+)
+ALL_SAMPLES = SAMPLES + [LOPSIDED]
+
+
 @pytest.mark.parametrize("fam", [catenoid_b3(1), annulus_b4(3, 2), mobius_b4(2, 1)])
-@pytest.mark.parametrize("i", range(len(SAMPLES)))
+@pytest.mark.parametrize("i", range(len(ALL_SAMPLES)))
 def test_q_form_sum_vanishes(fam, i):
-    sample = make_admissible(fam, SAMPLES[i])
+    sample = make_admissible(fam, ALL_SAMPLES[i])
     components = q_form_components(fam, sample)
     total = float(np.sum(components))
     # individual components are O(1); the sum cancels to quadrature accuracy
@@ -279,6 +295,155 @@ def test_q_form_admissible_metric_variation():
     )
     total = q_form_sum(fam, make_admissible(fam, g_like))
     assert abs(total) <= 1e-8
+
+
+def _dot(u, v):
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _reference_identity_residuals(fam):
+    # the dense route: (n_t, n_theta, dim) grids of u_t and u_theta
+    T = fam.T_star
+    t = np.linspace(-T, T, 200)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)[None, :]
+    ut, uth = _outputs(fam, t, th, (_U_T, _U_THETA))
+    abs_cross = np.abs(_dot(ut, uth))
+    abs_gap = np.abs(_dot(ut, ut) - _dot(uth, uth))
+    return float(np.max(abs_cross + abs_gap)), float(np.max(abs_gap) + np.max(abs_cross))
+
+
+def _reference_boundary_sums(fam, sample):
+    n_theta = 512
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    wth = 2.0 * math.pi / n_theta
+    signed = length = 0.0
+    weighted = np.zeros(fam.ambient_dim)
+    for t_side in (-fam.T_star, fam.T_star):
+        tt = np.full_like(theta, t_side)
+        u, ut = _outputs(fam, tt, theta, (_U, _U_T))
+        f = np.sqrt(_dot(ut, ut))
+        hf = sample.h_thetatheta(tt, theta) / f
+        signed += float(np.sum(hf) * wth)
+        length += float(np.sum(f) * wth)
+        weighted += (hf @ u**2) * wth
+    return signed, length, weighted
+
+
+def _reference_make_admissible(fam, sample):
+    signed, length, _ = _reference_boundary_sums(fam, sample)
+    alpha = signed / length
+
+    def f2(t, th):
+        ut = _outputs(fam, t, th, (_U_T,))[0]
+        return _dot(ut, ut)
+
+    return QFormSample(
+        h_tt=lambda t, th: sample.h_tt(t, th) - alpha * f2(t, th),
+        h_ttheta=sample.h_ttheta,
+        h_thetatheta=lambda t, th: sample.h_thetatheta(t, th) - alpha * f2(t, th),
+    )
+
+
+def _reference_q_form_components(fam, sample):
+    # the dense route: per-component stress-energy on (n_t, n_theta, dim) grids
+    n_t, n_theta = 201, 256
+    T = fam.T_star
+    t = np.linspace(-T, T, n_t)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    wt = np.ones(n_t)
+    wt[1:-1:2] = 4.0
+    wt[2:-1:2] = 2.0
+    wt *= (t[1] - t[0]) / 3.0
+    wth = 2.0 * math.pi / n_theta
+    tt, th = t[:, None], theta[None, :]
+    ut, uth = _outputs(fam, tt, th, (_U_T, _U_THETA))
+    f2 = _dot(ut, ut)
+    h_tt = np.broadcast_to(sample.h_tt(tt, th), f2.shape)
+    h_tth = np.broadcast_to(sample.h_ttheta(tt, th), f2.shape)
+    h_thth = np.broadcast_to(sample.h_thetatheta(tt, th), f2.shape)
+    tau_tt = 0.5 * (ut**2 - uth**2)
+    tau_tth = ut * uth
+    integrand = (
+        tau_tt * h_tt[..., None] + 2.0 * tau_tth * h_tth[..., None] - tau_tt * h_thth[..., None]
+    ) / f2[..., None]
+    interior = (wt[:, None, None] * integrand).sum(axis=(0, 1)) * wth
+    sigma = boundary_eigenvalue_factor(fam) / float(np.linalg.norm(_velocity(fam, T, 0.0)))
+    return -interior - 0.5 * sigma * _reference_boundary_sums(fam, sample)[2]
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (got, want)
+
+
+def _skewed_factors(fam, t, theta, outputs):
+    # a table that is not conformal: u_theta stretched by 2% of cos(theta)
+    # and tilted toward u_t by 1% of sin(theta), so the identity residuals
+    # are O(1e-2), not rounding, and |u_t|^2 - |u_theta|^2 peaks where
+    # <u_t, u_theta> does not
+    table = _factors(fam, t, theta, outputs)
+    if _U_THETA in outputs:
+        ((_, x_t),) = _factors(fam, t, theta, (_U_T,))
+        _, x = table[outputs.index(_U_THETA)]
+        x *= 1.0 + 0.02 * np.cos(theta)[..., None]
+        x += 0.01 * np.sin(theta)[..., None] * x_t
+    return table
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["exact", "skewed"])
+@pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+def test_factored_identities_match_dense_reference(fam, skew, monkeypatch):
+    if skew:
+        monkeypatch.setattr(surfaces, "_factors", _skewed_factors)
+    report = verify_identities(fam)
+    conformal, stress = _reference_identity_residuals(fam)
+    assert (conformal > 1e-3) is skew
+    assert not skew or stress > 1.1 * conformal  # the two maxima lie apart
+    _assert_close(report.conformal_residual, conformal)
+    _assert_close(report.stress_energy_residual, stress)
+    if skew:
+        lopsided = make_admissible(fam, LOPSIDED)
+        want = _reference_q_form_components(fam, lopsided)
+        _assert_close(q_form_components(fam, lopsided), want)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+@pytest.mark.parametrize("i", range(len(ALL_SAMPLES)))
+def test_factored_q_form_matches_dense_reference(fam, i):
+    raw = ALL_SAMPLES[i]
+    sample = make_admissible(fam, raw)
+    _assert_close(q_form_components(fam, sample), _reference_q_form_components(fam, sample))
+    # the projected variation itself, on a tensor grid and on a boundary circle
+    want = _reference_make_admissible(fam, raw)
+    T = fam.T_star
+    t = np.linspace(-T, T, 21)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+    for tt, tht in ((t, th[None, :]), (np.full_like(th, T), th)):
+        _assert_close(sample.h_tt(tt, tht), want.h_tt(tt, tht))
+        _assert_close(sample.h_thetatheta(tt, tht), want.h_thetatheta(tt, tht))
+
+
+@pytest.mark.parametrize(
+    "fam", [catenoid_b3(2), annulus_b4(3, 2), mobius_b4(4, 1)], ids=["catenoid", "annulus", "mobius"]
+)
+def test_certificates_never_evaluate_the_interior_grid(fam, monkeypatch):
+    # both routines contract t-profiles with theta-modes; every point set
+    # they ask _outputs for is of the order of the grid's sides (boundary
+    # circles, finite-difference stencils), never the n_t x n_theta interior
+    sizes = []
+
+    def spy(fam, t, theta, outputs):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(t), np.shape(theta)))))
+        return _outputs(fam, t, theta, outputs)
+
+    monkeypatch.setattr(surfaces, "_outputs", spy)
+    surfaces.verify_identities(fam)  # 200 x 400 interior
+    assert sizes and max(sizes) <= 4 * (200 + 400)
+    sample = make_admissible(fam, SAMPLES[0])
+    sizes.clear()
+    q_form_components(fam, sample)  # 201 x 256 interior
+    assert sizes and max(sizes) <= 4 * (201 + 256)
 
 
 def test_covering_degrees():
