@@ -1,13 +1,17 @@
 """Command-line interface over the eigenvalue, surface, and oracle modules.
 
 Exit codes: 0 success, 1 usage/domain errors, 2 verification-suite failure.
-JSON output renders every float with 17 significant digits so values
-round-trip exactly; CSV output does the same.
+Each subcommand builds one payload and its text lines from library calls
+(`oracle` prints `dtn.oracle_spectrum`), and one writer renders them: the
+payload as JSON, its record list as CSV, or the lines as text. JSON output
+renders every float with 17 significant digits so values round-trip
+exactly; CSV output does the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -23,8 +27,8 @@ from .branches import (
     sigma_bar_grid,
     spectrum,
 )
-from .crossings import aux_inequalities, solve_t10
-from .dtn import OracleProblem, assemble_dtn, closed_form_sigma, convergence_study
+from .crossings import aux_inequalities
+from .dtn import OracleProblem, closed_form_sigma, convergence_study, oracle_spectrum
 from .exceptions import SteklovError
 from .mesh import MeshFormat, export_mesh
 from .surfaces import FamilyKind, make_family, verify_identities
@@ -71,29 +75,35 @@ def _jsonify(value, indent: int = 0) -> str:
     return '"' + str(value).replace('"', '\\"') + '"'
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _cell(value):
+    """One CSV field: floats as `_fmt`, label lists joined by "+", index lists by spaces."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        if all(isinstance(v, str) for v in value):
+            return "+".join(value)
+        return " ".join(str(v) for v in value)
+    return value
 
 
-def _emit(text: str, path) -> None:
-    fh, close = _open_out(path)
-    fh.write(text)
-    if not text.endswith("\n"):
-        fh.write("\n")
-    if close:
-        fh.close()
+def _emit(args, payload, lines=()) -> None:
+    """Write one result to `--out`, or to stdout when it is absent or "-".
 
-
-def _emit_csv(header, rows, path) -> None:
-    fh, close = _open_out(path)
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    if close:
-        fh.close()
+    `--json` writes `payload`; `--csv` writes the payload's last entry, a list
+    of flat records, one row each under a header of its keys; otherwise the
+    text `lines` are written.
+    """
+    to_file = args.out not in (None, "-")
+    with open(args.out, "w", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
+        if getattr(args, "json", False):
+            fh.write(_jsonify(payload) + "\n")
+        elif getattr(args, "csv", False):
+            records = list(payload.values())[-1]
+            writer = csv.writer(fh)
+            writer.writerow(list(records[0]))
+            writer.writerows([_cell(v) for v in r.values()] for r in records)
+        else:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _kind(name: str) -> SurfaceKind:
@@ -127,41 +137,25 @@ def _require_positive(value: int, option: str) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    kind = _kind(args.kind)
-    entries = spectrum(kind, args.T, args.count)
-    rows = []
-    for entry in entries:
-        for j in range(entry.index_range[0], entry.index_range[1] + 1):
-            if j > args.count:
-                break
-            rows.append(
-                {
-                    "index": j,
-                    "value": entry.value,
-                    "branch": entry.branch.kind.value,
-                    "mode": entry.branch.mode,
-                    "multiplicity": entry.multiplicity,
-                }
-            )
-    if args.csv:
-        _emit_csv(
-            ["index", "value", "branch", "mode", "multiplicity"],
-            [
-                [r["index"], _fmt(r["value"]), r["branch"], r["mode"], r["multiplicity"]]
-                for r in rows
-            ],
-            args.out,
-        )
-    elif args.json:
-        _emit(_jsonify({"kind": args.kind, "T": args.T, "spectrum": rows}), args.out)
-    else:
-        lines = [f"normalized spectrum  kind={args.kind}  T={_fmt(args.T)}"]
-        for r in rows:
-            lines.append(
-                f"  sigma_bar_{r['index']:<3d} = {_fmt(r['value']):<24s}"
-                f" {r['branch']}:{r['mode']} (mult {r['multiplicity']})"
-            )
-        _emit("\n".join(lines), args.out)
+    entries = spectrum(_kind(args.kind), args.T, args.count)
+    rows = [
+        {
+            "index": j,
+            "value": entry.value,
+            "branch": entry.branch.kind.value,
+            "mode": entry.branch.mode,
+            "multiplicity": entry.multiplicity,
+        }
+        for entry in entries
+        for j in range(entry.index_range[0], min(entry.index_range[1], args.count) + 1)
+    ]
+    lines = [f"normalized spectrum  kind={args.kind}  T={_fmt(args.T)}"]
+    lines += [
+        f"  sigma_bar_{r['index']:<3d} = {_fmt(r['value']):<24s}"
+        f" {r['branch']}:{r['mode']} (mult {r['multiplicity']})"
+        for r in rows
+    ]
+    _emit(args, {"kind": args.kind, "T": args.T, "spectrum": rows}, lines)
     return EXIT_OK
 
 
@@ -175,21 +169,16 @@ def _cmd_sweep(args) -> int:
         raise SteklovError("need 0 < t-min < t-max")
     grid = np.geomspace(args.t_min, args.t_max, args.steps)
     values = sigma_bar_grid(kind, max(j_list), grid)
-    header = (
-        ["T"]
-        + [f"sigma_bar_{j}" for j in j_list]
-        + [f"branch_{j}" for j in j_list]
-    )
     rows = []
     for i, T in enumerate(grid):
         entries = spectrum(kind, float(T), j_list[-1])
         labels = [e.branch.label() for e in entries for _ in range(e.multiplicity)]
         rows.append(
-            [_fmt(T)]
-            + [_fmt(values[j - 1, i]) for j in j_list]
-            + [labels[j - 1] for j in j_list]
+            {"T": T}
+            | {f"sigma_bar_{j}": values[j - 1, i] for j in j_list}
+            | {f"branch_{j}": labels[j - 1] for j in j_list}
         )
-    _emit_csv(header, rows, args.out)
+    _emit(args, {"sweep": rows})
     return EXIT_OK
 
 
@@ -198,42 +187,29 @@ def _cmd_crossings(args) -> int:
     _require_positive(args.max_mode, "--max-mode")
     # on the annulus n = 0 is the linear branch
     first, second = ("k", "l") if kind is SurfaceKind.MOBIUS_BAND else ("m", "n")
-    records = []
-    for c in crossing_lattice(kind, args.max_mode):
-        records.append(
-            {
-                first: branch_index(kind, c.increasing),
-                second: branch_index(kind, c.decreasing),
-                "modulus": c.modulus,
-                "height": c.height,
-                "normalized_value": c.value,
-                "residual": c.residual,
-            }
-        )
-    keys = list(records[0].keys())
-    if args.csv:
-        _emit_csv(
-            keys,
-            [[r[k] if isinstance(r[k], int) else _fmt(r[k]) for k in keys] for r in records],
-            args.out,
-        )
-    elif args.json:
-        _emit(_jsonify({"kind": args.kind, "crossings": records}), args.out)
-    else:
-        lines = [f"branch crossings  kind={args.kind}  max_mode={args.max_mode}"]
-        for r in records:
-            ab = f"({r[keys[0]]},{r[keys[1]]})"
-            lines.append(
-                f"  {ab:>8s}  T = {_fmt(r['modulus']):<24s}"
-                f" value = {_fmt(r['normalized_value'])}"
-            )
-        _emit("\n".join(lines), args.out)
+    records = [
+        {
+            first: branch_index(kind, c.increasing),
+            second: branch_index(kind, c.decreasing),
+            "modulus": c.modulus,
+            "height": c.height,
+            "normalized_value": c.value,
+            "residual": c.residual,
+        }
+        for c in crossing_lattice(kind, args.max_mode)
+    ]
+    lines = [f"branch crossings  kind={args.kind}  max_mode={args.max_mode}"]
+    lines += [
+        f"  {f'({r[first]},{r[second]})':>8s}  T = {_fmt(r['modulus']):<24s}"
+        f" value = {_fmt(r['normalized_value'])}"
+        for r in records
+    ]
+    _emit(args, {"kind": args.kind, "crossings": records}, lines)
     return EXIT_OK
 
 
 def _cmd_suprema(args) -> int:
-    kind = _kind(args.kind)
-    if kind is SurfaceKind.MOBIUS_BAND:
+    if _kind(args.kind) is SurfaceKind.MOBIUS_BAND:
         result = extrema.sup_sigma_mobius(args.j)
     else:
         result = extrema.sup_sigma_annulus(args.j)
@@ -244,25 +220,18 @@ def _cmd_suprema(args) -> int:
         "attained": result.attained,
         "modulus": result.attaining_modulus,
     }
-    if args.json:
-        _emit(_jsonify(payload), args.out)
-    else:
-        where = (
-            f"attained at T = {_fmt(result.attaining_modulus)}"
-            if result.attained
-            else "not attained (limit as T -> infinity)"
-        )
-        _emit(
-            f"sup sigma_bar_{result.j} ({args.kind}) = {_fmt(result.value)}  {where}",
-            args.out,
-        )
+    where = (
+        f"attained at T = {_fmt(result.attaining_modulus)}"
+        if result.attained
+        else "not attained (limit as T -> infinity)"
+    )
+    line = f"sup sigma_bar_{result.j} ({args.kind}) = {_fmt(result.value)}  {where}"
+    _emit(args, payload, [line])
     return EXIT_OK
 
 
 def _cmd_critical_set(args) -> int:
-    kind = _kind(args.kind)
-    records = extrema.critical_set(kind, args.max_mode)
-    payload = [
+    records = [
         {
             "modulus": r.modulus,
             "value": r.value,
@@ -271,34 +240,15 @@ def _cmd_critical_set(args) -> int:
             "eigen_multiplicity": r.eigen_multiplicity,
             "indices": list(r.indices),
         }
-        for r in records
+        for r in extrema.critical_set(_kind(args.kind), args.max_mode)
     ]
-    if args.json:
-        _emit(_jsonify({"kind": args.kind, "critical_set": payload}), args.out)
-    elif args.csv:
-        _emit_csv(
-            ["modulus", "value", "branches", "character", "eigen_multiplicity", "indices"],
-            [
-                [
-                    _fmt(p["modulus"]),
-                    _fmt(p["value"]),
-                    "+".join(p["branches"]),
-                    p["character"],
-                    p["eigen_multiplicity"],
-                    " ".join(str(i) for i in p["indices"]),
-                ]
-                for p in payload
-            ],
-            args.out,
-        )
-    else:
-        lines = [f"critical metrics  kind={args.kind}  max_mode={args.max_mode}"]
-        for p in payload:
-            lines.append(
-                f"  T = {_fmt(p['modulus']):<24s} value = {_fmt(p['value']):<24s}"
-                f" {p['character']} for j in {p['indices']} (mult {p['eigen_multiplicity']})"
-            )
-        _emit("\n".join(lines), args.out)
+    lines = [f"critical metrics  kind={args.kind}  max_mode={args.max_mode}"]
+    lines += [
+        f"  T = {_fmt(p['modulus']):<24s} value = {_fmt(p['value']):<24s}"
+        f" {p['character']} for j in {p['indices']} (mult {p['eigen_multiplicity']})"
+        for p in records
+    ]
+    _emit(args, {"kind": args.kind, "critical_set": records}, lines)
     return EXIT_OK
 
 
@@ -321,35 +271,25 @@ def _cmd_oracle(args) -> int:
     kind = _kind(args.kind)
     n_t, n_theta = _parse_grid(args.grid)
     problem = OracleProblem(kind=kind, T=args.T, grid=(n_t, n_theta))
-    if not 1 <= args.count <= problem.boundary_size:
-        raise SteklovError(
-            f"--count must be between 1 and {problem.boundary_size}"
-            f" (the operator size), got {args.count}"
-        )
-    dtn = assemble_dtn(problem)
-    eigs = np.linalg.eigvalsh(dtn.entries)[: args.count]
+    eigs = oracle_spectrum(problem, args.count)
     exact = closed_form_sigma(kind, args.T, 1.0, max(args.count - 1, 1))
+    closed = [0.0] + list(exact[: args.count - 1])
     payload = {
         "kind": args.kind,
         "T": args.T,
         "grid": [n_t, n_theta],
-        "asymmetry": dtn.asymmetry,
         "eigenvalues": list(eigs),
-        "closed_form": [0.0] + list(exact[: args.count - 1]),
+        "closed_form": closed,
     }
-    if args.json:
-        _emit(_jsonify(payload), args.out)
-    else:
-        lines = [
-            f"discrete boundary operator  kind={args.kind}  T={_fmt(args.T)}"
-            f"  grid={n_t}x{n_theta}",
-            f"  assembly asymmetry: {_fmt(dtn.asymmetry)}",
-        ]
-        for i, (num, ref) in enumerate(zip(eigs, payload["closed_form"])):
-            lines.append(
-                f"  sigma_{i:<3d} oracle = {_fmt(num):<24s} closed form = {_fmt(ref)}"
-            )
-        _emit("\n".join(lines), args.out)
+    lines = [
+        f"discrete boundary operator  kind={args.kind}  T={_fmt(args.T)}"
+        f"  grid={n_t}x{n_theta}"
+    ]
+    lines += [
+        f"  sigma_{i:<3d} oracle = {_fmt(num):<24s} closed form = {_fmt(ref)}"
+        for i, (num, ref) in enumerate(zip(eigs, closed))
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -363,17 +303,25 @@ def _suite_lemmas(max_mode: int):
     for t in (0.3, 1.0, 2.5):
         aux = aux_inequalities(t)
         checks.append((f"auxiliary positivity at t={t}", min(aux.f_val, aux.g_prime, aux.tanh_gap) > 0))
-    values = sigma_bar_grid(SurfaceKind.MOBIUS_BAND, 2 * max_mode, grid)
-    checks.append(("spectrum ordering on grid", bool(np.all(np.diff(values, axis=0) >= -1e-12))))
+    # spectrum's merged branch order must agree with the sorted dense grid
+    mb, count = SurfaceKind.MOBIUS_BAND, 2 * max_mode
+    listed = []
+    for T in grid:
+        values = [e.value for e in spectrum(mb, float(T), count) for _ in range(e.multiplicity)]
+        listed.append(values[:count])
+    dense = sigma_bar_grid(mb, count, grid).T
+    checks.append(("spectrum ordering on grid", np.allclose(listed, dense, rtol=1e-12, atol=0.0)))
     for k in range(1, max_mode + 1):
         residual = _crossing(SurfaceKind.MOBIUS_BAND, k, 1).residual
         checks.append((f"crossing residual T_{{{k},1}}", residual <= 1e-12))
     margins = [r.margin for r in extrema.verify_first_intersection_max(max_mode)]
     checks.append(("first-intersection margins positive", all(m > 0 for m in margins) if margins else True))
     records = extrema.verify_no_asymptote(min(2 * max_mode, 20))
-    t10 = solve_t10()
+    # t_k must solve 2k tanh(2k t_k) = 1/t_k
     ok = all(
-        r.margin > 0 and abs(2 * r.k * r.t_k - t10) < 1e-12 and r.t_k < r.t_k1
+        r.margin > 0
+        and abs(2 * r.k * math.tanh(2 * r.k * r.t_k) - 1.0 / r.t_k) <= 1e-13 * 2 * r.k
+        and r.t_k < r.t_k1
         for r in records
     )
     checks.append(("no-asymptote margins and identity", ok))
@@ -423,7 +371,7 @@ def _suite_surfaces(_max_mode: int):
             surfaces.QFormSample(
                 h_tt=lambda t, th: np.cos(th) + 0.3 * t,
                 h_ttheta=lambda t, th: np.sin(2.0 * th) * t,
-                h_thetatheta=lambda t, th: np.cos(th) + 0.3 * t,
+                h_thetatheta=lambda t, th: np.cos(th) + 0.3 * t + 0.5,
             ),
         )
         total = surfaces.q_form_sum(fam, sample)
@@ -473,7 +421,7 @@ def _cmd_verify(args) -> int:
                 failed += 1
             lines.append(f"  [{status}] {name:<12s} {label}")
     lines.append(f"{'all checks passed' if failed == 0 else f'{failed} check(s) FAILED'}")
-    _emit("\n".join(lines), args.out)
+    _emit(args, None, lines)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
@@ -508,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=400)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, csv=True)  # sweep always writes CSV
 
     p = sub.add_parser("crossings", help="branch-crossing lattice")
     common(p)

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from steklov.branches import SurfaceKind
 from steklov.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from steklov.crossings import solve_crossing
+from steklov.dtn import OracleProblem, oracle_spectrum
 
 
 def _run(capsys, *argv):
@@ -182,7 +184,9 @@ def test_oracle_json(capsys):
     payload = json.loads(out)
     eigs = payload["eigenvalues"]
     ref = payload["closed_form"]
-    assert payload["asymmetry"] <= 1e-12
+    # the CLI prints the library's spectrum; 17 digits round-trip it exactly
+    problem = OracleProblem(kind=SurfaceKind.ANNULUS, T=1.0, grid=(40, 40))
+    assert np.array_equal(eigs, oracle_spectrum(problem, 4))
     assert abs(eigs[0]) <= 1e-10
     assert np.max(np.abs(np.array(eigs[1:]) - np.array(ref[1:]))) <= 5e-2
 
@@ -371,20 +375,11 @@ def test_verify_rejects_nonpositive_max_mode(capsys):
 @pytest.mark.parametrize("count", ["-3", "0", "17", "40"])
 def test_oracle_rejects_count_outside_operator(capsys, count):
     # an 8x8 annulus has 16 boundary nodes
-    _assert_one_error_line(
-        *_run(
-            capsys,
-            "oracle",
-            "--kind",
-            "annulus",
-            "--T",
-            "1.0",
-            "--grid",
-            "8x8",
-            "--count",
-            count,
-        )
+    code, out, err = _run(
+        capsys, "oracle", "--kind", "annulus", "--T", "1.0", "--grid", "8x8", "--count", count
     )
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: count must be between 1 and 16 (the operator size)")
 
 
 def test_oracle_full_count(capsys):
@@ -461,6 +456,102 @@ def test_sweep_output_pinned(tmp_path, kind):
     path = tmp_path / "sweep.csv"
     assert run(["sweep", "--kind", kind, "--j", "8,1,3,2,5", "--out", str(path)]) == EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SHA256[kind]
+
+
+def _pinned_digest(tmp_path, argv, fmt):
+    path = tmp_path / "out"
+    if fmt != "text":
+        argv = [*argv, f"--{fmt}"]
+    assert run([*argv, "--out", str(path)]) == EXIT_OK
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of `spectrum --kind <kind> --T <T> --count 12 [--json|--csv] --out <file>`,
+# recorded while each subcommand still had its own format dispatch
+SPECTRUM_SHA256 = {
+    ("annulus", "0.7", "text"): "3877429b3c35cd111b29b06aac1d433c0f8b0897e04dff7722494875901788c9",
+    ("annulus", "0.7", "json"): "def0ffa627fadf6cd299d59d755876571201a01a04085026625a453e9872be1c",
+    ("annulus", "0.7", "csv"): "3037b867757650ba84e69ec3cebe3cb43c752d28a6b91b3d37e85754762d91fc",
+    ("annulus", "1e-14", "text"): "8e2740ac09937c3768af01d3947b95a68444aa9f516c02ab5373a9a9d543a8b9",
+    ("annulus", "1e-14", "json"): "ca83d848fc71364623753643965e42a08dbf95249fba5d0a47d7fefe91bb0e23",
+    ("annulus", "1e-14", "csv"): "a3436df7d0eda0793bd2cafdcdd00203773a3e2af7e4a3361f7a96f913059509",
+    ("mobius", "0.7", "text"): "5aec9a13708163006164b176b4e46c48c015d6776a0264ce5a98cc04a7baaa57",
+    ("mobius", "0.7", "json"): "bcaf9803c9dc7d919c5bfbd2da9ad898c40592123022e7269ad38af884a94f63",
+    ("mobius", "0.7", "csv"): "ee2df6ad43fb60649cf5ffdf006191074aeed8f3a668c1090cd1c880b653d4bb",
+    ("mobius", "1e-14", "text"): "538c74a5b2b7e8c36eea618bcb5a6a29974abfa47f04dba5f983599906048dcd",
+    ("mobius", "1e-14", "json"): "001d7550ee8b1246978a7be31b2659835e2e6ce529d86f5f6bf26605b3d8323b",
+    ("mobius", "1e-14", "csv"): "d5bd87acb84c771cf4ba679ab3e9717f7e485065c690728ef7a4f7fd930ff010",
+}
+
+
+@pytest.mark.parametrize("kind,T,fmt", sorted(SPECTRUM_SHA256))
+def test_spectrum_output_pinned(tmp_path, kind, T, fmt):
+    argv = ["spectrum", "--kind", kind, "--T", T, "--count", "12"]
+    assert _pinned_digest(tmp_path, argv, fmt) == SPECTRUM_SHA256[kind, T, fmt]
+
+
+# sha256 of `suprema --kind <kind> --j <j> [--json] --out <file>`, recorded with
+# the spectrum pins
+SUPREMA_SHA256 = {
+    ("annulus", 1, "text"): "c1fe5004c88bbb1de166366032d2618036e4b6816daa103af8e7ac220d602408",
+    ("annulus", 1, "json"): "458e6eb29a86e7040e21e2565939385e5a9c5fd445ee9054bde280248943017b",
+    ("annulus", 2, "text"): "071a79b3ae7a75c05582cd0295d5def31ea5c763f396931f77e4f87b6696188f",
+    ("annulus", 2, "json"): "2290a5827b9ec27d28d71fb43e054874d0b4b4256c221b337278d116b3c60b70",
+    ("annulus", 8, "text"): "4c90d90d4ca422b47ff7efbed47ae3a05e5324b561288f42e38b763923bf2b74",
+    ("annulus", 8, "json"): "6733045d3639a9af952c79ad892067e15d75b633b8741ac5d8f12f31ad25cef7",
+    ("mobius", 1, "text"): "d80ddd0575faa71dce692b4d723e6e4f70cfda2fb38117581cf3e21c9e407aab",
+    ("mobius", 1, "json"): "0a5978af464c5f54d91f1f960c94eb23b08080d20fa364e42ebb92b03a0df136",
+    ("mobius", 2, "text"): "33ad3812f319c7d9367a6bceb37eea4e82b3c93d2a8a1603b867d1d90865355e",
+    ("mobius", 2, "json"): "85b3b73a6b35c5f39b65021ca390a1fdb94802ea0620a7dd0e9ac3a0cdb65993",
+    ("mobius", 8, "text"): "ac7d7fcdc942aa99a1e07e2122af56d468e460b73e506c2d3546489d1b4cc606",
+    ("mobius", 8, "json"): "ae6d3eafba929ff13cd42eaba6d19de45734b509a90a17cf4bf7f6be8c1f3e0d",
+}
+
+
+@pytest.mark.parametrize("kind,j,fmt", sorted(SUPREMA_SHA256))
+def test_suprema_output_pinned(tmp_path, kind, j, fmt):
+    argv = ["suprema", "--kind", kind, "--j", str(j)]
+    assert _pinned_digest(tmp_path, argv, fmt) == SUPREMA_SHA256[kind, j, fmt]
+
+
+# sha256 of `oracle --kind <kind> --T 0.7 --grid 12x12 --count 5 [--json] --out
+# <file>`, recorded once the output stopped reporting the assembly asymmetry
+ORACLE_SHA256 = {
+    ("annulus", "text"): "2e6ba82eb8da239409e87dbcc6720c8c2ad83edde6a5c15eeacfb07a3a8a679f",
+    ("annulus", "json"): "c50237454e3aa2d4c8abaf4f1c270f46db4b414bf9c4bd7320e0c6df8535c0d6",
+    ("mobius", "text"): "3092a951dc5f6e4721eedd48bc8a746b33be38b70f94bc529acb020eb14716d7",
+    ("mobius", "json"): "ac0e6e430c8a4ad40c3a8dc0be4a027355388843e4db26e01f4f98c89ece4ec1",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(ORACLE_SHA256))
+def test_oracle_output_pinned(tmp_path, kind, fmt):
+    argv = ["oracle", "--kind", kind, "--T", "0.7", "--grid", "12x12", "--count", "5"]
+    assert _pinned_digest(tmp_path, argv, fmt) == ORACLE_SHA256[kind, fmt]
+
+
+_FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
+_OUT_CASES = [
+    (["spectrum", "--kind", "annulus", "--T", "1.3", "--count", "7"], ("text", "json", "csv")),
+    (["sweep", "--kind", "mobius", "--j", "3,1", "--steps", "9"], ("text",)),
+    (["crossings", "--kind", "annulus", "--max-mode", "3"], ("text", "json", "csv")),
+    (["critical-set", "--kind", "mobius", "--max-mode", "2"], ("text", "json", "csv")),
+    (["suprema", "--kind", "annulus", "--j", "2"], ("text", "json")),
+    (["oracle", "--kind", "mobius", "--T", "0.7", "--grid", "8x8", "--count", "3"], ("text", "json")),
+    (["verify", "--suite", "injectivity"], ("text",)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [[*argv, *_FORMATS[fmt]] for argv, fmts in _OUT_CASES for fmt in fmts], ids=" ".join
+)
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK and out
+    path = tmp_path / "out"
+    assert _run(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+    assert path.read_bytes() == out.encode()
+    assert _run(capsys, *argv, "--out", "-") == (EXIT_OK, out, "")
 
 
 @pytest.mark.parametrize(
