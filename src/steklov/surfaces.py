@@ -420,10 +420,9 @@ def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
     parameters.  Samples sit at cell centers, strictly inside the fundamental
     domain, so each sample is a unique quotient representative; the
     certificate is at grid scale and says nothing about the measure-zero
-    seam circle itself.
+    seam circle itself.  ``min_image_separation`` is the least image distance
+    of two non-adjacent samples.
     """
-    from scipy.spatial import cKDTree
-
     d = covering_degree(fam)
     T = fam.T_star
     if d > 1:
@@ -438,37 +437,53 @@ def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
             injective=False, covering_degree=d, min_image_separation=0.0, threshold=0.0
         )
 
-    n_t, n_theta = 48, 96
+    sep, threshold = _separation(fam, 48, 96)
+    return InjectivityReport(
+        injective=sep > threshold, covering_degree=1, min_image_separation=sep, threshold=threshold
+    )
+
+
+def _separation(fam: ImmersionFamily, n_t: int, n_theta: int) -> tuple[float, float]:
+    """Least image distance of non-adjacent samples on an n_t x n_theta
+    cell-centre grid, and a tenth of the smallest image edge.
+
+    A theta shift turns each plane of the map rigidly, an isometry of the
+    image, so sample (i1, j1) is as far from (i2, j2) as (i1, 0) from
+    (i2, j2 - j1 mod n_theta): one (n_t, n_t, n_theta) table of squared
+    distances, summed in place from coordinate differences, holds every pair.
+    """
+    T = fam.T_star
     if fam.is_quotient:
         dt = T / n_t
-        t_vals = (np.arange(n_t) + 0.5) * dt
+        t = (np.arange(n_t) + 0.5) * dt
     else:
         dt = 2.0 * T / n_t
-        t_vals = -T + (np.arange(n_t) + 0.5) * dt
-    th_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    dth = th_vals[1] - th_vals[0]
+        t = -T + (np.arange(n_t) + 0.5) * dt
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    grid = _position(fam, t[:, None], theta)
+    table = np.zeros((n_t, n_t, n_theta))
+    diff = np.empty_like(table)
+    for i in range(fam.ambient_dim):
+        np.subtract(grid[:, 0, i, None, None], grid[None, :, :, i], out=diff)
+        table += np.square(diff, out=diff)
+    np.copyto(table, math.inf, where=_adjacent(fam, t, theta, dt, theta[1]))
+    return math.sqrt(float(np.min(table))), 0.1 * _min_image_edge(grid)
 
-    params = np.column_stack([np.repeat(t_vals, n_theta), np.tile(th_vals, n_t)])
-    grid = _position(fam, t_vals[:, None], th_vals)
-    pts = grid.reshape(-1, fam.ambient_dim)  # row-major: the order of params
 
-    tree = cKDTree(pts)
-    edge = _min_image_edge(grid)
-    threshold = 0.1 * edge
-    pairs = tree.query_pairs(threshold, output_type="ndarray").reshape(-1, 2)
-    injective = bool(
-        np.all(_params_adjacent(fam, params[pairs[:, 0]], params[pairs[:, 1]], dt, dth))
-    )
+def _adjacent(fam: ImmersionFamily, t, theta, dt: float, dth: float) -> np.ndarray:
+    """Mask of ``_separation``'s table: is (t[i2], theta[k]) a grid neighbour of (t[i1], 0),
+    across the theta seam and, on the quotient, the half-turn (t, th) ~ (-t, th + pi)?"""
 
-    dists, idx = tree.query(pts, k=2)
-    apart = ~_params_adjacent(fam, params, params[idx[:, 1]], dt, dth)
-    min_sep = float(np.min(dists[apart, 1])) if np.any(apart) else math.inf
-    return InjectivityReport(
-        injective=injective,
-        covering_degree=1,
-        min_image_separation=min_sep,
-        threshold=threshold,
-    )
+    def close(t2, shift):
+        turn = np.abs(theta + shift) % (2.0 * math.pi)
+        turn = np.minimum(turn, 2.0 * math.pi - turn)
+        near = np.abs(t[:, None] - t2[None, :]) <= 1.5 * dt
+        return near[:, :, None] & (turn <= 1.5 * dth)
+
+    adjacent = close(t, 0.0)
+    if fam.is_quotient:
+        adjacent |= close(-t, math.pi)
+    return adjacent
 
 
 def _min_image_edge(u: np.ndarray) -> float:
@@ -476,23 +491,6 @@ def _min_image_edge(u: np.ndarray) -> float:
     d_t = np.linalg.norm(np.diff(u, axis=0), axis=-1)
     d_th = np.linalg.norm(u - np.roll(u, 1, axis=1), axis=-1)
     return float(min(np.min(d_t), np.min(d_th)))
-
-
-def _params_adjacent(fam, p, q, dt, dth) -> np.ndarray:
-    """Row by row: are (t, theta) rows p and q grid neighbours, up to the seam
-    and, on the quotient, the half-turn identification?"""
-
-    def close(a, b):
-        ddt = np.abs(a[:, 0] - b[:, 0])
-        ddth = np.abs(a[:, 1] - b[:, 1]) % (2.0 * math.pi)
-        ddth = np.minimum(ddth, 2.0 * math.pi - ddth)
-        return (ddt <= 1.5 * dt) & (ddth <= 1.5 * dth)
-
-    adjacent = close(p, q)
-    if fam.is_quotient:
-        mirrored = np.column_stack([-q[:, 0], (q[:, 1] + math.pi) % (2.0 * math.pi)])
-        adjacent |= close(p, mirrored)
-    return adjacent
 
 
 def radial_monotonicity_margin(fam: ImmersionFamily) -> float:

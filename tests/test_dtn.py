@@ -264,6 +264,38 @@ def test_import_and_oracle_leave_scipy_unloaded():
     assert out.stdout.split() == ["False"] * 4
 
 
+def test_surfaces_and_verify_run_on_numpy_alone(tmp_path):
+    # injectivity scans (one by the grid, one a covering), mesh exports in
+    # every format and the whole verify suite run with scipy blocked, and
+    # load no scipy module when it is not blocked
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "if sys.argv[1] == 'block':\n"
+        "    sys.modules['scipy'] = None\n"
+        "import steklov, steklov.cli\n"
+        "for m, n in ((3, 2), (6, 3)):\n"
+        "    steklov.injectivity_scan(steklov.annulus_b4(m, n))\n"
+        "for fmt in steklov.MeshFormat:\n"
+        "    path = f'{sys.argv[2]}/mesh.{fmt.value}'\n"
+        "    steklov.export_mesh(steklov.annulus_b4(3, 2), 8, 16, fmt, path)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = steklov.cli.run(['verify', '--suite', 'all', '--max-mode', '2'])\n"
+        "print(code, [k for k in sys.modules if k.split('.')[0] == 'scipy'])\n"
+    )
+    for mode, loaded in (("block", "['scipy']"), ("free", "[]")):
+        out = subprocess.run(
+            [sys.executable, "-c", code, mode, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        # the blocked run holds only the None placeholder under "scipy"
+        assert out.stdout.split() == ["0", loaded]
+
+
 def test_boundary_weight_scales_eigenvalues():
     T = 0.8
     base = oracle_spectrum(OracleProblem(kind=AN, T=T, grid=(40, 40)), 5)

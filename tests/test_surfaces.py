@@ -28,10 +28,11 @@ from steklov.surfaces import (
     _U,
     _U_T,
     _U_THETA,
+    _adjacent,
     _factors,
     _outputs,
-    _params_adjacent,
     _position,
+    _separation,
     _velocity,
 )
 
@@ -500,21 +501,92 @@ def _adjacent_pointwise(fam, p, q, dt, dth):
     return fam.is_quotient and close(p, (-q[0], (q[1] + math.pi) % (2.0 * math.pi)))
 
 
+def _cell_centres(fam, n_t, n_theta):
+    # the sample grid of the injectivity scan, with its steps (dt, dth)
+    T = fam.T_star
+    if fam.is_quotient:
+        dt = T / n_t
+        t = (np.arange(n_t) + 0.5) * dt
+    else:
+        dt = 2.0 * T / n_t
+        t = -T + (np.arange(n_t) + 0.5) * dt
+    return t, np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False), dt, 2.0 * math.pi / n_theta
+
+
 @pytest.mark.parametrize("fam", [annulus_b4(3, 2), mobius_b4(4, 1)], ids=["annulus", "mobius"])
-def test_params_adjacent_matches_pointwise(fam):
-    rng = np.random.default_rng(7)
-    T, dt, dth = fam.T_star, fam.T_star / 12, 2.0 * math.pi / 24
-    p = np.column_stack([rng.uniform(-T, T, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)])
-    # partners near p, near the seam image of p, and near its mirror image
-    shift = np.column_stack([rng.normal(0, 1.5 * dt, 4000), rng.normal(0, 1.5 * dth, 4000)])
-    q = p + shift
-    q[1000:2000, 1] += 2.0 * math.pi
-    q[2000:3000] = np.column_stack([-q[2000:3000, 0], q[2000:3000, 1] + math.pi])
-    q[:, 1] %= 2.0 * math.pi
-    expected = [_adjacent_pointwise(fam, a, b, dt, dth) for a, b in zip(p, q)]
-    got = _params_adjacent(fam, p, q, dt, dth)
+def test_adjacent_mask_matches_pointwise(fam):
+    # every entry (i1, i2, k) of the mask pairs (t[i1], 0) with (t[i2], theta[k]);
+    # the 12 x 24 grid holds seam neighbours (k = 23) and, on the quotient,
+    # half-turn neighbours (i1 = i2 = 0, k = 11..13)
+    t, theta, dt, dth = _cell_centres(fam, 12, 24)
+    got = _adjacent(fam, t, theta, dt, dth)
+    expected = [
+        [[_adjacent_pointwise(fam, (a, 0.0), (b, c), dt, dth) for c in theta] for b in t]
+        for a in t
+    ]
     assert got.tolist() == expected
-    assert 0 < sum(expected) < len(expected)
+    assert got[0, 0, 23] and got[5, 6, 1] and not got[0, 2, 0]
+    assert got[0, 0, 12] == fam.is_quotient
+
+
+def _brute_separation(fam, n_t, n_theta):
+    # every pair of samples, its distance by np.linalg.norm and its adjacency
+    # one pair at a time; returns the least non-adjacent distance and the
+    # threshold, a tenth of the shortest image edge
+    t, theta, dt, dth = _cell_centres(fam, n_t, n_theta)
+    u = evaluate(fam, t[:, None], theta[None, :])[0]
+    edge = min(
+        np.min(np.linalg.norm(np.diff(u, axis=0), axis=-1)),
+        np.min(np.linalg.norm(u - np.roll(u, 1, axis=1), axis=-1)),
+    )
+    pts = u.reshape(-1, fam.ambient_dim)
+    params = [(a, b) for a in t for b in theta]
+    first, second = np.triu_indices(len(pts), k=1)
+    dist = np.linalg.norm(pts[first] - pts[second], axis=-1)
+    for pair in np.argsort(dist, kind="stable"):
+        p, q = params[first[pair]], params[second[pair]]
+        if not _adjacent_pointwise(fam, p, q, dt, dth):
+            return float(dist[pair]), 0.1 * float(edge)
+    return math.inf, 0.1 * float(edge)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [annulus_b4(3, 2), annulus_b4(2, 1), mobius_b4(4, 1), catenoid_b3(1)],
+    ids=["annulus-3-2", "annulus-2-1", "mobius-4-1", "catenoid-1"],
+)
+def test_separation_matches_brute_force(fam):
+    separation, threshold = _separation(fam, 12, 24)
+    ref_separation, ref_threshold = _brute_separation(fam, 12, 24)
+    assert abs(separation - ref_separation) <= 1e-15
+    assert threshold == pytest.approx(ref_threshold, rel=1e-15)
+    assert (separation > threshold) == (ref_separation > ref_threshold)
+
+
+_COPRIME = [(m, n) for m in range(2, 9) for n in range(1, m) if math.gcd(m, n) == 1]
+_EMBEDDED = (
+    [catenoid_b3(1)]
+    + [annulus_b4(m, n) for m, n in _COPRIME if m % 2 == 1]
+    + [mobius_b4(m, n) for m, n in _COPRIME if m % 2 == 0]
+)
+
+
+@pytest.mark.parametrize(
+    "fam", _EMBEDDED, ids=[f"{f.family.value}-{f.m}-{f.n}" for f in _EMBEDDED]
+)
+def test_embedded_separation_is_finite_and_clears_threshold(fam):
+    report = injectivity_scan(fam)
+    assert report.injective and report.covering_degree == 1
+    assert report.threshold < report.min_image_separation < math.inf
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m, n in _COPRIME if m % 2 == 0])
+def test_mirror_double_cover_separation_vanishes(m, n):
+    # the annulus factors through the half-turn (t, th) ~ (-t, th + pi), which
+    # maps the cell centres onto themselves: two samples share an image point
+    report = injectivity_scan(annulus_b4(m, n))
+    assert not report.injective
+    assert report.min_image_separation < 1e-15
 
 
 def test_radial_monotonicity():
