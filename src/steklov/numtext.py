@@ -1,13 +1,20 @@
-"""Exact ``%.17g`` and ``%d`` text for NumPy arrays.
+"""Exact ``%.17g`` and ``%d`` text for NumPy arrays, a block of bytes at a time.
 
-``format_rows(template, rows)`` returns ``(template * len(rows)) % row_values``
-byte for byte, where ``template`` repeats one conversion, ``%.17g`` or ``%d``,
-between literal text.  CPython formats one value at a time; here every step
-works on whole arrays.
-
+CPython formats one value at a time; here every step works on whole arrays.
 Every value gets a fixed-width cell of ASCII bytes with NUL padding, written
-as little-endian uint32 words from lookup tables.  Literal text is laid
-between the cells, and one ``bytes.translate`` deletes the NULs.
+as little-endian words from lookup tables.  The literal text in front of a
+value is laid into the leading bytes of its cell, so a block of cells is the
+text itself once one ``bytes.translate`` has deleted the NULs.
+
+- ``_g17_cells(x, leads)``: ``%.17g`` cells of a 2-D float array, with the
+  literal ``leads[c]`` in the lead words in front of column c.
+- ``_int_cells(values, lead)``: ``%d`` cells of non-negative integers,
+  right-aligned in whole uint64 words behind at least ``lead`` free bytes.
+  A caller formats each distinct integer once and gathers the cells by index
+  (``_gather``), which lays the literals into the free bytes.
+- ``format_rows(template, rows)``: ``(template * len(rows)) % row_values`` for
+  a template that repeats ``%.17g`` between literal text.
+
 A float cell is filled as follows:
 
 - ``N = round(|x| * 10**(16 - k))`` is the 17-digit significand, where
@@ -31,6 +38,8 @@ A float cell is filled as follows:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 # Decimal exponents handled by the array path (1e-30 <= |x| <= 1e30, with
@@ -43,7 +52,10 @@ _TINY, _HUGE = 1e-30, 1e30
 _TIE = 1e-9
 _SPLIT = np.uint64(0xFFFFFFFFF8000000)  # keeps the top 26 of 52 mantissa bits
 
-_G17_WIDTH = 28  # sign + prefix (4) | prefix, digit, point (4) | 16 digits | e±XX
+# uint32 words of a float cell after its lead words: sign + prefix (4) |
+# prefix, digit, point (4) | 16 digits.  Exponent notation has no prefix, so
+# its sign, digit and point share the first word and e±XX takes the last.
+_G17_WORDS = 6
 _GROUP = 10**4
 
 
@@ -117,8 +129,25 @@ _HEAD0, _HEAD1, _TAIL = _g17_tables()
 _G17_GROUPS = np.concatenate([_PLAIN, _TRAILING])
 _D_GROUPS = np.concatenate([_PLAIN, _LEADING])
 _D_LAST = _D_GROUPS.copy()
-_D_LAST[_GROUP] = _words(["0"])[0]  # a last group with only zeros before it
+_D_LAST[_GROUP] = _words(["0".rjust(4, "\0")])[0]  # a last group with only zeros before it
 _NO_POINT = np.uint32(0x00FFFFFF)
+
+
+def _lead_words(leads: Sequence[str], n_words: int) -> np.ndarray:
+    """Each literal in the first bytes of ``n_words`` NUL-padded uint32 words."""
+    text = b"".join(s.encode("ascii").ljust(4 * n_words, b"\0") for s in leads)
+    return np.frombuffer(text, "<u4").reshape(len(leads), n_words)
+
+
+def _items(cells: np.ndarray) -> np.ndarray:
+    """Each cell of a (..., words) uint32 array as one opaque item, so that a
+    gather moves whole cells."""
+    return cells.view(np.dtype((np.void, 4 * cells.shape[-1])))[..., 0]
+
+
+def _text(cells: np.ndarray) -> bytes:
+    """The bytes of ``cells`` with their NUL padding deleted."""
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +166,17 @@ def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, e
 
 
-def _g17_cells(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` for each value of ``x``, as (n, 28) NUL-padded ASCII."""
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+def _g17_cells(x: np.ndarray, leads: Sequence[str]) -> np.ndarray:
+    """``leads[c] + '%.17g' % x[i, c]`` for the 2-D array ``x``, as NUL-padded
+    uint32 words of shape (n, n_cols, lead words + 6)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n_lead = max(1, -(-max(len(s) for s in leads) // 4))
+    cells = np.empty(x.shape + (n_lead + _G17_WORDS,), "<u4")
+    cells[..., :n_lead] = _lead_words(leads, n_lead)
+    flat = cells.reshape(-1, n_lead + _G17_WORDS)
+    words = flat[:, n_lead:]
+    text = flat.view(np.uint8)[:, 4 * n_lead :]
+    x = x.ravel()
     ax = np.abs(x)
     # clamp into the array path's range; NaN becomes a bound as well
     clamped = np.fmax(np.fmin(ax, _HUGE), _TINY)
@@ -186,15 +223,12 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     index *= _NK
     index += k
     index -= _K_MIN
-    cells = np.empty((len(x), _G17_WIDTH), np.uint8)
-    words = cells.view("<u4")
     words[:, 0] = _HEAD0[index]
     words[:, 1] = _HEAD1[index]
     words[:, 2] = _PLAIN[g1]
     words[:, 3] = _PLAIN[g2]
     words[:, 4] = _PLAIN[g3]
     words[:, 5] = _TRAILING[g4]
-    words[:, 6] = _TAIL[index]
 
     # trailing zeros before the last group, and no point without a fraction
     ends = np.flatnonzero(g4 == 0)
@@ -207,72 +241,84 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
         zero &= g1[ends] == 0
         words[ends[zero], 1] &= _NO_POINT
 
+    # exponent notation: merge the first two words, move the digits left and
+    # append e±XX
+    expo = np.flatnonzero((k < -4) | (k > 16))
+    if len(expo):
+        sub = words[expo]
+        sub[:, 0] |= sub[:, 1]
+        sub[:, 1:5] = sub[:, 2:6]
+        sub[:, 5] = _TAIL[index[expo]]
+        words[expo] = sub
+
     # fixed notation with k in 1..16: move the point right past k digits
     if k.max(initial=0) >= 1:
         shifted = np.flatnonzero((k >= 1) & (k <= 16))
         ks = k[shifted]
         for kk in np.unique(ks).tolist():
             rows = shifted[ks == kk]
-            sub = cells[rows]
-            point = np.minimum(sub[:, 8 + kk], ord("."))  # NUL when no fraction follows
+            sub = text[rows]
+            # NUL when no fraction follows; k = 16 leaves no digit after it
+            point = np.minimum(sub[:, 8 + kk], ord(".")) if kk < 16 else 0
             sub[:, 7 : 7 + kk] = np.maximum(sub[:, 8 : 8 + kk], ord("0"))
             sub[:, 7 + kk] = point
-            cells[rows] = sub
+            text[rows] = sub
 
-    for i in np.union1d(special[x[special] != 0], near_tie).tolist():
-        text = ("%.17g" % x[i]).encode("ascii")
-        cells[i] = 0
-        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    for i in special[x[special] != 0].tolist() + near_tie.tolist():
+        value = ("%.17g" % x[i]).encode("ascii")
+        text[i] = 0
+        text[i, : len(value)] = np.frombuffer(value, np.uint8)
     return cells
 
 
-def _d_cells(v: np.ndarray) -> np.ndarray:
-    """``'%d' % i`` for each value of the integer array ``v``, as NUL-padded
-    ASCII rows: a sign word only when some value is negative, then as many
-    4-digit groups as the largest magnitude needs."""
-    v = np.asarray(v).ravel()
+def _int_cells(values: np.ndarray, lead: int) -> np.ndarray:
+    """``'%d' % v`` for each non-negative integer ``v`` of ``values``,
+    right-aligned in NUL-padded cells of whole uint64 words, wide enough for
+    the largest value and ``lead`` free bytes in front, one item each."""
+    v = np.asarray(values).ravel()
     if v.dtype.kind not in "iu":
         raise TypeError(f"%d needs an integer array, got {v.dtype}")
-    negative = v < 0
+    if v.dtype.kind == "i" and v.min(initial=0) < 0:
+        raise ValueError("integer cells hold non-negative values only")
     mag = v.astype(np.uint64)
-    has_sign = bool(negative.any())
-    if has_sign:
-        mag[negative] = -mag[negative]  # two's complement: exact, even for int64 min
-    n_groups = (len(str(int(mag.max(initial=0)))) + 3) // 4
-    words = np.empty((len(v), n_groups + has_sign), "<u4")
-    if has_sign:
-        words[:, 0] = np.where(negative, ord("-"), 0)
+    n_digits = len(str(int(mag.max(initial=0))))
+    n_groups = (n_digits + 3) // 4
+    n_words = 2 * -(-(n_digits + lead) // 8)
+    cells = np.zeros((len(v), n_words), "<u4")
     leading = np.full(len(v), _GROUP, np.intp)  # all groups so far are zero
     scale = 10 ** (4 * (n_groups - 1))
-    for col in range(has_sign, n_groups + has_sign):
+    for col in range(n_words - n_groups, n_words):
         group = (mag // scale).astype(np.intp)
         mag -= group.astype(np.uint64) * scale
         table = _D_LAST if scale == 1 else _D_GROUPS
-        words[:, col] = table[group + leading]
+        cells[:, col] = table[group + leading]
         leading *= group == 0
         scale //= _GROUP
-    return words.view(np.uint8)
+    return _items(cells)
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, leads: Sequence[str]) -> np.ndarray:
+    """The cells ``table[rows]`` of ``_int_cells`` with ``leads[c]`` laid into
+    the free leading bytes of column c, as uint64 words."""
+    cells = table[rows]
+    words = cells.view("<u8").reshape(cells.shape + (-1,))
+    words |= _lead_words(leads, table.itemsize // 4).view("<u8")
+    return words
 
 
 def format_rows(template: str, rows: np.ndarray) -> str:
     """``(template * len(rows)) % tuple(rows.ravel())`` for a 2-D ``rows``.
 
-    ``template`` holds one conversion, ``%.17g`` or ``%d``, once per column,
-    between literal text that contains no ``%``.
+    ``template`` holds ``%.17g`` once per column, between literal text that
+    contains no ``%``.
     """
-    spec, cells_of = ("%d", _d_cells) if "%d" in template else ("%.17g", _g17_cells)
-    literals = template.split(spec)
+    literals = template.split("%.17g")
     n_rows, n_cols = rows.shape
     if len(literals) != n_cols + 1 or "%" in "".join(literals):
         raise ValueError(f"template {template!r} does not fit {n_cols} columns")
-    cells = cells_of(rows)
-    width = cells.shape[1]
-    head = literals[0].encode("ascii")
-    seps = [s.encode("ascii") for s in literals[1:]]
-    gap = max(len(s) for s in seps)
-    out = np.empty((n_rows, len(head) + n_cols * (width + gap)), np.uint8)
-    out[:, : len(head)] = list(head)
-    body = out[:, len(head) :].reshape(n_rows, n_cols, width + gap)
-    body[:, :, :width] = cells.reshape(n_rows, n_cols, width)
-    body[:, :, width:] = np.frombuffer(b"".join(s.ljust(gap, b"\0") for s in seps), np.uint8).reshape(n_cols, gap)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    if n_rows == 0:
+        return ""
+    # each row's last literal goes in front of the next row's first value
+    end = literals[-1]
+    leads = [end + literals[0]] + literals[1:-1]
+    return _text(_g17_cells(rows, leads))[len(end) :].decode("ascii") + end

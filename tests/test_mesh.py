@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from steklov import mesh as mesh_module
 from steklov.exceptions import DomainError
 from steklov.mesh import MeshFormat, build_mesh, export_mesh
-from steklov.numtext import format_rows
+from steklov.numtext import _int_cells, format_rows
 from steklov.surfaces import annulus_b4, catenoid_b3, evaluate, mobius_b4
 
 
@@ -206,6 +207,12 @@ _EXPORT_SHA256 = [
         "ply": "c88cd98346c3edc9cf0ea0e1d5cec7233988ca9391b7775209dde3b40e7999b5",
         "csv": "90537147eb54c3f1bd787cb9d6c783049e77a1e8fad8ebdb9dd5e0e6efd049c3",
     }),
+    # 10496 vertices: face ids of up to five digits, 1-based in OBJ, 0-based in PLY
+    ("catenoid2", (40, 256), (0, 1, 2), {
+        "obj": "ef4b41902a1210318c0eff7efc8ed38d518ce21d7e9392f556a45f2d4fc91835",
+        "ply": "1691265a0c0e14afc92246d6a8160ea577f549077873229387b6dc9541b97977",
+        "csv": "ffed9bfc071fd139fdba07d13a851d395b19da6326ad48d963d2de94baa6e643",
+    }),
 ]
 
 
@@ -222,8 +229,10 @@ def test_export_bytes_pinned(tmp_path, name, grid, projection, digests, fmt):
 
 
 def test_pinned_exports_span_several_blocks():
+    n_t, n_theta = _EXPORT_SHA256[-2][1]
+    assert 3 * (n_t + 1) * n_theta > 2 * mesh_module._BLOCK_VALUES  # vertex values
     n_t, n_theta = _EXPORT_SHA256[-1][1]
-    assert (n_t + 1) * n_theta > 2 * mesh_module._BLOCK_ROWS
+    assert (n_t + 1) * n_theta > 10**4
 
 
 def _reference_faces(n_t, n_theta, quotient):
@@ -307,6 +316,50 @@ def test_edge_counts_match_per_face_count(fam):
         assert counts.tolist() == [count[k] for k in sorted(count)]
 
 
+def test_edges_are_counted_once_per_mesh(monkeypatch):
+    calls = []
+    counts = mesh_module._edge_counts
+    monkeypatch.setattr(mesh_module, "_edge_counts", lambda *a: calls.append(1) or counts(*a))
+    mesh = build_mesh(mobius_b4(2, 1), 9, 20)
+    for _ in range(2):
+        assert mesh.euler_characteristic == 0
+        assert mesh.boundary_loops() == 1
+    assert len(calls) == 1
+
+
+def _reference_params(fam, n_t, n_theta):
+    # the (t, theta) of every vertex built row by row: the welded core circle
+    # first on the quotient, then one full row per t
+    T = fam.T_star
+    th = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    if fam.is_quotient:
+        core = np.column_stack([np.zeros(n_theta // 2), th[: n_theta // 2]])
+        t_rows = np.linspace(0.0, T, n_t + 1)[1:]
+    else:
+        core = np.empty((0, 2))
+        t_rows = np.linspace(-T, T, n_t + 1)
+    rows = np.column_stack([np.repeat(t_rows, n_theta), np.tile(th, len(t_rows))])
+    return np.concatenate([core, rows])
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [catenoid_b3(2), annulus_b4(3, 2), mobius_b4(4, 1)],
+    ids=["catenoid2", "annulus32", "mobius41"],
+)
+@pytest.mark.parametrize("grid", [(3, 6), (8, 16), (9, 20), (40, 256)])
+def test_grid_params_reproduce_mesh_params(fam, grid):
+    params = build_mesh(fam, *grid).params
+    assert params.tobytes() == _reference_params(fam, *grid).tobytes()
+    t_vals, th_vals, n_first = mesh_module._grid_axes(fam, *grid)
+    n = len(params)
+    # blocks that start and end inside, at and just past row 0
+    for start, stop in [(0, 1), (0, n_first), (1, n_first + 1), (n_first, n_first + 3),
+                        (n_first - 1, n), (n // 3, n // 2), (n - 1, n), (0, n)]:
+        got = mesh_module._grid_params(t_vals, th_vals, n_first, start, stop)
+        assert got.tobytes() == params[start:stop].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The block formatter against CPython's own ``%`` conversions.
 
@@ -377,18 +430,51 @@ def test_g17_matches_percent_across_the_array_range(values):
     assert _as_text("%.17g\n", values) == _percent("%.17g\n", values)
 
 
+def _id_text(ids, rows, head):
+    """The id writer's text for index rows into ``ids``."""
+    buf = io.BytesIO()
+    mesh_module._write_ids(buf, np.asarray(rows), np.asarray(ids), head)
+    return buf.getvalue().decode("ascii")
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=64))
 def test_d_matches_percent(values):
-    assert _as_text("%d\n", values) == _percent("%d\n", values)
+    rows = np.arange(len(values))[:, None]
+    assert _id_text(values, rows, "\n") == _percent("\n%d", values)
 
 
 @pytest.mark.parametrize(
     "values",
-    [[0], [0, 0, 7], [9999, 10000, 10001], [-1, 0, 1], [2**53, 2**53 + 1, 2**63 - 1, -(2**63)]],
+    [[0], [0, 0, 7], [9999, 10000, 10001], [0, 1], [2**53, 2**53 + 1, 2**63 - 1]],
 )
 def test_d_fixed_cases(values):
-    assert _as_text("%d\n", values) == _percent("%d\n", values)
+    rows = np.arange(len(values))[:, None]
+    assert _id_text(values, rows, "\n") == _percent("\n%d", values)
+
+
+# ids of every length from 1 to 10 digits, up to PLY's largest index
+_SPREAD_IDS = sorted({10**d + o for d in range(10) for o in (-1, 0, 7)} | {2**31 - 1})
+
+
+@pytest.mark.parametrize("base", [0, 1])
+@pytest.mark.parametrize("head", ["\nf ", "\n3 "])
+def test_id_writer_matches_percent(base, head):
+    ids = np.array(_SPREAD_IDS) + base
+    block = mesh_module._block_rows(3)
+    rng = np.random.default_rng(base)
+    for n_rows in (1, block - 1, block, block + 1, 2 * block + 5):
+        rows = rng.integers(0, len(ids), (n_rows, 3))
+        want = "".join(head + "%d %d %d" % tuple(ids[r].tolist()) for r in rows)
+        assert _id_text(ids, rows, head) == want
+    assert len(str(ids.max())) == 10
+
+
+def test_id_cells_refuse_negative_and_float_values():
+    with pytest.raises(ValueError):
+        _int_cells(np.array([3, -1]), 1)
+    with pytest.raises(TypeError):
+        _int_cells(np.zeros(2), 1)
 
 
 @pytest.mark.parametrize(
@@ -408,7 +494,7 @@ def test_format_rows_rejects_a_template_that_does_not_fit():
         format_rows("%.17g %.17g\n", np.zeros((2, 3)))
     with pytest.raises(ValueError):
         format_rows("%.17g %d\n", np.zeros((2, 2)))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):  # %d text is the id writer's
         format_rows("%d\n", np.zeros((2, 1)))
 
 

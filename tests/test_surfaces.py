@@ -563,6 +563,20 @@ def test_separation_matches_brute_force(fam):
     assert (separation > threshold) == (ref_separation > ref_threshold)
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [annulus_b4(3, 2), annulus_b4(2, 1), mobius_b4(4, 1), catenoid_b3(1)],
+    ids=["annulus-3-2", "annulus-2-1", "mobius-4-1", "catenoid-1"],
+)
+def test_separation_does_not_depend_on_the_row_blocks(fam, monkeypatch):
+    # every block sums the same squares in the same order: the same bits
+    results = set()
+    for rows in (48, 16, 5, 1):
+        monkeypatch.setattr(surfaces, "_SCAN_ROWS", rows)
+        results.add(_separation(fam, 48, 96))
+    assert len(results) == 1
+
+
 _COPRIME = [(m, n) for m in range(2, 9) for n in range(1, m) if math.gcd(m, n) == 1]
 _EMBEDDED = (
     [catenoid_b3(1)]
