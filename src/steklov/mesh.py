@@ -14,9 +14,10 @@ block of about ``_BLOCK_VALUES`` values at a time.  Each distinct number is
 formatted once per export: the ``%d`` text of every vertex id is one table
 that the faces gather three cells a row from, and the CSV parameters gather
 the text of the grid's t and theta values through ``_grid_params``, the
-helper that makes ``SurfaceMesh.params``.  Every row is written with the line
-break in front of it, in the free leading bytes of its first cell, so a
-section ends with the file's last line break.
+helper that makes ``SurfaceMesh.params``.  Every row is written with the
+line break that ends the row before it, laid into the free leading bytes of
+its first cell; the writers drop the first one or let the header end on it,
+and write the file's last line break themselves.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .surfaces import ImmersionFamily, _position
 
 # Values formatted per write call: bounds the size of each block of text, so
 # peak memory does not grow with the mesh.  The formatter's cost per value is
-# least near this size; it doubles past 3 * 10**4 values.
+# least near this size and about doubles by 3 * 10**4 values, where its
+# working arrays outgrow the cache (2-vCPU x86-64 VM).
 _BLOCK_VALUES = 8192
 
 # Most vertices a grid may have, checked as (n_t + 1) * n_theta before any
