@@ -23,14 +23,16 @@ unit conformal factor, 2*pi per boundary circle (`_SCALE`):
 
 `_value` evaluates the formula and `_crossing` turns a crossing of an even
 and an odd (or the linear) branch into its modulus and value; every
-supremum in `extrema` is read off one such crossing.
+supremum in `extrema` is read off one such crossing.  `spectrum` evaluates
+the same formula over one table per call, the even values by scalar
+`math.tanh` and the odd ones by one `coth` call (bit for bit the
+scalar one), and sorts it once.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -196,46 +198,83 @@ def branch_index(kind: SurfaceKind, branch: Branch) -> int:
 def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     """First `count` nonzero normalized eigenvalues, merged at crossings.
 
-    Each branch family increases with the mode at fixed T, so the spectrum is
-    a lazy merge of the even, odd and (annulus) linear sequences.  Two
-    adjacent values share one entry only where the two branches cross (see
-    `_crosses`); distinct branches that are merely close stay apart.
+    One table holds the even branches of indices 1..count // 2 + 2, the odd
+    branches of those indices that can sort below the last even one and, on
+    the annulus, the linear branch; one sort orders it, and the entries are
+    read off its sorted prefix.  Two adjacent values share one
+    entry only where the two branches cross (see `_crosses`); distinct
+    branches that are merely close stay apart.
     """
     T = _check_modulus(T)
     if math.isinf(T):
         raise DomainError("spectrum requires a finite modulus")
     count = _check_index(count, "count")
 
-    def ranked(branch_of, shift: int):
-        # the rank breaks exact ties in the order linear, even 1, odd 1, even 2, ...
-        for m in itertools.count(1):
-            b = branch_of(kind, m)
-            yield _value(kind, b.kind, b.mode, T), 2 * m - shift, b
-
-    sequences = [ranked(_even_branch, 1), ranked(_odd_branch, 0)]
-    if kind is SurfaceKind.ANNULUS:
-        sequences.append([(_value(kind, BranchKind.LINEAR, 0, T), 0, _LINEAR)])
-    merged = heapq.merge(*sequences)
+    # Mode bound.  Let n = count // 2 + 2 and E_n the even item of index n.
+    # Each family is nondecreasing in its index (the assumption of any merge
+    # of the families), and the rank breaks exact ties in the order linear,
+    # even 1, odd 1, even 2, ...
+    # (1) Every omitted item sorts after E_n.  Omitted even items have larger
+    #     index and rank.  An even value of mode a is fl(fl(scale*a) * tanh)
+    #     <= fl(scale*a), as tanh <= 1 and rounding is monotone; an odd value
+    #     of mode b is >= fl(scale*b), as coth >= 1.  So an odd item whose
+    #     fl(scale*b) exceeds E_n's value, the only ones of index <= n left
+    #     out, lies above it; one of index > n has mode b >= odd mode n + 1
+    #     > even mode n (2n + 1 > 2n on the band, n + 1 > n on the annulus),
+    #     so a value >= E_n's and a rank >= 2n + 2 > 2n - 1.  The sorted
+    #     table up to E_n, S >= n items, is therefore a prefix of the spectrum.
+    # (2) The loop reads at most S items.  With r = count // 2, the entry at
+    #     item i (1-based) starts at position 2i - 1 - L <= count, where L = 1
+    #     if the linear item is among items 1..i-1, so i <= r + 1 (i <= r when
+    #     count is even and L = 0).  The loop reads through item i + 1, or
+    #     i + 2 when that entry merges: at most r + 2 = n items, except with
+    #     L = 1 or a merge, which read at most n + 1.  Then the linear item
+    #     (among items 1..r) or the merge partner (among items 1..n) is a
+    #     non-even item inside the first n items, so S >= n + 1.
+    n = count // 2 + 2
+    scale = _SCALE[kind]
+    if kind is _MOBIUS:
+        even_modes, odd_modes = range(2, 2 * n + 1, 2), range(1, 2 * n, 2)
+    else:
+        even_modes = odd_modes = range(1, n + 1)
+    tanh = math.tanh  # scalar: np.tanh differs from math.tanh in the last bit
+    even_ranks, odd_ranks = range(1, 2 * n, 2), range(2, 2 * n + 1, 2)
+    items = [(scale * a * tanh(a * T), r, _EVEN, a) for r, a in zip(even_ranks, even_modes)]
+    last_even = items[-1]
+    odd_modes = odd_modes[: bisect_right(odd_modes, last_even[0], key=lambda b: scale * b)]
+    if len(odd_modes) > 1:  # one array coth call, bit for bit the scalar calls of _value
+        cs = coth(np.arange(odd_modes.start, odd_modes.stop, odd_modes.step) * T).tolist()
+    else:  # none, or mode 1 alone: a scalar call costs less than a 1-element array
+        cs = [coth(b * T) for b in odd_modes]
+    items += [(scale * b * c, r, _ODD, b) for c, r, b in zip(cs, odd_ranks, odd_modes)]
+    if kind is not _MOBIUS:
+        items.append((scale / T, 0, BranchKind.LINEAR, 0))
+    items.sort()
 
     entries: list[EigenvalueEntry] = []
     position = 1
-    value, _, branch = next(merged)
+    i = 0  # index of the last item read
+    value, _, profile, mode = items[0]
+    branch = Branch(profile, mode)
     while position <= count:
-        next_value, _, next_branch = next(merged)
-        group = (branch,)
+        i += 1
+        next_value, _, profile, mode = items[i]
+        next_branch = Branch(profile, mode)
         if _crosses(kind, branch, value, next_branch, next_value):
             group = (branch, next_branch)
-            next_value, _, next_branch = next(merged)
-        mult = sum(b.multiplicity for b in group)
-        entries.append(
-            EigenvalueEntry(
-                value=value,
-                branches=group,
-                index_range=(position, position + mult - 1),
-            )
-        )
+            mult = branch.multiplicity + next_branch.multiplicity
+            i += 1
+            next_value, _, profile, mode = items[i]
+            next_branch = Branch(profile, mode)
+        else:
+            group = (branch,)
+            mult = branch.multiplicity
+        entries.append(EigenvalueEntry(value, group, (position, position + mult - 1)))
         position += mult
         value, branch = next_value, next_branch
+    # completeness: every item read lies in the proven prefix, up to E_n
+    if items[i] > last_even:  # pragma: no cover - the bound is proven above
+        raise RuntimeError("mode bound too small for requested count")
     return entries
 
 
@@ -250,9 +289,8 @@ def _crosses(
     solver's bound RESIDUAL_SCALE * (a + b), times the 2*pi or 4*pi that
     normalizes the heights a*tanh(a*x) = b*coth(b*x).
     """
-    even = BranchKind.EVEN_HYPERBOLIC
-    increasing, decreasing = (first, second) if first.kind is even else (second, first)
-    if increasing.kind is not even or decreasing.kind is even:
+    increasing, decreasing = (first, second) if first.kind is _EVEN else (second, first)
+    if increasing.kind is not _EVEN or decreasing.kind is _EVEN:
         return False
     if increasing.mode <= decreasing.mode:  # the linear branch has mode 0
         return False
@@ -261,7 +299,11 @@ def _crosses(
 
 
 def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
-    """The j-th nonzero normalized eigenvalue, counted with multiplicity."""
+    """The j-th nonzero normalized eigenvalue, counted with multiplicity.
+
+    It is the value of the last entry of `spectrum(kind, T, j)`, so it costs
+    one table of j // 2 + 2 modes per family, sorted once.
+    """
     j = _check_index(j, "eigenvalue index")
     return spectrum(kind, T, j)[-1].value  # the last entry holds index j
 
@@ -283,7 +325,8 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     scale = _SCALE[kind]
     rows = []
     if kind is SurfaceKind.ANNULUS:
-        rows.append(scale / T)
+        with np.errstate(over="ignore"):  # +inf, as nu_bar gives, for subnormal T
+            rows.append(scale / T)
     for m in range(1, n_modes + 2):
         a, b = _even_mode(kind, m), _odd_mode(kind, m)
         lam = scale * a * np.tanh(a * T)

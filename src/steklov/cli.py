@@ -167,6 +167,8 @@ def _cmd_sweep(args) -> int:
         raise SteklovError(f"steps must be >= 2, got {args.steps}")
     if not 0.0 < args.t_min < args.t_max:
         raise SteklovError("need 0 < t-min < t-max")
+    if math.isinf(args.t_max):  # np.geomspace would warn before any check of ours
+        raise SteklovError("t-max must be finite")
     grid = np.geomspace(args.t_min, args.t_max, args.steps)
     values = sigma_bar_grid(kind, max(j_list), grid)
     rows = []

@@ -20,7 +20,8 @@ def coth(x):
     """Hyperbolic cotangent, odd, with coth(0) = +inf and coth(inf) = 1."""
     x = np.asarray(x, dtype=float)
     ax = np.minimum(np.abs(x), SATURATION)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # 2 / expm1(2*ax) overflows to the intended +inf for subnormal ax
         out = (1.0 + 2.0 / np.expm1(2.0 * ax)) * np.sign(x)
     out = np.where(x == 0.0, np.inf, out)
     return out if out.shape else float(out)

@@ -43,6 +43,7 @@ from steklov.surfaces import (
     annulus_b4,
     catenoid_b3,
     covering_degree,
+    evaluate,
     injectivity_scan,
     make_admissible,
     mobius_b4,
@@ -99,6 +100,23 @@ def test_mobius_supremum_family():
                 assert result.value == pytest.approx(closed, rel=1e-13)
                 grid_value, _ = grid_supremum(MB, j)
                 assert grid_value == pytest.approx(closed, rel=1e-6)
+
+
+def test_mobius_suprema_are_boundary_lengths():
+    # the paper's first claim: sup sigma_bar_j on the Mobius band is attained
+    # by the free boundary band mobius_b4(2*ceil(j/2), 1) of B^4, and equals
+    # its boundary length; the boundary is the circle t = T*, theta in
+    # [0, 2*pi), and |du/dtheta| is constant on it.  Whether these bands are
+    # embedded is not asserted here.
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    with _Budget(1.0):
+        for j in range(1, 9):
+            fam = mobius_b4(2 * math.ceil(j / 2), 1)
+            result = sup_sigma_mobius(j)
+            assert result.attaining_modulus == fam.T_star
+            _, _, du_dtheta = evaluate(fam, np.array([fam.T_star]), theta)
+            length = 2.0 * math.pi * float(np.mean(np.linalg.norm(du_dtheta, axis=-1)))
+            assert length == pytest.approx(result.value, rel=1e-14, abs=0.0)
 
 
 def test_annulus_suprema():

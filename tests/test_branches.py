@@ -470,3 +470,76 @@ def test_suprema_match_frozen_reference_bitwise():
             value, attained, modulus = ref(j)
             assert r.j == j and r.attained is attained
             assert _hex([r.value, r.attaining_modulus]) == _hex([value, modulus]), (sup, j)
+
+
+# counts 1-40 plus three large ones; moduli log-uniform over the range aim 3
+# names, plus the two ends a double can represent
+_WIDE_COUNTS = list(range(1, 41)) + [97, 500, 2000]
+_WIDE_T = 10.0 ** np.random.default_rng(1702).uniform(-14.0, math.log10(30.0), 12)
+_WIDE_T = [float(T) for T in _WIDE_T] + [5e-324, 1e300]
+
+
+def _assert_matches_reference(kind, T, counts):
+    # the reference for fewer values is a prefix of the one for the most: its
+    # entries that start at or below the count
+    reference = _ref_spectrum(kind, T, max(counts))
+    for count in counts:
+        want = [(v.hex(), b, r) for v, b, r in reference if r[0] <= count]
+        got = [(e.value.hex(), e.branches, e.index_range) for e in spectrum(kind, T, count)]
+        assert got == want, (kind, T, count)
+        assert sigma_bar(kind, count, T).hex() == want[-1][0], (kind, T, count)
+    return reference
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_spectrum_matches_frozen_reference_over_wide_corpus(kind):
+    length = (2.0 if kind is MB else 4.0) * math.pi
+    for T in _WIDE_T:
+        reference = _assert_matches_reference(kind, T, _WIDE_COUNTS)
+        values = [v / length for v, _, (lo, hi) in reference for _ in range(lo, hi + 1)]
+        for count in (1, 12, 2000):
+            got = closed_form_sigma(kind, T, 1.0, count)
+            assert got.tobytes() == np.array(values[:count]).tobytes(), (T, count)
+    for c in crossing_lattice(kind, 30):
+        last = c.first_index + c.multiplicity - 1
+        _assert_matches_reference(kind, c.modulus, (c.first_index, last, last + 1))
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_spectrum_reports_only_real_crossings(kind):
+    # a merged entry is a crossing the solver finds: the unnormalized heights
+    # agree within the merge bound, at the solved modulus itself
+    t10 = solve_t10()
+
+    def merges(T, count):
+        found = [e for e in spectrum(kind, T, count) if len(e.branches) == 2]
+        for e in found:
+            first_even = e.branches[0].kind is BranchKind.EVEN_HYPERBOLIC
+            even, other = e.branches if first_even else e.branches[::-1]
+            a, b = even.mode, other.mode
+            if other.kind is BranchKind.LINEAR:
+                assert T == t10 / a
+                assert abs(a * math.tanh(a * T) - 1.0 / T) <= RESIDUAL_SCALE * a
+            else:
+                assert T == solve_crossing(a, b).x
+                assert abs(a * math.tanh(a * T) - b * coth(b * T)) <= RESIDUAL_SCALE * (a + b)
+        return found
+
+    for c in crossing_lattice(kind, 30):
+        assert merges(c.modulus, c.first_index + c.multiplicity + 3)
+    for T in 10.0 ** np.random.default_rng(1703).uniform(-14.0, math.log10(30.0), 400):
+        assert merges(float(T), 40) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [MB, AN])
+@pytest.mark.parametrize("T", [5e-324, 1e-320])
+def test_subnormal_modulus_raises_no_warning(kind, T):
+    # every odd value and the linear one overflow to +inf; the even values
+    # stay finite and fill the spectrum
+    assert mu_bar(kind, 1, T) == math.inf
+    entries = spectrum(kind, T, 6)
+    assert [e.branches for e in entries] == [(_ref_even(kind, m),) for m in (1, 2, 3)]
+    values = [e.value for e in entries for _ in range(e.multiplicity)]
+    assert values == [lambda_bar(kind, m, T) for m in (1, 1, 2, 2, 3, 3)]
+    assert sigma_bar_grid(kind, 6, [T])[:, 0].tolist() == values

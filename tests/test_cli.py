@@ -611,3 +611,22 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
     assert shared[2][2].splitlines()[-1] == "error: the following arguments are required: --T"
 
+
+
+@pytest.mark.filterwarnings("error")  # a NumPy warning would be a second stderr line
+@pytest.mark.parametrize("t_max", ["inf", "1e309"])
+def test_sweep_rejects_infinite_t_max(capsys, t_max):
+    _assert_one_error_line(
+        *_run(capsys, "sweep", "--kind", "annulus", "--t-min", "0.1", "--t-max", t_max)
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["annulus", "mobius"])
+def test_subnormal_moduli_write_nothing_to_stderr(capsys, kind):
+    code, out, err = _run(capsys, "spectrum", "--kind", kind, "--T", "1e-320", "--count", "3")
+    assert (code, err) == (EXIT_OK, "") and out
+    code, out, err = _run(
+        capsys, "sweep", "--kind", kind, "--t-min", "1e-320", "--t-max", "1e-300", "--steps", "3"
+    )
+    assert (code, err) == (EXIT_OK, "") and len(out.splitlines()) == 4

@@ -78,3 +78,27 @@ def test_squared_reciprocals_match_naive(x):
 @given(st.floats(min_value=1e-2, max_value=300.0))
 def test_coth_strictly_above_one(x):
     assert coth(x) >= 1.0
+
+
+def test_coth_array_matches_scalar_bitwise():
+    # spectrum evaluates every odd branch in one array call and must reproduce
+    # the scalar call of the branch formula bit for bit
+    rng = np.random.default_rng(20170)
+    magnitudes = np.concatenate(
+        [
+            10.0 ** rng.uniform(math.log10(5e-324), 300.0, 20_000),
+            np.nextafter(350.0, [0.0, np.inf] * 50) + rng.uniform(-1e-9, 1e-9, 100),
+            [5e-324, 1e-320, 2.2250738585072014e-308, 349.0, 350.0, 351.0, 1e300],
+        ]
+    )
+    x = np.concatenate([magnitudes, -magnitudes, [0.0, -0.0]])
+    rng.shuffle(x)
+    scalars = np.array([coth(float(v)) for v in x])
+    assert coth(x).tobytes() == scalars.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [5e-324, 1e-320, -1e-320])
+def test_coth_subnormal_is_infinite_without_warning(x):
+    assert coth(x) == math.copysign(math.inf, x)
+    assert coth(np.array([x, 1.0]))[0] == math.copysign(math.inf, x)
