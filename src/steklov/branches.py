@@ -201,9 +201,9 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     One table holds the even branches of indices 1..count // 2 + 2, the odd
     branches of those indices that can sort below the last even one and, on
     the annulus, the linear branch; one sort orders it, and the entries are
-    read off its sorted prefix.  Two adjacent values share one
-    entry only where the two branches cross (see `_crosses`); distinct
-    branches that are merely close stay apart.
+    read off its sorted prefix.  Two adjacent values share one entry only
+    where the two branches cross (see `_crosses`); distinct branches that
+    are merely close stay apart.
     """
     T = _check_modulus(T)
     if math.isinf(T):
@@ -302,7 +302,7 @@ def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
     """The j-th nonzero normalized eigenvalue, counted with multiplicity.
 
     It is the value of the last entry of `spectrum(kind, T, j)`, so it costs
-    one table of j // 2 + 2 modes per family, sorted once.
+    one table of at most j // 2 + 2 modes per family, sorted once.
     """
     j = _check_index(j, "eigenvalue index")
     return spectrum(kind, T, j)[-1].value  # the last entry holds index j
