@@ -385,7 +385,7 @@ def _suite_injectivity(_max_mode: int):
     checks = []
     for m, n in ((2, 1), (4, 1)):
         rep = surfaces.injectivity_scan(surfaces.mobius_b4(m, n))
-        checks.append((f"mobius({m},{n}) injective", rep.injective))
+        checks.append((f"mobius({m},{n}) injective off the core circle", rep.injective))
     rep = surfaces.injectivity_scan(surfaces.annulus_b4(6, 3))
     checks.append(("annulus(6,3) covering degree 3", rep.covering_degree == 3))
     return checks

@@ -16,7 +16,8 @@ so the boundary lands on the unit sphere:
 Every identity used to certify these surfaces (conformality, harmonicity,
 unit boundary norm, boundary orthogonality, vanishing total stress-energy,
 and the vanishing of the summed eigenvalue-perturbation form) is evaluated
-numerically on grids here.
+numerically on grids here.  Their double points are exact instead:
+``injectivity_scan`` reads them from (family, m, n), with no grid.
 
 Every coordinate is a t-profile times a theta-mode.  ``_factors`` is the one
 table of these formulas: per output a t-factor and a theta-factor per
@@ -398,113 +399,66 @@ def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
 
 @dataclass(frozen=True)
 class InjectivityReport:
+    """Double points of a family, exact from (family, m, n).
+
+    ``injective``: no two parameters off the core circle t = 0 share an
+    image point.  ``core_sheets``: the sheets that cross along the image of
+    the core circle, beyond the covering.  A surface is embedded exactly
+    when it is injective with one core sheet.
+    """
+
     injective: bool
     covering_degree: int
-    min_image_separation: float
-    threshold: float
+    core_sheets: int
 
 
 def covering_degree(fam: ImmersionFamily) -> int:
+    """The g of the g-fold covering u(t, th) = u(t, th + 2*pi/g).
+
+    g = gcd(m, n) on the four-dimensional families and n on the catenoid.
+    Known defect: an annulus with m/g even (coprime: m even, n odd) also
+    factors through the mirror (t, th) ~ (-t, th + pi/g), so every image
+    point there has 2g preimages, yet it reads g (1, not 2, when coprime).
+    """
     if fam.family is FamilyKind.CATENOID_B3:
         return fam.n
     return math.gcd(fam.m, fam.n)
 
 
 def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
-    """Grid-scale injectivity check, with covering detection for gcd > 1.
+    """The double points of ``fam`` by the rule below; evaluates no point.
 
-    When the mode pair shares a factor d the parametrization repeats after a
-    theta shift of 2*pi/d and the map is a d-fold covering; otherwise every
-    pair of image points on a 48 x 96 grid that are closer than a tenth of
-    the smallest image edge must come from neighbouring (or identified)
-    parameters.  Samples sit at cell centers, strictly inside the fundamental
-    domain, so each sample is a unique quotient representative; the
-    certificate is at grid scale and says nothing about the measure-zero
-    seam circle itself.  ``min_image_separation`` is the least image distance
-    of two non-adjacent samples.
+    ``injective`` is g == 1 and, on the annulus, m odd; ``core_sheets`` is
+    m/g on the annulus, m/(2g) on the Mobius band and 1 on the catenoid.
     """
-    d = covering_degree(fam)
-    T = fam.T_star
-    if d > 1:
-        t = np.linspace(-T, T, 17)[:, None]
-        th = np.linspace(0.0, 2.0 * math.pi, 33)[None, :]
-        u0 = _position(fam, t, th)
-        u1 = _position(fam, t, th + 2.0 * math.pi / d)
-        gap = float(np.max(np.linalg.norm(u1 - u0, axis=-1)))
-        if gap > 1e-10:  # pragma: no cover - periodicity is exact
-            raise RuntimeError("expected covering periodicity not observed")
-        return InjectivityReport(
-            injective=False, covering_degree=d, min_image_separation=0.0, threshold=0.0
-        )
-
-    sep, threshold = _separation(fam, 48, 96)
+    # Write u = (z1, z2) / r in complex planes, z1 = m sinh(nt) e^{in th},
+    # z2 = n cosh(mt) e^{im th}, and d = th2 - th1.  Catenoid: the axial
+    # coordinate n t / r fixes t, and cosh(nt) e^{in th} then agrees exactly
+    # when n d = 0 (mod 2 pi): an n-fold covering with no other double
+    # points, the core included.  Otherwise |z2| = n cosh(mt) is even and
+    # increasing in |t|, so u(t1, th1) = u(t2, th2) forces t2 = +-t1.
+    # (1) t2 = t1 != 0: sinh(nt) != 0, so n d = m d = 0 (mod 2 pi), that is
+    #     d in (2 pi / g)Z: the g-fold covering.
+    # (2) t2 = -t1 != 0: z1 changes sign, so n d = pi and m d = 0 (mod 2 pi).
+    #     With m = g m', n = g n' coprime, m d = 2 pi k gives n d =
+    #     2 pi k n' / m', odd times pi only if m' | 2k; for m' odd that makes
+    #     it even times pi, for m' even (so n' odd) k in (m'/2)(2Z + 1) does
+    #     it, that is d in pi/g + (2 pi / g)Z.
+    #     Solvable exactly when m/g is even: on the band (m even, n odd, so
+    #     g odd) it is the identification (t, th) ~ (-t, th + pi) composed
+    #     with the covering; on the annulus it is a mirror double cover.
+    # (3) t1 = t2 = 0: z1 = 0 and z2 = n e^{im th}, so the core circle meets
+    #     itself at every d in (2 pi / m)Z: m preimages per image point on the
+    #     annulus, m/2 on the band, where (0, th) ~ (0, th + pi); g of them
+    #     are the covering's.
+    g = covering_degree(fam)
+    if fam.family is FamilyKind.CATENOID_B3:
+        return InjectivityReport(injective=g == 1, covering_degree=g, core_sheets=1)
+    if fam.is_quotient:
+        return InjectivityReport(injective=g == 1, covering_degree=g, core_sheets=fam.m // (2 * g))
     return InjectivityReport(
-        injective=sep > threshold, covering_degree=1, min_image_separation=sep, threshold=threshold
+        injective=g == 1 and fam.m % 2 == 1, covering_degree=g, core_sheets=fam.m // g
     )
-
-
-# Rows of the injectivity table built per pass: two (16, 48, 96) working
-# tables of 0.6 MB each instead of two 1.8 MB ones per scan.
-_SCAN_ROWS = 16
-
-
-def _separation(fam: ImmersionFamily, n_t: int, n_theta: int) -> tuple[float, float]:
-    """Least image distance of non-adjacent samples on an n_t x n_theta
-    cell-centre grid, and a tenth of the smallest image edge.
-
-    A theta shift turns each plane of the map rigidly, an isometry of the
-    image, so sample (i1, j1) is as far from (i2, j2) as (i1, 0) from
-    (i2, j2 - j1 mod n_theta): one (n_t, n_t, n_theta) table of squared
-    distances, summed in place from coordinate differences, holds every pair.
-    It is built and reduced _SCAN_ROWS values of i1 at a time, so the two
-    working tables stay small enough to be reused, not faulted in afresh.
-    """
-    T = fam.T_star
-    if fam.is_quotient:
-        dt = T / n_t
-        t = (np.arange(n_t) + 0.5) * dt
-    else:
-        dt = 2.0 * T / n_t
-        t = -T + (np.arange(n_t) + 0.5) * dt
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    grid = _position(fam, t[:, None], theta)
-    adjacent = _adjacent(fam, t, theta, dt, theta[1])
-    table = np.empty((min(_SCAN_ROWS, n_t), n_t, n_theta))
-    diff = np.empty_like(table)
-    least = math.inf
-    for start in range(0, n_t, _SCAN_ROWS):
-        rows = slice(start, start + _SCAN_ROWS)
-        block = table[: len(t[rows])]
-        block.fill(0.0)
-        for i in range(fam.ambient_dim):
-            d = np.subtract(grid[rows, 0, i, None, None], grid[None, :, :, i], out=diff[: len(block)])
-            block += np.square(d, out=d)
-        np.copyto(block, math.inf, where=adjacent[rows])
-        least = min(least, float(np.min(block)))
-    return math.sqrt(least), 0.1 * _min_image_edge(grid)
-
-
-def _adjacent(fam: ImmersionFamily, t, theta, dt: float, dth: float) -> np.ndarray:
-    """Mask of ``_separation``'s table: is (t[i2], theta[k]) a grid neighbour of (t[i1], 0),
-    across the theta seam and, on the quotient, the half-turn (t, th) ~ (-t, th + pi)?"""
-
-    def close(t2, shift):
-        turn = np.abs(theta + shift) % (2.0 * math.pi)
-        turn = np.minimum(turn, 2.0 * math.pi - turn)
-        near = np.abs(t[:, None] - t2[None, :]) <= 1.5 * dt
-        return near[:, :, None] & (turn <= 1.5 * dth)
-
-    adjacent = close(t, 0.0)
-    if fam.is_quotient:
-        adjacent |= close(-t, math.pi)
-    return adjacent
-
-
-def _min_image_edge(u: np.ndarray) -> float:
-    """Shortest edge of the image of a (t, theta) grid, theta periodic."""
-    d_t = np.linalg.norm(np.diff(u, axis=0), axis=-1)
-    d_th = np.linalg.norm(u - np.roll(u, 1, axis=1), axis=-1)
-    return float(min(np.min(d_t), np.min(d_th)))
 
 
 def radial_monotonicity_margin(fam: ImmersionFamily) -> float:

@@ -265,7 +265,7 @@ def test_import_and_oracle_leave_scipy_unloaded():
 
 
 def test_surfaces_and_verify_run_on_numpy_alone(tmp_path):
-    # injectivity scans (one by the grid, one a covering), mesh exports in
+    # injectivity reports (one injective, one a covering), mesh exports in
     # every format and the whole verify suite run with scipy blocked, and
     # load no scipy module when it is not blocked
     src = str(Path(steklov.__file__).resolve().parents[1])

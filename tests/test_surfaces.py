@@ -28,11 +28,9 @@ from steklov.surfaces import (
     _U,
     _U_T,
     _U_THETA,
-    _adjacent,
     _factors,
     _outputs,
     _position,
-    _separation,
     _velocity,
 )
 
@@ -47,10 +45,13 @@ FAMILIES = [
     mobius_b4(4, 1),
     mobius_b4(4, 3),
 ]
-IDS = [
-    f"{f.family.value}-{f.m}-{f.n}" if f.ambient_dim == 4 else f"catenoid-{f.n}"
-    for f in FAMILIES
-]
+
+
+def _family_id(fam):
+    return f"{fam.family.value}-{fam.m}-{fam.n}" if fam.ambient_dim == 4 else f"catenoid-{fam.n}"
+
+
+IDS = [_family_id(f) for f in FAMILIES]
 
 
 def test_parameter_validation():
@@ -458,24 +459,31 @@ def test_covering_degrees():
 
 def test_injectivity_mobius_families():
     for m, n in ((2, 1), (4, 1)):
-        report = injectivity_scan(mobius_b4(m, n))
+        fam = mobius_b4(m, n)
+        report = injectivity_scan(fam)
         assert report.injective
         assert report.covering_degree == 1
-        assert report.min_image_separation > report.threshold
+        assert report.core_sheets == m // 2
+        separation, threshold = _separation(fam, 48, 96)
+        assert separation > threshold
 
 
 def test_injectivity_covering_families():
     report = injectivity_scan(annulus_b4(6, 3))
     assert not report.injective
     assert report.covering_degree == 3
+    assert report.core_sheets == 2
     report = injectivity_scan(catenoid_b3(2))
     assert not report.injective
     assert report.covering_degree == 2
+    assert report.core_sheets == 1
+    report = injectivity_scan(mobius_b4(6, 3))
+    assert (report.injective, report.covering_degree, report.core_sheets) == (False, 3, 1)
 
 
 def test_annulus_mirror_double_cover_detected():
     # m even, n odd: the annulus map is invariant under (t, th) -> (-t, th+pi)
-    # and double-covers a Mobius band, so the grid scan must flag it
+    # and double-covers a Mobius band, so the report must flag it
     fam = annulus_b4(2, 1)
     u1 = evaluate(fam, 0.37, 1.1)[0]
     u2 = evaluate(fam, -0.37, 1.1 + math.pi)[0]
@@ -486,6 +494,48 @@ def test_annulus_mirror_double_cover_detected():
 def test_injectivity_annulus_coprime_opposite_parity():
     report = injectivity_scan(annulus_b4(3, 2))
     assert report.injective
+
+
+def test_injectivity_scan_evaluates_no_point(monkeypatch):
+    # the report follows from (family, m, n); the spies also see an
+    # evaluation, so an empty record means none was made
+    calls = []
+
+    def spy(name, fn):
+        def called(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return called
+
+    monkeypatch.setattr(surfaces, "_outputs", spy("_outputs", _outputs))
+    monkeypatch.setattr(surfaces, "_factors", spy("_factors", _factors))
+    for fam in (catenoid_b3(2), annulus_b4(3, 2), annulus_b4(6, 3), mobius_b4(4, 1)):
+        injectivity_scan(fam)
+    assert calls == []
+    surfaces._position(annulus_b4(3, 2), 0.0, 0.0)
+    assert calls == ["_outputs", "_factors"]
+
+
+# The grid scan below is the reference the exact report is checked against:
+# image points at cell centres strictly inside the fundamental domain, and
+# the least distance between two of them that are not grid neighbours.
+
+
+def _adjacent(fam, t, theta, dt, dth):
+    # mask of _separation's table: is (t[i2], theta[k]) a grid neighbour of
+    # (t[i1], 0), across the theta seam and, on the quotient, the half-turn
+    # (t, th) ~ (-t, th + pi)?
+    def close(t2, shift):
+        turn = np.abs(theta + shift) % (2.0 * math.pi)
+        turn = np.minimum(turn, 2.0 * math.pi - turn)
+        near = np.abs(t[:, None] - t2[None, :]) <= 1.5 * dt
+        return near[:, :, None] & (turn <= 1.5 * dth)
+
+    adjacent = close(t, 0.0)
+    if fam.is_quotient:
+        adjacent |= close(-t, math.pi)
+    return adjacent
 
 
 def _adjacent_pointwise(fam, p, q, dt, dth):
@@ -529,6 +579,26 @@ def test_adjacent_mask_matches_pointwise(fam):
     assert got[0, 0, 12] == fam.is_quotient
 
 
+def _separation(fam, n_t, n_theta):
+    # least image distance of non-adjacent samples on an n_t x n_theta
+    # cell-centre grid, and a tenth of the smallest image edge.  A theta
+    # shift turns each plane of the map rigidly, an isometry of the image,
+    # so sample (i1, j1) is as far from (i2, j2) as (i1, 0) from
+    # (i2, j2 - j1 mod n_theta): one (n_t, n_t, n_theta) table of squared
+    # distances holds every pair
+    t, theta, dt, dth = _cell_centres(fam, n_t, n_theta)
+    grid = _position(fam, t[:, None], theta)
+    table = np.zeros((n_t, n_t, n_theta))
+    for i in range(fam.ambient_dim):
+        table += np.square(grid[:, 0, i, None, None] - grid[None, :, :, i])
+    table[_adjacent(fam, t, theta, dt, dth)] = math.inf
+    edge = min(
+        np.min(np.linalg.norm(np.diff(grid, axis=0), axis=-1)),
+        np.min(np.linalg.norm(grid - np.roll(grid, 1, axis=1), axis=-1)),
+    )
+    return math.sqrt(float(np.min(table))), 0.1 * float(edge)
+
+
 def _brute_separation(fam, n_t, n_theta):
     # every pair of samples, its distance by np.linalg.norm and its adjacency
     # one pair at a time; returns the least non-adjacent distance and the
@@ -563,44 +633,110 @@ def test_separation_matches_brute_force(fam):
     assert (separation > threshold) == (ref_separation > ref_threshold)
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [annulus_b4(3, 2), annulus_b4(2, 1), mobius_b4(4, 1), catenoid_b3(1)],
-    ids=["annulus-3-2", "annulus-2-1", "mobius-4-1", "catenoid-1"],
+def _reference_scan(fam):
+    # (injective, covering degree) by the grid.  The degree is the order D of
+    # the group of theta shifts that fix the image, found numerically (the
+    # shift 2 pi / d fixes it exactly when d divides D); a covering is not
+    # injective, and otherwise the 48 x 96 scan decides
+    T = fam.T_star
+    t = np.linspace(-T, T, 17)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, 33)[None, :]
+    u = _position(fam, t, th)
+
+    def fixes(d):
+        shifted = _position(fam, t, th + 2.0 * math.pi / d)
+        return np.max(np.linalg.norm(shifted - u, axis=-1)) <= 1e-10
+
+    degree = max(d for d in range(1, max(fam.m, fam.n) + 1) if fixes(d))
+    if degree > 1:
+        return False, degree
+    separation, threshold = _separation(fam, 48, 96)
+    return separation > threshold, 1
+
+
+_PAIRS = [(m, n) for m in range(2, 13) for n in range(1, m)]
+_ALL = (
+    [catenoid_b3(n) for n in range(1, 5)]
+    + [annulus_b4(m, n) for m, n in _PAIRS]
+    + [mobius_b4(m, n) for m, n in _PAIRS if m % 2 == 0 and n % 2 == 1]
 )
-def test_separation_does_not_depend_on_the_row_blocks(fam, monkeypatch):
-    # every block sums the same squares in the same order: the same bits
-    results = set()
-    for rows in (48, 16, 5, 1):
-        monkeypatch.setattr(surfaces, "_SCAN_ROWS", rows)
-        results.add(_separation(fam, 48, 96))
-    assert len(results) == 1
+
+
+@pytest.mark.parametrize("fam", _ALL, ids=[_family_id(f) for f in _ALL])
+def test_report_matches_reference_scan(fam):
+    report = injectivity_scan(fam)
+    assert (report.injective, report.covering_degree) == _reference_scan(fam)
+
+
+@pytest.mark.parametrize("fam", _ALL, ids=[_family_id(f) for f in _ALL])
+def test_predicted_double_points_coincide(fam):
+    # the double points the report predicts, at seeded parameters: the
+    # covering (t, th) ~ (t, th + 2 pi/g); for m/g even the mirror
+    # (t, th) ~ (-t, th + pi/g), the band's own identification or the
+    # annulus's double cover; and the core circle (0, th) ~ (0, th + 2 pi/m),
+    # whose m preimages of a point (m/2 on the band, where th is taken mod
+    # pi) are the report's core_sheets * g.  The rounding of cos and sin at
+    # arguments up to about 75 reaches 2.5e-14.
+    rng = np.random.default_rng(13)
+    T = fam.T_star
+    t = rng.uniform(-T, T, 64)
+    th = rng.uniform(0.0, 2.0 * math.pi, 64)
+    report = injectivity_scan(fam)
+    g = report.covering_degree
+
+    def gap(t1, th1, t2, th2):
+        return float(np.max(np.abs(_position(fam, t1, th1) - _position(fam, t2, th2))))
+
+    assert gap(t, th, t, th + 2.0 * math.pi / g) <= 1e-13
+    if fam.ambient_dim == 4 and (fam.m // g) % 2 == 0:
+        assert gap(t, th, -t, th + math.pi / g) <= 1e-13
+    core = report.core_sheets * g * (2 if fam.is_quotient else 1)
+    assert core == (fam.m if fam.ambient_dim == 4 else fam.n)
+    zero = np.zeros_like(th)
+    assert gap(zero, th, zero, th + 2.0 * math.pi / core) <= 1e-13
 
 
 _COPRIME = [(m, n) for m in range(2, 9) for n in range(1, m) if math.gcd(m, n) == 1]
-_EMBEDDED = (
+# injective off the core circle; of these only catenoid_b3(1) and
+# mobius_b4(2, 1) have one core sheet
+_INJECTIVE = (
     [catenoid_b3(1)]
     + [annulus_b4(m, n) for m, n in _COPRIME if m % 2 == 1]
     + [mobius_b4(m, n) for m, n in _COPRIME if m % 2 == 0]
 )
 
 
+def test_only_two_coprime_families_are_embedded():
+    # the 30 coprime pairs with m <= 8 as annuli and (m even) as bands, and
+    # the catenoid: embedded means injective with one core sheet
+    families = (
+        [catenoid_b3(1)]
+        + [annulus_b4(m, n) for m, n in _COPRIME]
+        + [mobius_b4(m, n) for m, n in _COPRIME if m % 2 == 0]
+    )
+    assert len(families) == 31
+    reports = [injectivity_scan(fam) for fam in families]
+    embedded = [f for f, r in zip(families, reports) if r.injective and r.core_sheets == 1]
+    assert embedded == [catenoid_b3(1), mobius_b4(2, 1)]
+
+
 @pytest.mark.parametrize(
-    "fam", _EMBEDDED, ids=[f"{f.family.value}-{f.m}-{f.n}" for f in _EMBEDDED]
+    "fam", _INJECTIVE, ids=[f"{f.family.value}-{f.m}-{f.n}" for f in _INJECTIVE]
 )
 def test_embedded_separation_is_finite_and_clears_threshold(fam):
     report = injectivity_scan(fam)
     assert report.injective and report.covering_degree == 1
-    assert report.threshold < report.min_image_separation < math.inf
+    separation, threshold = _separation(fam, 48, 96)
+    assert threshold < separation < math.inf
 
 
 @pytest.mark.parametrize("m, n", [(m, n) for m, n in _COPRIME if m % 2 == 0])
 def test_mirror_double_cover_separation_vanishes(m, n):
     # the annulus factors through the half-turn (t, th) ~ (-t, th + pi), which
     # maps the cell centres onto themselves: two samples share an image point
-    report = injectivity_scan(annulus_b4(m, n))
-    assert not report.injective
-    assert report.min_image_separation < 1e-15
+    fam = annulus_b4(m, n)
+    assert not injectivity_scan(fam).injective
+    assert _separation(fam, 48, 96)[0] < 1e-15
 
 
 def test_radial_monotonicity():
