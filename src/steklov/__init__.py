@@ -6,149 +6,106 @@ branches, suprema and critical metrics of the normalized eigenvalues,
 explicit free boundary minimal immersions into the unit ball with their
 certification identities, mesh export, and an independent finite-difference
 Dirichlet-to-Neumann oracle.
+
+``import steklov`` loads no submodule and no NumPy.  Each public name below
+is imported from the module that owns it on first access (PEP 562) and then
+bound here, so later accesses are plain attribute reads.
 """
 
-from .branches import (
-    Branch,
-    BranchKind,
-    EigenvalueEntry,
-    LatticeCrossing,
-    SurfaceKind,
-    branch_value,
-    crossing_lattice,
-    lambda_bar,
-    mu_bar,
-    nu_bar,
-    sigma_bar,
-    sigma_bar_grid,
-    spectrum,
-)
-from .crossings import (
-    AuxInequalities,
-    CrossingPartials,
-    CrossingPoint,
-    aux_inequalities,
-    crossing_partials,
-    solve_crossing,
-    solve_t10,
-)
-from .dtn import (
-    ConvergenceReport,
-    DtNMatrix,
-    OracleProblem,
-    assemble_dtn,
-    closed_form_sigma,
-    convergence_study,
-    oracle_spectrum,
-    rayleigh_quotient,
-)
-from .exceptions import (
-    ConstraintError,
-    DomainError,
-    NoCrossingError,
-    ParameterError,
-    SteklovError,
-    UnsupportedBranchError,
-)
-from .extrema import (
-    Character,
-    CriticalMetric,
-    SupremumResult,
-    critical_set,
-    grid_supremum,
-    sup_sigma_annulus,
-    sup_sigma_mobius,
-    verify_first_intersection_max,
-    verify_no_asymptote,
-)
-from .mesh import MeshFormat, SurfaceMesh, build_mesh, export_mesh
-from .surfaces import (
-    FamilyKind,
-    IdentityReport,
-    ImmersionFamily,
-    InjectivityReport,
-    QFormSample,
-    annulus_b4,
-    boundary_eigenvalue_factor,
-    catenoid_b3,
-    covering_degree,
-    evaluate,
-    injectivity_scan,
-    make_admissible,
-    make_family,
-    mobius_b4,
-    q_form_components,
-    q_form_sum,
-    radial_monotonicity_margin,
-    verify_identities,
-)
+import importlib
 
-__all__ = [
-    "AuxInequalities",
-    "Branch",
-    "BranchKind",
-    "Character",
-    "ConstraintError",
-    "ConvergenceReport",
-    "CriticalMetric",
-    "CrossingPartials",
-    "CrossingPoint",
-    "DomainError",
-    "DtNMatrix",
-    "EigenvalueEntry",
-    "FamilyKind",
-    "IdentityReport",
-    "ImmersionFamily",
-    "InjectivityReport",
-    "LatticeCrossing",
-    "MeshFormat",
-    "NoCrossingError",
-    "OracleProblem",
-    "ParameterError",
-    "QFormSample",
-    "SteklovError",
-    "SupremumResult",
-    "SurfaceKind",
-    "SurfaceMesh",
-    "UnsupportedBranchError",
-    "annulus_b4",
-    "assemble_dtn",
-    "aux_inequalities",
-    "boundary_eigenvalue_factor",
-    "branch_value",
-    "build_mesh",
-    "catenoid_b3",
-    "closed_form_sigma",
-    "convergence_study",
-    "covering_degree",
-    "critical_set",
-    "crossing_lattice",
-    "crossing_partials",
-    "evaluate",
-    "export_mesh",
-    "grid_supremum",
-    "injectivity_scan",
-    "lambda_bar",
-    "make_admissible",
-    "make_family",
-    "mobius_b4",
-    "mu_bar",
-    "nu_bar",
-    "oracle_spectrum",
-    "q_form_components",
-    "q_form_sum",
-    "radial_monotonicity_margin",
-    "rayleigh_quotient",
-    "sigma_bar",
-    "sigma_bar_grid",
-    "solve_crossing",
-    "solve_t10",
-    "spectrum",
-    "sup_sigma_annulus",
-    "sup_sigma_mobius",
-    "verify_first_intersection_max",
-    "verify_identities",
-    "verify_no_asymptote",
-]
+# Owning module of every public name.
+_EXPORTS = {
+    "branches": (
+        "Branch",
+        "BranchKind",
+        "EigenvalueEntry",
+        "LatticeCrossing",
+        "branch_value",
+        "crossing_lattice",
+        "lambda_bar",
+        "mu_bar",
+        "nu_bar",
+        "sigma_bar",
+        "sigma_bar_grid",
+        "spectrum",
+    ),
+    "crossings": (
+        "AuxInequalities",
+        "CrossingPartials",
+        "CrossingPoint",
+        "aux_inequalities",
+        "crossing_partials",
+        "solve_crossing",
+        "solve_t10",
+    ),
+    "dtn": (
+        "ConvergenceReport",
+        "DtNMatrix",
+        "OracleProblem",
+        "assemble_dtn",
+        "closed_form_sigma",
+        "convergence_study",
+        "oracle_spectrum",
+        "rayleigh_quotient",
+    ),
+    "exceptions": (
+        "ConstraintError",
+        "DomainError",
+        "NoCrossingError",
+        "ParameterError",
+        "SteklovError",
+        "UnsupportedBranchError",
+    ),
+    "extrema": (
+        "Character",
+        "CriticalMetric",
+        "SupremumResult",
+        "critical_set",
+        "grid_supremum",
+        "sup_sigma_annulus",
+        "sup_sigma_mobius",
+        "verify_first_intersection_max",
+        "verify_no_asymptote",
+    ),
+    "kinds": ("FamilyKind", "MeshFormat", "SurfaceKind"),
+    "mesh": ("SurfaceMesh", "build_mesh", "export_mesh"),
+    "surfaces": (
+        "IdentityReport",
+        "ImmersionFamily",
+        "InjectivityReport",
+        "QFormSample",
+        "annulus_b4",
+        "boundary_eigenvalue_factor",
+        "catenoid_b3",
+        "covering_degree",
+        "evaluate",
+        "injectivity_scan",
+        "make_admissible",
+        "make_family",
+        "mobius_b4",
+        "q_form_components",
+        "q_form_sum",
+        "radial_monotonicity_margin",
+        "verify_identities",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    try:
+        module = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _OWNER.keys())

@@ -41,11 +41,7 @@ import numpy as np
 from .crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
 from .exceptions import DomainError, UnsupportedBranchError
 from .hyperbolic import coth
-
-
-class SurfaceKind(Enum):
-    ANNULUS = "annulus"
-    MOBIUS_BAND = "mobius"
+from .kinds import SurfaceKind
 
 
 class BranchKind(Enum):

@@ -16,22 +16,12 @@ import csv
 import math
 import sys
 
-import numpy as np
-
-from . import extrema, surfaces
-from .branches import (
-    SurfaceKind,
-    _crossing,
-    branch_index,
-    crossing_lattice,
-    sigma_bar_grid,
-    spectrum,
-)
-from .crossings import aux_inequalities
-from .dtn import OracleProblem, closed_form_sigma, convergence_study, oracle_spectrum
+# Only the standard library, `exceptions` and `kinds` load with this module.
+# Each subcommand and suite imports the library names it calls, NumPy
+# included, so a command loads only its own modules and a usage error or
+# --help loads none.
 from .exceptions import SteklovError
-from .mesh import MeshFormat, export_mesh
-from .surfaces import FamilyKind, make_family, verify_identities
+from .kinds import FamilyKind, MeshFormat, SurfaceKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,10 +96,6 @@ def _emit(args, payload, lines=()) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def _kind(name: str) -> SurfaceKind:
-    return SurfaceKind.MOBIUS_BAND if name == "mobius" else SurfaceKind.ANNULUS
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
@@ -137,7 +123,9 @@ def _require_positive(value: int, option: str) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    entries = spectrum(_kind(args.kind), args.T, args.count)
+    from .branches import spectrum
+
+    entries = spectrum(SurfaceKind(args.kind), args.T, args.count)
     rows = [
         {
             "index": j,
@@ -160,7 +148,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kind = _kind(args.kind)
+    import numpy as np
+
+    from .branches import sigma_bar_grid, spectrum
+
+    kind = SurfaceKind(args.kind)
     j_list = sorted(set(_parse_ints(args.j, "--j")))
     _require_positive(j_list[0], "--j")
     if args.steps < 2:
@@ -185,7 +177,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    kind = _kind(args.kind)
+    from .branches import branch_index, crossing_lattice
+
+    kind = SurfaceKind(args.kind)
     _require_positive(args.max_mode, "--max-mode")
     # on the annulus n = 0 is the linear branch
     first, second = ("k", "l") if kind is SurfaceKind.MOBIUS_BAND else ("m", "n")
@@ -211,10 +205,12 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_suprema(args) -> int:
-    if _kind(args.kind) is SurfaceKind.MOBIUS_BAND:
-        result = extrema.sup_sigma_mobius(args.j)
+    from .extrema import sup_sigma_annulus, sup_sigma_mobius
+
+    if SurfaceKind(args.kind) is SurfaceKind.MOBIUS_BAND:
+        result = sup_sigma_mobius(args.j)
     else:
-        result = extrema.sup_sigma_annulus(args.j)
+        result = sup_sigma_annulus(args.j)
     payload = {
         "kind": args.kind,
         "j": result.j,
@@ -233,6 +229,8 @@ def _cmd_suprema(args) -> int:
 
 
 def _cmd_critical_set(args) -> int:
+    from .extrema import critical_set
+
     records = [
         {
             "modulus": r.modulus,
@@ -242,7 +240,7 @@ def _cmd_critical_set(args) -> int:
             "eigen_multiplicity": r.eigen_multiplicity,
             "indices": list(r.indices),
         }
-        for r in extrema.critical_set(_kind(args.kind), args.max_mode)
+        for r in critical_set(SurfaceKind(args.kind), args.max_mode)
     ]
     lines = [f"critical metrics  kind={args.kind}  max_mode={args.max_mode}"]
     lines += [
@@ -255,6 +253,9 @@ def _cmd_critical_set(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from .mesh import export_mesh
+    from .surfaces import make_family
+
     family = FamilyKind(args.family)
     fam = make_family(family, m=args.m, n=args.n)
     n_t, n_theta = _parse_grid(args.grid)
@@ -270,7 +271,9 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    kind = _kind(args.kind)
+    from .dtn import OracleProblem, closed_form_sigma, oracle_spectrum
+
+    kind = SurfaceKind(args.kind)
     n_t, n_theta = _parse_grid(args.grid)
     problem = OracleProblem(kind=kind, T=args.T, grid=(n_t, n_theta))
     eigs = oracle_spectrum(problem, args.count)
@@ -300,6 +303,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _suite_lemmas(max_mode: int):
+    import numpy as np
+
+    from .branches import _crossing, sigma_bar_grid, spectrum
+    from .crossings import aux_inequalities
+    from .extrema import verify_first_intersection_max, verify_no_asymptote
+
     checks = []
     grid = np.geomspace(0.05, 10.0, 64)
     for t in (0.3, 1.0, 2.5):
@@ -316,9 +325,9 @@ def _suite_lemmas(max_mode: int):
     for k in range(1, max_mode + 1):
         residual = _crossing(SurfaceKind.MOBIUS_BAND, k, 1).residual
         checks.append((f"crossing residual T_{{{k},1}}", residual <= 1e-12))
-    margins = [r.margin for r in extrema.verify_first_intersection_max(max_mode)]
+    margins = [r.margin for r in verify_first_intersection_max(max_mode)]
     checks.append(("first-intersection margins positive", all(m > 0 for m in margins) if margins else True))
-    records = extrema.verify_no_asymptote(min(2 * max_mode, 20))
+    records = verify_no_asymptote(min(2 * max_mode, 20))
     # t_k must solve 2k tanh(2k t_k) = 1/t_k
     ok = all(
         r.margin > 0
@@ -331,12 +340,14 @@ def _suite_lemmas(max_mode: int):
 
 
 def _suite_suprema(max_mode: int):
+    from .extrema import grid_supremum, sup_sigma_annulus, sup_sigma_mobius
+
     checks = []
     for kind in SurfaceKind:
-        sup = extrema.sup_sigma_mobius if kind is SurfaceKind.MOBIUS_BAND else extrema.sup_sigma_annulus
+        sup = sup_sigma_mobius if kind is SurfaceKind.MOBIUS_BAND else sup_sigma_annulus
         for j in range(1, 2 * max_mode + 1):
             result = sup(j)
-            grid_value, _ = extrema.grid_supremum(kind, j)
+            grid_value, _ = grid_supremum(kind, j)
             ok = grid_value <= result.value * (1.0 + 1e-9) and (
                 not result.attained or grid_value >= result.value * (1.0 - 1e-6)
             )
@@ -355,6 +366,10 @@ _SURFACE_SET = (
 
 
 def _suite_surfaces(_max_mode: int):
+    import numpy as np
+
+    from .surfaces import QFormSample, make_admissible, make_family, q_form_sum, verify_identities
+
     checks = []
     for family, m, n in _SURFACE_SET:
         fam = make_family(family, m=m, n=n)
@@ -368,30 +383,34 @@ def _suite_surfaces(_max_mode: int):
             and rep.harmonic_order >= 1.8
         )
         checks.append((f"identities {name}", ok))
-        sample = surfaces.make_admissible(
+        sample = make_admissible(
             fam,
-            surfaces.QFormSample(
+            QFormSample(
                 h_tt=lambda t, th: np.cos(th) + 0.3 * t,
                 h_ttheta=lambda t, th: np.sin(2.0 * th) * t,
                 h_thetatheta=lambda t, th: np.cos(th) + 0.3 * t + 0.5,
             ),
         )
-        total = surfaces.q_form_sum(fam, sample)
+        total = q_form_sum(fam, sample)
         checks.append((f"q-form sum {name}", abs(total) <= 1e-6))
     return checks
 
 
 def _suite_injectivity(_max_mode: int):
+    from .surfaces import annulus_b4, injectivity_scan, mobius_b4
+
     checks = []
     for m, n in ((2, 1), (4, 1)):
-        rep = surfaces.injectivity_scan(surfaces.mobius_b4(m, n))
+        rep = injectivity_scan(mobius_b4(m, n))
         checks.append((f"mobius({m},{n}) injective off the core circle", rep.injective))
-    rep = surfaces.injectivity_scan(surfaces.annulus_b4(6, 3))
+    rep = injectivity_scan(annulus_b4(6, 3))
     checks.append(("annulus(6,3) covering degree 3", rep.covering_degree == 3))
     return checks
 
 
 def _suite_oracle(_max_mode: int):
+    from .dtn import OracleProblem, convergence_study
+
     checks = []
     for kind, T in ((SurfaceKind.ANNULUS, 1.0), (SurfaceKind.MOBIUS_BAND, 0.7)):
         problem = OracleProblem(kind=kind, T=T, grid=(40, 40))
@@ -437,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, kind=True):
         if kind:
-            p.add_argument("--kind", choices=["annulus", "mobius"], required=True)
+            p.add_argument("--kind", choices=[k.value for k in SurfaceKind], required=True)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def formats(p):

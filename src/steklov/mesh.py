@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DomainError
+from .kinds import MeshFormat
 from .numtext import _g17_cells, _gather, _int_cells, _items, _text
 from .surfaces import ImmersionFamily, _position
 
@@ -43,12 +43,6 @@ _BLOCK_VALUES = 8192
 # Most vertices a grid may have, checked as (n_t + 1) * n_theta before any
 # allocation: PLY writes face vertex indices as signed 32-bit "int".
 _MAX_VERTICES = 2**31 - 1
-
-
-class MeshFormat(Enum):
-    OBJ = "obj"
-    PLY = "ply"
-    CSV = "csv"
 
 
 @dataclass(frozen=True)

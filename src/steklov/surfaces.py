@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -39,12 +38,7 @@ import numpy as np
 from .branches import _check_integer
 from .crossings import solve_crossing, solve_t10
 from .exceptions import ConstraintError, DomainError, ParameterError
-
-
-class FamilyKind(Enum):
-    CATENOID_B3 = "catenoid"
-    ANNULUS_B4 = "annulus"
-    MOBIUS_B4 = "mobius"
+from .kinds import FamilyKind
 
 
 @dataclass(frozen=True)

@@ -358,7 +358,7 @@ def test_surface_memory_error_exits_one(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 48.0 GiB")
 
-    monkeypatch.setattr("steklov.cli.export_mesh", refuse)
+    monkeypatch.setattr("steklov.mesh.export_mesh", refuse)
     path = tmp_path / "big.obj"
     grid = "40000x50000"
     argv = ["surface", "--family", "catenoid", "--n", "2", "--grid", grid, "--out", str(path)]
