@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
+from .crossings import RESIDUAL_SCALE, _double, solve_crossing, solve_t10
 from .exceptions import DomainError, UnsupportedBranchError
 from .hyperbolic import coth
 from .kinds import SurfaceKind
@@ -383,7 +383,7 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
         return LatticeCrossing(
             increasing=even,
             decreasing=_LINEAR,
-            modulus=t10 / m,
+            modulus=t10 / _double(m),
             height=m / t10,
             value=scale * m / t10,
             first_index=2 * m - 1,

@@ -63,7 +63,9 @@ def _solve(a: float, b: float) -> CrossingPoint:
     else:
         raise NoCrossingError(f"branches a={a}, b={b} do not cross")
 
-    for _ in range(80):
+    # 1074 halvings close a width-1 bracket to adjacent subnormals, so the
+    # loop always ends on mid == lo or mid == hi, even when the root is ~1/a
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -86,10 +88,17 @@ def _solve(a: float, b: float) -> CrossingPoint:
     return CrossingPoint(a=a, b=b, x=x, height=a * math.tanh(a * x))
 
 
+def _double(mode) -> float:
+    """``float(mode)``; an integer past the double range raises DomainError."""
+    try:
+        return float(mode)
+    except OverflowError:
+        raise DomainError("mode exceeds the double range") from None
+
+
 def solve_crossing(a: float, b: float) -> CrossingPoint:
     """Unique positive root of a*tanh(a*x) = b*coth(b*x), for a > b > 0."""
-    a = float(a)
-    b = float(b)
+    a, b = _double(a), _double(b)
     if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"frequencies must be finite and positive, got a={a}, b={b}")
     if a <= b:

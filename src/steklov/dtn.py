@@ -101,15 +101,20 @@ def assemble_dtn(p: OracleProblem) -> DtNMatrix:
     c = decay * (1.0 + np.exp(y))
     s = -decay * np.expm1(y)
     scale = h_t * p.boundary_weight
-    e = x * (3.0 * s[:, 1] - s[:, 2]) / (scale * c[:, 0])
-    o = np.full(q.size, 1.0 / (scale * H))  # the linear profile t of mode 0
-    o[1:] = x[1:] * (3.0 * c[1:, 1] - c[1:, 2]) / (scale * s[1:, 0])
+    # at extreme moduli a denominator underflows to 0 (T below ~1e-160 on an
+    # 8x8 grid) or h_t overflows; such symbols are refused, not solved
+    with np.errstate(all="ignore"):
+        e = x * (3.0 * s[:, 1] - s[:, 2]) / (scale * c[:, 0])
+        o = np.full(q.size, 1.0) / (scale * H)  # the linear profile t of mode 0
+        o[1:] = x[1:] * (3.0 * c[1:, 1] - c[1:, 2]) / (scale * s[1:, 0])
 
-    # symbol[q, row circle, data circle], circles ordered t = -T, t = T
-    if mobius:
-        symbol = np.where(q % 2, o, e)[:, None, None]
-    else:
-        symbol = 0.5 * np.stack([e + o, e - o, e - o, e + o], axis=1).reshape(-1, 2, 2)
+        # symbol[q, row circle, data circle], circles ordered t = -T, t = T
+        if mobius:
+            symbol = np.where(q % 2, o, e)[:, None, None]
+        else:
+            symbol = 0.5 * np.stack([e + o, e - o, e - o, e + o], axis=1).reshape(-1, 2, 2)
+    if not np.isfinite(symbol).all():
+        raise DomainError(f"boundary symbols not finite at T = {p.T} on grid {n_t}x{n_theta}")
     j = np.arange(n_theta)
     kernel = np.fft.irfft(symbol, n_theta, axis=0)[(j[:, None] - j) % n_theta]
     n_b = p.boundary_size

@@ -12,8 +12,7 @@ text itself once one ``bytes.translate`` has deleted the NULs.
   right-aligned in whole uint64 words behind at least ``lead`` free bytes.
   A caller formats each distinct integer once and gathers the cells by index
   (``_gather``), which lays the literals into the free bytes.
-- ``format_rows(template, rows)``: ``(template * len(rows)) % row_values`` for
-  a template that repeats ``%.17g`` between literal text.
+- ``_text(cells)``: the text of a block of cells, its NULs deleted.
 
 A float cell is filled as follows:
 
@@ -304,21 +303,3 @@ def _gather(table: np.ndarray, rows: np.ndarray, leads: Sequence[str]) -> np.nda
     words = cells.view("<u8").reshape(cells.shape + (-1,))
     words |= _lead_words(leads, table.itemsize // 4).view("<u8")
     return words
-
-
-def format_rows(template: str, rows: np.ndarray) -> str:
-    """``(template * len(rows)) % tuple(rows.ravel())`` for a 2-D ``rows``.
-
-    ``template`` holds ``%.17g`` once per column, between literal text that
-    contains no ``%``.
-    """
-    literals = template.split("%.17g")
-    n_rows, n_cols = rows.shape
-    if len(literals) != n_cols + 1 or "%" in "".join(literals):
-        raise ValueError(f"template {template!r} does not fit {n_cols} columns")
-    if n_rows == 0:
-        return ""
-    # each row's last literal goes in front of the next row's first value
-    end = literals[-1]
-    leads = [end + literals[0]] + literals[1:-1]
-    return _text(_g17_cells(rows, leads))[len(end) :].decode("ascii") + end

@@ -13,18 +13,18 @@ so the boundary lands on the unit sphere:
   * Mobius bands in B^4: the same four-component map with m even and n odd,
     which descends through the identification (t, th) ~ (-t, th + pi).
 
-Every identity used to certify these surfaces (conformality, harmonicity,
-unit boundary norm, boundary orthogonality, vanishing total stress-energy,
-and the vanishing of the summed eigenvalue-perturbation form) is evaluated
-numerically on grids here.  Their double points are exact instead:
-``injectivity_scan`` reads them from (family, m, n), with no grid.
+Beside the catenoid's linear axis, every coordinate pair is a plane
+c*h(k t) (cos j th, sin j th) / r, h = sinh or cosh; ``_planes`` is the one
+table of them.  The plane's flat Laplacian is (k^2 - j^2) times the plane,
+so harmonicity is exact from the table, as are the double points
+(``injectivity_scan``).  Conformality, unit boundary norm, boundary
+orthogonality, vanishing total stress-energy and the vanishing summed
+eigenvalue-perturbation form are evaluated numerically on grids.
 
-Every coordinate is a t-profile times a theta-mode.  ``_factors`` is the one
-table of these formulas: per output a t-factor and a theta-factor per
-column.  Positions and derivatives are their products; the interior
-certificates (conformality, stress-energy, the perturbation form) contract
-the t-factors with the theta-factors by matrix products and never build an
-(n_t, n_theta, dim) grid.
+``_factors`` expands the planes per output into a t-factor and a theta-factor
+per column.  Positions and derivatives are their products; the interior
+certificates contract the t-factors with the theta-factors by matrix
+products and never build an (n_t, n_theta, dim) grid.
 """
 
 from __future__ import annotations
@@ -140,32 +140,38 @@ def _velocity(fam: ImmersionFamily, t, theta) -> np.ndarray:
     return _outputs(fam, t, theta, (_U_T,))[0]
 
 
+def _planes(fam: ImmersionFamily) -> list[tuple[int, Callable, Callable, int, int]]:
+    """(c, h, h', k, j) of each plane c*h(k t) (cos j th, sin j th) / r, in
+    column order.  The last is the cosh plane.  This is the one place the
+    formulas live."""
+    m, n = fam.m, fam.n
+    if fam.family is FamilyKind.CATENOID_B3:
+        return [(1, np.cosh, np.sinh, n, n)]
+    return [(m, np.sinh, np.cosh, n, n), (n, np.cosh, np.sinh, m, m)]
+
+
 def _factors(fam: ImmersionFamily, t, theta, outputs) -> list[tuple[np.ndarray, np.ndarray]]:
     """The factor table of the selected outputs (``_U``, ``_U_T``, ``_U_THETA``).
 
     For each output returns (a, x), a of shape ``t.shape + (dim,)`` and x of
     shape ``theta.shape + (dim,)``: column i of the output is
-    a[..., i] * x[..., i] / r.  Each rotating plane of the map is
-    c*h(k t) (cos j th, sin j th) / r: the catenoid has one, (1, cosh, n, n),
-    beside its axial coordinate n t / r (x = 1); the four-dimensional
-    families have (m, sinh, n, n) and (n, cosh, m, m).  The plane's
+    a[..., i] * x[..., i] / r.  Each plane (c, h, h', k, j) of ``_planes``
+    fills two columns with c*h(k t) (cos j th, sin j th) / r; its
     t-derivative is c*k*h'(k t) (cos, sin) / r and its theta-derivative
-    c*j*h(k t) (-sin, cos) / r.  The modes and each profile are computed once
-    for all the outputs requested.  This is the one place the formulas live.
+    c*j*h(k t) (-sin, cos) / r.  The catenoid's third column is its axial
+    coordinate n t / r (x = 1).  The modes and each profile are computed once
+    for all the outputs requested.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     dim = fam.ambient_dim
     table = [(np.empty(t.shape + (dim,)), np.empty(theta.shape + (dim,))) for _ in outputs]
-    m, n = fam.m, fam.n
     if fam.family is FamilyKind.CATENOID_B3:
-        planes = [(1, np.cosh, np.sinh, n, n)]
+        n = fam.n
         axial = {_U: n * t, _U_T: float(n), _U_THETA: 0.0}
         for out, (a, x) in zip(outputs, table):
             a[..., 2], x[..., 2] = axial[out], 1.0
-    else:
-        planes = [(m, np.sinh, np.cosh, n, n), (n, np.cosh, np.sinh, m, m)]
-    for col, (c, h, dh, k, j) in zip((0, 2), planes):
+    for col, (c, h, dh, k, j) in zip((0, 2), _planes(fam)):
         cos, sin = np.cos(j * theta), np.sin(j * theta)
         if _U in outputs or _U_THETA in outputs:
             profile = h(k * t)
@@ -199,14 +205,22 @@ def _outputs(fam: ImmersionFamily, t, theta, outputs) -> list[np.ndarray]:
 
 
 def boundary_eigenvalue_factor(fam: ImmersionFamily) -> float:
-    """Scalar c with du/dt = c*u on the t = T* boundary circle."""
-    if fam.family is FamilyKind.CATENOID_B3:
-        return fam.n * math.tanh(fam.n * fam.T_star)
-    return fam.m * math.tanh(fam.m * fam.T_star)
+    """Scalar c with du/dt = c*u on the t = T* boundary circle.
+
+    It is the cosh plane's k*tanh(k T*); the other coordinates agree at T*.
+    """
+    k = _planes(fam)[-1][3]
+    return k * math.tanh(k * fam.T_star)
 
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """``harmonic_residual`` is max |k^2 - j^2| over ``_planes``, 0.0 exactly
+    when the map is harmonic.  ``harmonic_order`` is then inf, else 0.0 (the
+    limit of the log2 ratio of five-point Laplacian residuals at steps h and
+    h/2), so ``harmonic_order >= 1.8`` passes the harmonic maps alone.  The
+    other fields are maxima over grids."""
+
     conformal_residual: float
     harmonic_residual: float
     harmonic_order: float
@@ -217,7 +231,8 @@ class IdentityReport:
 
 
 def verify_identities(fam: ImmersionFamily) -> IdentityReport:
-    """Evaluate every pointwise certification identity on a 200 x 400 parameter grid."""
+    """Certify ``fam``: harmonicity exactly from ``_planes``, the other
+    identities on a 200 x 400 parameter grid and its two boundary circles."""
     T = fam.T_star
     t = np.linspace(-T, T, 200)
     theta = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
@@ -246,34 +261,17 @@ def verify_identities(fam: ImmersionFamily) -> IdentityReport:
     c = boundary_eigenvalue_factor(fam)
     factor_dev = float(np.max(np.linalg.norm(utb - c * ub * np.array([[-1.0], [1.0]])[..., None], axis=-1)))
 
-    res_h = _fd_laplacian_residual(fam, T / 512.0)
-    res_h2 = _fd_laplacian_residual(fam, T / 1024.0)
-    order = math.log2(res_h / res_h2) if res_h2 > 0 else math.inf
+    harmonic = float(max(abs(k * k - j * j) for _, _, _, k, j in _planes(fam)))
 
     return IdentityReport(
         conformal_residual=conformal,
-        harmonic_residual=res_h,
-        harmonic_order=order,
+        harmonic_residual=harmonic,
+        harmonic_order=math.inf if harmonic == 0.0 else 0.0,
         boundary_norm_residual=boundary_norm,
         free_boundary_angle=angle,
         stress_energy_residual=stress,
         boundary_factor_deviation=factor_dev,
     )
-
-
-def _fd_laplacian_residual(fam: ImmersionFamily, h: float) -> float:
-    """Max flat 5-point Laplacian of the components over 40 x 40 interior samples."""
-    T = fam.T_star
-    t = np.linspace(-T + 2 * h, T - 2 * h, 40)[:, None]
-    th = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)[None, :]
-
-    def pos(dt, dth):
-        return _position(fam, t + dt, th + dth)
-
-    lap = (
-        pos(h, 0.0) + pos(-h, 0.0) + pos(0.0, h) + pos(0.0, -h) - 4.0 * pos(0.0, 0.0)
-    ) / (h * h)
-    return float(np.max(np.abs(lap)))
 
 
 Component = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -460,8 +458,6 @@ def radial_monotonicity_margin(fam: ImmersionFamily) -> float:
     if fam.family is FamilyKind.CATENOID_B3:
         raise DomainError("radial monotonicity applies to the 4-dimensional families")
     t = np.linspace(1e-6, fam.T_star, 200)
-    m, n = fam.m, fam.n
-    deriv = (
-        m * m * n * np.sinh(2.0 * n * t) + n * n * m * np.sinh(2.0 * m * t)
-    ) / fam.radius**2
-    return float(np.min(deriv))
+    # d/dt (c h(k t))^2 = c^2 k sinh(2 k t) for h = sinh and h = cosh
+    deriv = sum(c * c * k * np.sinh(2.0 * k * t) for c, _, _, k, _ in _planes(fam))
+    return float(np.min(deriv / fam.radius**2))

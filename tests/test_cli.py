@@ -382,6 +382,31 @@ def test_oracle_rejects_count_outside_operator(capsys, count):
     assert err.startswith("error: count must be between 1 and 16 (the operator size)")
 
 
+@pytest.mark.parametrize("kind", ["annulus", "mobius"])
+def test_oracle_rejects_tiny_modulus(capsys, kind):
+    # the symbols overflow below T ~ 1e-160 on this grid
+    code, out, err = _run(
+        capsys, "oracle", "--kind", kind, "--T", "1e-300", "--grid", "8x8", "--count", "2"
+    )
+    _assert_one_error_line(code, out, err)
+
+
+@pytest.mark.parametrize("kind", ["annulus", "mobius"])
+def test_suprema_at_a_mode_past_1e27(capsys, kind):
+    # unless bisection narrows the bracket to the root (~1e-27), Newton's
+    # derivative at its midpoint underflows to 0
+    code, out, _ = _run(capsys, "suprema", "--kind", kind, "--j", str(10**27))
+    assert code == EXIT_OK
+    assert out.startswith(f"sup sigma_bar_{10**27} ({kind}) = ")
+
+
+@pytest.mark.parametrize("j", [10**400, 10**400 + 1])
+@pytest.mark.parametrize("kind", ["annulus", "mobius"])
+def test_suprema_rejects_a_mode_past_the_double_range(capsys, kind, j):
+    # odd j on the annulus reaches the linear branch, the others the solver
+    _assert_one_error_line(*_run(capsys, "suprema", "--kind", kind, "--j", str(j)))
+
+
 def test_oracle_full_count(capsys):
     code, out, _ = _run(
         capsys,

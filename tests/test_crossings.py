@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov.crossings import (
+    RESIDUAL_SCALE,
     aux_inequalities,
     crossing_partials,
     solve_crossing,
@@ -67,6 +68,17 @@ def test_domain_errors():
         solve_crossing(2.0, 0.0)
     with pytest.raises(DomainError):
         solve_crossing(math.inf, 1.0)
+    with pytest.raises(DomainError):  # past the double range, not OverflowError
+        solve_crossing(10**400, 1)
+
+
+def test_residual_bound_at_high_modes():
+    # the root is ~1.2/a; bisection must run until the bracket is that narrow
+    # before Newton starts, or the residual misses the bound (a ~ 3e24), the
+    # derivative vanishes (a ~ 1e27) or x turns NaN (a ~ 1e200)
+    for a in (10**e for e in range(9, 301)):
+        p = solve_crossing(a, 1)
+        assert p.x > 0.0 and p.residual <= RESIDUAL_SCALE * (a + 1), a
 
 
 def test_t10_frozen_value():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -244,6 +245,17 @@ def test_assembly_matches_2d_reference(kind, grid, T, weight):
 def test_oracle_spectrum_rejects_bad_count(count):
     with pytest.raises(DomainError):
         oracle_spectrum(OracleProblem(kind=AN, T=1.0, grid=(8, 8)), count)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-200, 5e-324])
+@pytest.mark.parametrize("kind", [AN, MB])
+def test_tiny_modulus_is_refused_not_solved(kind, T):
+    # a denominator underflows to 0 and a symbol is inf or NaN; eigvalsh
+    # would then fail to converge.  No RuntimeWarning comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            oracle_spectrum(OracleProblem(kind=kind, T=T, grid=(8, 8)), 2)
 
 
 def test_import_and_oracle_leave_scipy_unloaded():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from steklov import mesh as mesh_module
 from steklov.exceptions import DomainError
 from steklov.mesh import MeshFormat, build_mesh, export_mesh
-from steklov.numtext import _int_cells, format_rows
+from steklov.numtext import _g17_cells, _int_cells, _text
 from steklov.surfaces import annulus_b4, catenoid_b3, evaluate, mobius_b4
 
 
@@ -364,9 +364,9 @@ def test_grid_params_reproduce_mesh_params(fam, grid):
 # The block formatter against CPython's own ``%`` conversions.
 
 
-def _as_text(template, values):
-    column = np.asarray(values)[:, None]
-    return format_rows(template, column)
+def _g17_text(rows, leads):
+    """``leads[c] + '%.17g' % rows[i, c]`` over the 2-D ``rows``, row by row."""
+    return _text(_g17_cells(np.asarray(rows, dtype=float), leads)).decode("ascii")
 
 
 def _percent(template, values):
@@ -408,13 +408,13 @@ def _float_cases():
 
 def test_g17_fixed_cases():
     cases = _float_cases()
-    assert _as_text("%.17g\n", cases) == _percent("%.17g\n", cases)
+    assert _g17_text(np.asarray(cases)[:, None], ["\n"]) == _percent("\n%.17g", cases)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=64))
 def test_g17_matches_percent(values):
-    assert _as_text("%.17g\n", values) == _percent("%.17g\n", values)
+    assert _g17_text(np.asarray(values)[:, None], ["\n"]) == _percent("\n%.17g", values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -427,7 +427,7 @@ def test_g17_matches_percent(values):
 )
 def test_g17_matches_percent_across_the_array_range(values):
     # |x| in 1e-32..1e33: the table-driven path and both of its borders
-    assert _as_text("%.17g\n", values) == _percent("%.17g\n", values)
+    assert _g17_text(np.asarray(values)[:, None], ["\n"]) == _percent("\n%.17g", values)
 
 
 def _id_text(ids, rows, head):
@@ -478,24 +478,15 @@ def test_id_cells_refuse_negative_and_float_values():
 
 
 @pytest.mark.parametrize(
-    "template",
-    ["v %.17g %.17g %.17g\n", "%.17g %.17g %.17g\n", ",".join(["%.17g"] * 6) + "\r\n"],
+    "leads", [["\nv ", " ", " "], ["\n", " ", " "], ["\r\n"] + [","] * 5], ids=["obj", "ply", "csv"]
 )
-def test_format_rows_matches_row_templates(template):
+def test_g17_rows_match_row_templates(leads):
     rng = np.random.default_rng(7)
-    n_cols = template.count("%")
+    n_cols = len(leads)
     rows = rng.standard_normal((50, n_cols)) * 10.0 ** rng.integers(-20, 20, (50, n_cols))
     rows[3] = 0.0
-    assert format_rows(template, rows) == (template * 50) % tuple(rows.ravel().tolist())
-
-
-def test_format_rows_rejects_a_template_that_does_not_fit():
-    with pytest.raises(ValueError):
-        format_rows("%.17g %.17g\n", np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        format_rows("%.17g %d\n", np.zeros((2, 2)))
-    with pytest.raises(ValueError):  # %d text is the id writer's
-        format_rows("%d\n", np.zeros((2, 1)))
+    template = "%.17g".join(leads) + "%.17g"
+    assert _g17_text(rows, leads) == (template * 50) % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov import mesh, surfaces
+from steklov import cli, mesh, surfaces
 from steklov.crossings import solve_crossing, solve_t10
 from steklov.exceptions import ConstraintError, DomainError, ParameterError
 from steklov.surfaces import (
@@ -30,6 +30,7 @@ from steklov.surfaces import (
     _U_THETA,
     _factors,
     _outputs,
+    _planes,
     _position,
     _velocity,
 )
@@ -216,7 +217,78 @@ def test_pointwise_identities(fam):
     assert report.stress_energy_residual <= 1e-12
     assert report.free_boundary_angle <= 1e-10
     assert report.boundary_factor_deviation <= 1e-10
+    assert report.harmonic_residual == 0.0
     assert report.harmonic_order >= 1.8
+
+
+def _fd_laplacian_residual(fam, h):
+    """Max flat 5-point Laplacian of the components over 40 x 40 interior samples."""
+    T = fam.T_star
+    t = np.linspace(-T + 2 * h, T - 2 * h, 40)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)[None, :]
+
+    def pos(dt, dth):
+        return _position(fam, t + dt, th + dth)
+
+    lap = (
+        pos(h, 0.0) + pos(-h, 0.0) + pos(0.0, h) + pos(0.0, -h) - 4.0 * pos(0.0, 0.0)
+    ) / (h * h)
+    return float(np.max(np.abs(lap)))
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+def test_finite_difference_laplacian_vanishes_at_second_order(fam):
+    # the numerical evidence behind the exact rule: the five-point Laplacian
+    # of the positions is pure truncation error, O(h^2)
+    T = fam.T_star
+    res_h = _fd_laplacian_residual(fam, T / 512.0)
+    assert math.log2(res_h / _fd_laplacian_residual(fam, T / 1024.0)) >= 1.8
+
+
+def _detuned(planes):
+    # the first plane's theta frequency off k by a relative 2**-50: harmonic
+    # no longer, yet every grid identity still holds to its tolerance
+    def detuned(fam):
+        (c, h, dh, k, j), *rest = planes(fam)
+        return [(c, h, dh, k, j * (1.0 + 2.0**-50))] + rest
+
+    return detuned
+
+
+def test_non_harmonic_plane_fails_the_harmonic_rule(capsys, monkeypatch):
+    monkeypatch.setattr(surfaces, "_planes", _detuned(_planes))
+    for fam in FAMILIES:
+        report = verify_identities(fam)
+        assert report.harmonic_residual > 0.0
+        assert report.harmonic_order == 0.0
+        assert report.conformal_residual <= 1e-12  # the rule alone fails it
+    assert cli.run(["verify", "--suite", "surfaces"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "  [FAIL] surfaces     identities catenoid(1)" in lines
+    assert not any("FAIL" in line for line in lines if "q-form" in line)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+def test_plane_table_reads_keep_the_literal_formulas(fam):
+    # the closed forms, written out per family, bit for bit
+    m, n, T = fam.m, fam.n, fam.T_star
+    k = n if fam.ambient_dim == 3 else m
+    assert boundary_eigenvalue_factor(fam) == k * math.tanh(k * T)
+    if fam.ambient_dim == 4:
+        t = np.linspace(1e-6, T, 200)
+        deriv = (
+            m * m * n * np.sinh(2.0 * n * t) + n * n * m * np.sinh(2.0 * m * t)
+        ) / fam.radius**2
+        assert radial_monotonicity_margin(fam) == float(np.min(deriv))
+
+
+def test_planes_read_numpy_at_call_time(monkeypatch):
+    # so that _CountingNumpy sees the profiles of every routine
+    counting = _CountingNumpy()
+    monkeypatch.setattr(surfaces, "np", counting)
+    for fam in (catenoid_b3(2), annulus_b4(3, 2), mobius_b4(4, 1)):
+        for _, h, dh, _, _ in _planes(fam):
+            assert {h, dh} == {counting.sinh, counting.cosh}
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
@@ -432,7 +504,7 @@ def test_factored_q_form_matches_dense_reference(fam, i):
 def test_certificates_never_evaluate_the_interior_grid(fam, monkeypatch):
     # both routines contract t-profiles with theta-modes; every point set
     # they ask _outputs for is of the order of the grid's sides (boundary
-    # circles, finite-difference stencils), never the n_t x n_theta interior
+    # circles), never the n_t x n_theta interior
     sizes = []
 
     def spy(fam, t, theta, outputs):
