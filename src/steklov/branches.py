@@ -11,7 +11,8 @@ factor entirely, so every branch is one formula in T alone:
     scale / T               linear (profile t, mode 0; the a -> 0 limit of the odd one)
 
 where a is the branch's theta-mode and scale is the boundary length per
-unit conformal factor, 2*pi per boundary circle (`_SCALE`):
+unit conformal factor, 2*pi per boundary circle (`_SCALE`).  Every mode is
+read from one table, `_modes`, and `branch_value` and `branch_index` check it:
 
     Mobius band (one circle, scale 2*pi; quotient (t, theta) ~ (-t, theta + pi)):
         even branch k   mode a = 2k
@@ -121,14 +122,15 @@ _EVEN = BranchKind.EVEN_HYPERBOLIC
 _ODD = BranchKind.ODD_HYPERBOLIC
 
 
-def _even_mode(kind: SurfaceKind, k: int) -> int:
-    """Theta-mode of the k-th even branch."""
-    return 2 * k if kind is _MOBIUS else k
+def _modes(kind: SurfaceKind, profile: BranchKind, count: int) -> range:
+    """Theta-modes of branches 1..count of the even or odd profile.
 
-
-def _odd_mode(kind: SurfaceKind, l: int) -> int:
-    """Theta-mode of the l-th odd branch."""
-    return 2 * l - 1 if kind is _MOBIUS else l
+    cosh(at)e^{iat} descends to the Mobius band only for even a, sinh(at)e^{iat}
+    only for odd a.  Index i has mode `[-1]` of the table up to i, and mode a
+    is carried exactly when it is in the table up to a."""
+    if kind is _MOBIUS:
+        return range(1 + (profile is _EVEN), 2 * count + 1, 2)
+    return range(1, count + 1)
 
 
 def _value(kind: SurfaceKind, profile: BranchKind, a: int, T: float) -> float:
@@ -143,52 +145,42 @@ def _value(kind: SurfaceKind, profile: BranchKind, a: int, T: float) -> float:
 def lambda_bar(kind: SurfaceKind, mode_index: int, T: float):
     """Even (cosh-profile) normalized eigenvalue; increasing in T."""
     k = _check_index(mode_index)
-    return _value(kind, _EVEN, _even_mode(kind, k), _check_modulus(T))
+    return _value(kind, _EVEN, _modes(kind, _EVEN, k)[-1], _check_modulus(T))
 
 
 def mu_bar(kind: SurfaceKind, mode_index: int, T: float):
     """Odd (sinh-profile) normalized eigenvalue; decreasing in T, +inf at 0+."""
     l = _check_index(mode_index)
-    return _value(kind, _ODD, _odd_mode(kind, l), _check_modulus(T))
+    return _value(kind, _ODD, _modes(kind, _ODD, l)[-1], _check_modulus(T))
 
 
 def nu_bar(T: float, kind: SurfaceKind = SurfaceKind.ANNULUS):
     """Linear-profile normalized eigenvalue 4*pi/T; annulus only."""
-    if kind is SurfaceKind.MOBIUS_BAND:
-        raise UnsupportedBranchError("the Mobius band has no linear branch")
-    return _value(kind, BranchKind.LINEAR, 0, _check_modulus(T))
+    return branch_value(kind, _LINEAR, T)  # the Mobius band has none
 
 
 def branch_value(kind: SurfaceKind, branch: Branch, T: float) -> float:
-    """Evaluate a Branch descriptor at modulus T.
-
-    The surface must carry the branch: the linear one is mode 0 on the
-    annulus only, and Mobius modes are even (2k) or odd (2l-1) by profile.
-    """
-    if branch.kind is BranchKind.LINEAR:
-        if branch.mode != 0:
-            raise UnsupportedBranchError(f"the linear branch has mode 0, got {branch.mode}")
-        return nu_bar(T, kind)
-    mode = _check_index(branch.mode)
-    if kind is SurfaceKind.MOBIUS_BAND and mode % 2 != (branch.kind is BranchKind.ODD_HYPERBOLIC):
-        raise UnsupportedBranchError(f"the Mobius band has no branch {branch.label()}")
-    return _value(kind, branch.kind, mode, _check_modulus(T))
-
-
-def _even_branch(kind: SurfaceKind, k: int) -> Branch:
-    return Branch(_EVEN, _even_mode(kind, k))
-
-
-def _odd_branch(kind: SurfaceKind, l: int) -> Branch:
-    return Branch(_ODD, _odd_mode(kind, l))
+    """Evaluate a Branch descriptor at modulus T; `branch_index` refuses one not carried."""
+    branch_index(kind, branch)
+    return _value(kind, branch.kind, int(branch.mode), _check_modulus(T))
 
 
 def branch_index(kind: SurfaceKind, branch: Branch) -> int:
-    """Inverse of _even_mode and _odd_mode: the k of mode 2k, the l of mode 2l-1.
+    """1-based position of the branch's mode in its `_modes` table; 0 if linear.
 
-    On the annulus the mode is its own index (0 for the linear branch).
-    """
-    return (branch.mode + 1) // 2 if kind is SurfaceKind.MOBIUS_BAND else branch.mode
+    A branch the surface does not carry (the linear one is mode 0 on the
+    annulus only) raises UnsupportedBranchError."""
+    if branch.kind is BranchKind.LINEAR:
+        if branch.mode != 0:
+            raise UnsupportedBranchError(f"the linear branch has mode 0, got {branch.mode}")
+        if kind is _MOBIUS:
+            raise UnsupportedBranchError("the Mobius band has no linear branch")
+        return 0
+    mode = _check_index(branch.mode)
+    modes = _modes(kind, branch.kind, mode)
+    if mode not in modes:
+        raise UnsupportedBranchError(f"the Mobius band has no branch {branch.label()}")
+    return modes.index(mode) + 1
 
 
 def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
@@ -229,10 +221,7 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     #     non-even item inside the first n items, so S >= n + 1.
     n = count // 2 + 2
     scale = _SCALE[kind]
-    if kind is _MOBIUS:
-        even_modes, odd_modes = range(2, 2 * n + 1, 2), range(1, 2 * n, 2)
-    else:
-        even_modes = odd_modes = range(1, n + 1)
+    even_modes, odd_modes = _modes(kind, _EVEN, n), _modes(kind, _ODD, n)
     tanh = math.tanh  # scalar: np.tanh differs from math.tanh in the last bit
     even_ranks, odd_ranks = range(1, 2 * n, 2), range(2, 2 * n + 1, 2)
     items = [(scale * a * tanh(a * T), r, _EVEN, a) for r, a in zip(even_ranks, even_modes)]
@@ -323,8 +312,8 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     if kind is SurfaceKind.ANNULUS:
         with np.errstate(over="ignore"):  # +inf, as nu_bar gives, for subnormal T
             rows.append(scale / T)
-    for m in range(1, n_modes + 2):
-        a, b = _even_mode(kind, m), _odd_mode(kind, m)
+    modes = zip(_modes(kind, _EVEN, n_modes + 1), _modes(kind, _ODD, n_modes + 1))
+    for m, (a, b) in enumerate(modes, 1):
         lam = scale * a * np.tanh(a * T)
         mus = scale * b * coth(b * T)
         if m <= n_modes:
@@ -378,7 +367,7 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
     """
     scale = _SCALE[kind]
     t10 = solve_t10()
-    even = _even_branch(kind, m)
+    even = Branch(_EVEN, _modes(kind, _EVEN, m)[-1])
     if n == 0:
         return LatticeCrossing(
             increasing=even,
@@ -388,7 +377,7 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
             value=scale * m / t10,
             first_index=2 * m - 1,
         )
-    odd = _odd_branch(kind, n)
+    odd = Branch(_ODD, _modes(kind, _ODD, n)[-1])
     point = solve_crossing(even.mode, odd.mode)
     return LatticeCrossing(
         increasing=even,
@@ -408,8 +397,6 @@ def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:
     Annulus: even mode m meets the linear branch (n = 0) at t10/m, then odd
     mode n at t_{m,n}, n < m.
     """
-    max_mode = _check_index(max_mode, "max_mode")
-    first = 1 if kind is SurfaceKind.MOBIUS_BAND else 0
-    return [
-        _crossing(kind, m, n) for m in range(1, max_mode + 1) for n in range(first, m + first)
-    ]
+    first = int(kind is _MOBIUS)
+    modes = range(1, _check_index(max_mode, "max_mode") + 1)
+    return [_crossing(kind, m, n) for m in modes for n in range(first, m + first)]

@@ -138,7 +138,14 @@ def crossing_partials(a: float, b: float) -> CrossingPartials:
     x = point.x
     denom = a * a * sech2(a * x) + b * b * csch2(b * x)
     dx_da = (-math.tanh(a * x) - a * x * sech2(a * x)) / denom
-    dx_db = (coth(b * x) - b * x * csch2(b * x)) / denom
+    # coth(y) - y*csch(y)^2 = (sinh(2y) - 2y) / (2*sinh(y)^2); below y = 1/2 the
+    # left side cancels (1e4 ulps at y = 0.01), so sinh(2y) - 2y is summed
+    y = b * x
+    if y < 0.5:
+        excess = sum((2.0 * y) ** k / math.factorial(k) for k in range(21, 2, -2))
+        dx_db = excess / (2.0 * math.sinh(y) ** 2) / denom
+    else:
+        dx_db = (coth(y) - y * csch2(y)) / denom
     du_da = -b * b * csch2(b * x) * dx_da
     du_db = a * a * sech2(a * x) * dx_db
     return CrossingPartials(dx_da=dx_da, dx_db=dx_db, du_da=du_da, du_db=du_db)

@@ -26,6 +26,12 @@ from .branches import _SCALE, SurfaceKind, spectrum
 from .exceptions import DomainError
 
 
+def _check_weight(w: float) -> float:
+    if not (w > 0.0 and math.isfinite(w)):
+        raise DomainError(f"boundary weight must be positive and finite, got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class OracleProblem:
     kind: SurfaceKind
@@ -45,9 +51,7 @@ class OracleProblem:
             raise DomainError(f"grid too coarse: {self.grid}")
         if n_theta % 2 != 0:
             raise DomainError("n_theta must be even (half-turn shift must be on-grid)")
-        w = self.boundary_weight
-        if not (w > 0.0 and math.isfinite(w)):
-            raise DomainError(f"boundary weight must be positive and finite, got {w}")
+        _check_weight(self.boundary_weight)
 
     @property
     def boundary_size(self) -> int:
@@ -144,8 +148,8 @@ def oracle_spectrum(p: OracleProblem, count: int) -> np.ndarray:
 
 
 def closed_form_sigma(kind: SurfaceKind, T: float, f: float, count: int) -> np.ndarray:
-    """First `count` nonzero unnormalized eigenvalues from the branch formulas."""
-    length = _SCALE[kind] * f
+    """First `count` nonzero eigenvalues at a finite boundary factor f > 0, by the closed forms."""
+    length = _SCALE[kind] * _check_weight(f)
     values = []
     for entry in spectrum(kind, T, count):
         values.extend([entry.value / length] * entry.multiplicity)

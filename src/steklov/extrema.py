@@ -24,6 +24,7 @@ from .branches import (
     SurfaceKind,
     _check_index,
     _crossing,
+    branch_index,
     crossing_lattice,
     lambda_bar,
     sigma_bar_grid,
@@ -167,9 +168,8 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
     mb = SurfaceKind.MOBIUS_BAND
     max_mode = _check_index(max_mode, "max_mode")
     moduli = {
-        (k, l): _crossing(mb, k, l).modulus
-        for k in range(1, max_mode + 1)
-        for l in range(1, k + 1)
+        (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.modulus
+        for c in crossing_lattice(mb, max_mode)
     }
     records = []
     for (k, l), modulus in moduli.items():
@@ -204,15 +204,14 @@ def verify_no_asymptote(max_even: int) -> list[NoAsymptoteRecord]:
     t10 = solve_t10()
     records = []
     for k in range(2, max_even + 1, 2):
-        t_k1 = _crossing(mb, k, 1).modulus
-        t_k = t10 / (2.0 * k)
+        c = _crossing(mb, k, 1)
         records.append(
             NoAsymptoteRecord(
                 k=k,
                 limit_value=lambda_bar(mb, k // 2, math.inf),
-                crossing_value=lambda_bar(mb, k, t_k1),
-                t_k=t_k,
-                t_k1=t_k1,
+                crossing_value=lambda_bar(mb, k, c.modulus),
+                t_k=t10 / c.increasing.mode,
+                t_k1=c.modulus,
             )
         )
     return records

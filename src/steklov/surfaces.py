@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import _check_integer
+from .branches import _EVEN, _MOBIUS, _ODD, _check_integer, _modes
 from .crossings import solve_crossing, solve_t10
 from .exceptions import ConstraintError, DomainError, ParameterError
 from .kinds import FamilyKind
@@ -80,7 +80,9 @@ def annulus_b4(m: int, n: int) -> ImmersionFamily:
 
 def mobius_b4(m: int, n: int) -> ImmersionFamily:
     m, n = _check_integer(m, "m", ParameterError), _check_integer(n, "n", ParameterError)
-    if m % 2 != 0 or n % 2 != 1:
+    # the band must carry the even branch of mode m and the odd one of mode n
+    carried = m in _modes(_MOBIUS, _EVEN, m) and n in _modes(_MOBIUS, _ODD, n)
+    if min(m, n) >= 1 and not carried:
         raise ParameterError(f"need m even and n odd, got m={m}, n={n}")
     if not m > n >= 1:
         raise ParameterError(f"need m > n >= 1, got m={m}, n={n}")

@@ -10,10 +10,9 @@ import math
 
 from steklov.branches import (
     Branch,
+    BranchKind,
     SurfaceKind,
     _check_modulus,
-    _even_branch,
-    _odd_branch,
     lambda_bar,
     mu_bar,
 )
@@ -21,6 +20,14 @@ from steklov.crossings import solve_crossing
 from steklov.exceptions import DomainError
 
 
+# The Mobius mode rule, stated here apart from `branches._modes`: even
+# branch k has theta-mode 2k, odd branch l has 2l - 1.
+def _even_branch(k: int) -> Branch:
+    return Branch(BranchKind.EVEN_HYPERBOLIC, 2 * k)
+
+
+def _odd_branch(l: int) -> Branch:
+    return Branch(BranchKind.ODD_HYPERBOLIC, 2 * l - 1)
 
 
 def mobius_crossing_modulus(k: int, l: int) -> float:
@@ -53,7 +60,7 @@ def sigma_bar_piecewise_mobius(j: int, T: float) -> tuple[float, Branch]:
     s = k // 2
     for jj in range(s + 1):
         if T < mobius_crossing_modulus(k - jj, jj + 1):
-            return lambda_bar(kind, k - jj, T), _even_branch(kind, k - jj)
+            return lambda_bar(kind, k - jj, T), _even_branch(k - jj)
         if T < mobius_crossing_modulus(k - jj - 1, jj + 1):
-            return mu_bar(kind, jj + 1, T), _odd_branch(kind, jj + 1)
+            return mu_bar(kind, jj + 1, T), _odd_branch(jj + 1)
     raise RuntimeError("interval decomposition did not cover T")  # pragma: no cover

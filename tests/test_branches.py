@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from steklov.branches import (
     Branch,
     BranchKind,
     SurfaceKind,
+    branch_index,
     branch_value,
     crossing_lattice,
     lambda_bar,
@@ -20,7 +22,7 @@ from steklov.branches import (
     sigma_bar_grid,
     spectrum,
 )
-from steklov.crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
+from steklov.crossings import RESIDUAL_SCALE, crossing_partials, solve_crossing, solve_t10
 from steklov.dtn import closed_form_sigma
 from steklov.exceptions import DomainError, UnsupportedBranchError
 from steklov.extrema import sup_sigma_annulus, sup_sigma_mobius
@@ -249,21 +251,39 @@ def test_sigma_bar_grid_rejects_empty_index_range():
                 sigma_bar_grid(kind, j_max, [1.0])
 
 
-@pytest.mark.parametrize(
-    "kind, branch",
-    [
-        (MB, Branch(BranchKind.EVEN_HYPERBOLIC, 1)),  # even Mobius modes are 2k
-        (MB, Branch(BranchKind.EVEN_HYPERBOLIC, 7)),
-        (MB, Branch(BranchKind.ODD_HYPERBOLIC, 2)),  # odd Mobius modes are 2l - 1
-        (MB, Branch(BranchKind.ODD_HYPERBOLIC, 10)),
-        (MB, Branch(BranchKind.LINEAR, 0)),
-        (AN, Branch(BranchKind.LINEAR, 5)),  # the linear branch is mode 0
-        (AN, Branch(BranchKind.LINEAR, -1)),
-    ],
-)
+_NOT_CARRIED = [
+    (MB, Branch(BranchKind.EVEN_HYPERBOLIC, 1)),  # even Mobius modes are 2k
+    (MB, Branch(BranchKind.EVEN_HYPERBOLIC, 7)),
+    (MB, Branch(BranchKind.ODD_HYPERBOLIC, 2)),  # odd Mobius modes are 2l - 1
+    (MB, Branch(BranchKind.ODD_HYPERBOLIC, 10)),
+    (MB, Branch(BranchKind.LINEAR, 0)),
+    (AN, Branch(BranchKind.LINEAR, 5)),  # the linear branch is mode 0
+    (AN, Branch(BranchKind.LINEAR, -1)),
+]
+
+
+@pytest.mark.parametrize("kind, branch", _NOT_CARRIED)
 def test_branch_value_refuses_a_branch_the_surface_lacks(kind, branch):
     with pytest.raises(UnsupportedBranchError):
         branch_value(kind, branch, 1.0)
+
+
+@pytest.mark.parametrize("kind, branch", _NOT_CARRIED)
+def test_branch_index_refuses_a_branch_the_surface_lacks(kind, branch):
+    with pytest.raises(UnsupportedBranchError):
+        branch_index(kind, branch)
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_branch_index_inverts_the_mode_table(kind):
+    # the modes are stated by the frozen reference below (_ref_even, _ref_odd),
+    # and the library's index -> value map must agree with the branch's value
+    assert branch_index(AN, Branch(BranchKind.LINEAR, 0)) == 0
+    for i in range(1, 51):
+        even, odd = _ref_even(kind, i), _ref_odd(kind, i)
+        assert branch_index(kind, even) == branch_index(kind, odd) == i
+        assert branch_value(kind, even, 0.7) == lambda_bar(kind, i, 0.7)
+        assert branch_value(kind, odd, 0.7) == mu_bar(kind, i, 0.7)
 
 
 @pytest.mark.parametrize("kind", [MB, AN])
@@ -543,3 +563,87 @@ def test_subnormal_modulus_raises_no_warning(kind, T):
     values = [e.value for e in entries for _ in range(e.multiplicity)]
     assert values == [lambda_bar(kind, m, T) for m in (1, 1, 2, 2, 3, 3)]
     assert sigma_bar_grid(kind, 6, [T])[:, 0].tolist() == values
+
+
+# ---------------------------------------------------------------------------
+# Certification against 50-digit roots: the corners of both lattices up to
+# mode index 60, and the closed-form partials of the crossing.  Each lattice
+# entry is `solve_crossing` of its two modes (pinned bitwise above), so the
+# corners are read from the solver and the suprema; a cold
+# `crossing_lattice(kind, 60)` would also solve its 1700 interior crossings.
+
+
+def _mp_crossing(a, b, x0):
+    """(x, a*tanh(a*x)) where a*tanh(a*x) meets b*coth(b*x), or 1/x for b = 0.
+
+    Newton with the exact derivative from the double root x0, at the
+    caller's working precision.
+    """
+    tanh, coth, sech, csch = mpmath.tanh, mpmath.coth, mpmath.sech, mpmath.csch
+    if b == 0:
+        F = lambda x: a * tanh(a * x) - 1 / x  # noqa: E731
+        dF = lambda x: a * a * sech(a * x) ** 2 + 1 / x**2  # noqa: E731
+    else:
+        F = lambda x: a * tanh(a * x) - b * coth(b * x)  # noqa: E731
+        dF = lambda x: a * a * sech(a * x) ** 2 + b * b * csch(b * x) ** 2  # noqa: E731
+    x = mpmath.findroot(F, mpmath.mpf(x0), solver="newton", df=dF)
+    return x, a * tanh(a * x)
+
+
+def _rel(value, exact):
+    return float(abs(mpmath.mpf(value) - exact) / abs(exact))
+
+
+def test_mobius_lattice_corners_match_50_digit_roots():
+    # T_{k,1} and T_{k,k}: even mode 2k meets odd mode 2l - 1
+    corners = {(k, l) for k in range(1, 61) for l in (1, k)}
+    assert len(corners) == 119
+    with mpmath.workdps(50):
+        for k, l in sorted(corners):
+            point = solve_crossing(2 * k, 2 * l - 1)
+            x, height = _mp_crossing(2 * k, 2 * l - 1, point.x)
+            assert _rel(point.x, x) <= 1e-14, (k, l)
+            assert _rel(point.height, height) <= 1e-14, (k, l)
+        for k in range(1, 61):  # the supremum of sigma_bar_{2k} sits at T_{k,1}
+            sup = sup_sigma_mobius(2 * k)
+            assert sup.attaining_modulus == solve_crossing(2 * k, 1).x
+            assert sup.value == 2.0 * math.pi * solve_crossing(2 * k, 1).height
+
+
+def test_annulus_lattice_corners_match_50_digit_roots():
+    # t10/m on the linear branch (n = 0), read from the suprema of the odd
+    # indices, and t_{m,1} for m >= 2: even mode m meets odd mode 1
+    with mpmath.workdps(50):
+        assert _rel(solve_t10(), _mp_crossing(1, 0, 1.2)[0]) <= 1e-14
+        for m in range(1, 61):
+            sup = sup_sigma_annulus(2 * m - 1)
+            x, height = _mp_crossing(m, 0, sup.attaining_modulus)
+            assert _rel(sup.attaining_modulus, x) <= 1e-14, m
+            assert _rel(sup.value, 4 * mpmath.pi * height) <= 1e-14, m
+        for m in range(2, 61):
+            point = solve_crossing(m, 1)
+            x, height = _mp_crossing(m, 1, point.x)
+            assert _rel(point.x, x) <= 1e-14, m
+            assert _rel(point.height, height) <= 1e-14, m
+
+
+@pytest.mark.parametrize(
+    "a, b", [(2, 1), (4, 1), (9, 1), (120, 1), (4, 3), (8, 7), (60, 59), (120, 119)]
+)
+def test_crossing_partials_match_50_digit_derivatives(a, b):
+    # mpmath.diff of the 50-digit root and height in each mode.  The partials
+    # inherit the double root's error (up to ~5e-15 relative at adjacent
+    # modes, where they amplify it about 2*a*x ~ 6 times), hence 5e-14.  At
+    # b*x < 1/2 ((4, 1), (9, 1), (120, 1)) coth(bx) - bx*csch(bx)^2 cancels
+    # in double precision and must be summed from its series.
+    x0 = solve_crossing(a, b).x
+    p = crossing_partials(a, b)
+    with mpmath.workdps(50):
+        exact = (
+            mpmath.diff(lambda s: _mp_crossing(s, b, x0)[0], a),
+            mpmath.diff(lambda t: _mp_crossing(a, t, x0)[0], b),
+            mpmath.diff(lambda s: _mp_crossing(s, b, x0)[1], a),
+            mpmath.diff(lambda t: _mp_crossing(a, t, x0)[1], b),
+        )
+        got = (p.dx_da, p.dx_db, p.du_da, p.du_db)
+        assert max(_rel(g, e) for g, e in zip(got, exact)) <= 5e-14

@@ -45,6 +45,15 @@ def test_problem_rejects_non_finite_weight(weight):
         OracleProblem(kind=AN, T=1.0, grid=(8, 8), boundary_weight=weight)
 
 
+@pytest.mark.parametrize("kind", [AN, MB])
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+def test_closed_form_sigma_rejects_a_bad_weight(kind, weight):
+    # by the weight rule of OracleProblem; these raised ZeroDivisionError or
+    # returned negative, NaN or zero eigenvalues
+    with pytest.raises(DomainError, match="boundary weight must be positive and finite"):
+        closed_form_sigma(kind, 1.0, weight, 4)
+
+
 @pytest.mark.parametrize(
     "grid", [(8, 4.0), (8.0, 8), (8.5, 8), (True, 8), (8,), (8, 8, 8)], ids=repr
 )

@@ -68,6 +68,25 @@ def test_parameter_validation():
         mobius_b4(2, 3)  # m <= n
 
 
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (3, 1, "need m even and n odd, got m=3, n=1"),
+        (4, 2, "need m even and n odd, got m=4, n=2"),
+        (3, 5, "need m even and n odd, got m=3, n=5"),
+        (2, 3, "need m > n >= 1, got m=2, n=3"),
+        (0, 1, "need m > n >= 1, got m=0, n=1"),
+        (4, -1, "need m > n >= 1, got m=4, n=-1"),
+    ],
+)
+def test_mobius_b4_names_the_rule_it_breaks(m, n, message):
+    # the band carries the even branch of mode m and the odd one of mode n
+    # only for m even and n odd; other pairs fail the order rule
+    with pytest.raises(ParameterError) as info:
+        mobius_b4(m, n)
+    assert str(info.value) == message
+
+
 def test_critical_moduli_and_radii():
     t10 = solve_t10()
     cat = catenoid_b3(2)
