@@ -163,11 +163,23 @@ class AuxInequalities:
 def aux_inequalities(t: float) -> AuxInequalities:
     """Evaluate sinh*cosh - t, the derivative of its t^-2 rescaling, and t - tanh t.
 
-    All three are strictly positive for t > 0 and vanish as t -> 0+.
+    All three are strictly positive for t > 0; f_val and tanh_gap vanish
+    like t^3 as t -> 0+, and g_prime tends to 2/3.
     """
     t = float(t)
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    f_val = 0.5 * math.sinh(2.0 * t) - t
-    g_prime = 2.0 * math.cosh(t) * (t * math.cosh(t) - math.sinh(t)) / t**3
-    return AuxInequalities(f_val=f_val, g_prime=g_prime, tanh_gap=t - math.tanh(t))
+    if t >= 0.5:
+        f_val = 0.5 * math.sinh(2.0 * t) - t
+        g_prime = 2.0 * math.cosh(t) * (t * math.cosh(t) - math.sinh(t)) / t**3
+        return AuxInequalities(f_val=f_val, g_prime=g_prime, tanh_gap=t - math.tanh(t))
+    # below t = 1/2 the differences cancel (f_val = 0 at t = 1e-8), so, as in
+    # crossing_partials, sinh(2t) - 2t and (t*cosh(t) - sinh(t)) / t^3 =
+    # sum over k >= 1 of 2k t^(2k-2) / (2k+1)! are summed from their series
+    f_val = 0.5 * sum((2.0 * t) ** k / math.factorial(k) for k in range(21, 2, -2))
+    excess = sum(2 * k * t ** (2 * k - 2) / math.factorial(2 * k + 1) for k in range(10, 0, -1))
+    return AuxInequalities(
+        f_val=f_val,
+        g_prime=2.0 * math.cosh(t) * excess,
+        tanh_gap=t**3 * excess / math.cosh(t),
+    )

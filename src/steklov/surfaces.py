@@ -13,6 +13,10 @@ so the boundary lands on the unit sphere:
   * Mobius bands in B^4: the same four-component map with m even and n odd,
     which descends through the identification (t, th) ~ (-t, th + pi).
 
+Each family is read off the lattice crossing that carries it
+(``branches._crossing``): T* is the crossing's modulus, and r and the
+ambient dimension come from ``_planes`` at t = T*.
+
 Beside the catenoid's linear axis, every coordinate pair is a plane
 c*h(k t) (cos j th, sin j th) / r, h = sinh or cosh; ``_planes`` is the one
 table of them.  The plane's flat Laplacian is (k^2 - j^2) times the plane,
@@ -30,15 +34,14 @@ products and never build an (n_t, n_theta, dim) grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .branches import _EVEN, _MOBIUS, _ODD, _check_integer, _modes
-from .crossings import solve_crossing, solve_t10
+from .branches import _EVEN, _MOBIUS, _ODD, LatticeCrossing, _check_integer, _crossing, _modes
 from .exceptions import ConstraintError, DomainError, ParameterError
-from .kinds import FamilyKind
+from .kinds import FamilyKind, SurfaceKind
 
 
 @dataclass(frozen=True)
@@ -59,23 +62,15 @@ def catenoid_b3(n: int) -> ImmersionFamily:
     n = _check_integer(n, "winding number", ParameterError)
     if n < 1:
         raise ParameterError(f"winding number must be >= 1, got {n}")
-    t10 = solve_t10()
-    radius = math.sqrt(t10 * t10 + math.cosh(t10) ** 2)
-    return ImmersionFamily(
-        family=FamilyKind.CATENOID_B3,
-        m=0,
-        n=n,
-        T_star=t10 / n,
-        radius=radius,
-        ambient_dim=3,
-    )
+    # the linear/even crossing t10/n
+    return _family(FamilyKind.CATENOID_B3, 0, n, _crossing(SurfaceKind.ANNULUS, n, 0))
 
 
 def annulus_b4(m: int, n: int) -> ImmersionFamily:
     m, n = _check_integer(m, "m", ParameterError), _check_integer(n, "n", ParameterError)
     if not m > n >= 1:
         raise ParameterError(f"need m > n >= 1, got m={m}, n={n}")
-    return _b4_family(FamilyKind.ANNULUS_B4, m, n)
+    return _family(FamilyKind.ANNULUS_B4, m, n, _crossing(SurfaceKind.ANNULUS, m, n))
 
 
 def mobius_b4(m: int, n: int) -> ImmersionFamily:
@@ -86,17 +81,22 @@ def mobius_b4(m: int, n: int) -> ImmersionFamily:
         raise ParameterError(f"need m even and n odd, got m={m}, n={n}")
     if not m > n >= 1:
         raise ParameterError(f"need m > n >= 1, got m={m}, n={n}")
-    return _b4_family(FamilyKind.MOBIUS_B4, m, n)
+    # even branch k has mode 2k, odd branch l mode 2l - 1
+    return _family(FamilyKind.MOBIUS_B4, m, n, _crossing(_MOBIUS, m // 2, (n + 1) // 2))
 
 
-def _b4_family(kind: FamilyKind, m: int, n: int) -> ImmersionFamily:
-    t_star = solve_crossing(float(m), float(n)).x
-    radius = math.sqrt(
-        m * m * math.sinh(n * t_star) ** 2 + n * n * math.cosh(m * t_star) ** 2
-    )
-    return ImmersionFamily(
-        family=kind, m=m, n=n, T_star=t_star, radius=radius, ambient_dim=4
-    )
+def _family(family: FamilyKind, m: int, n: int, crossing: LatticeCrossing) -> ImmersionFamily:
+    """The family carried by ``crossing``: T* is its modulus, and r and the
+    dimension are read from ``_planes`` at t = T*, with the catenoid's axial
+    coordinate n T*, so that |u| = 1 on the boundary."""
+    T = crossing.modulus
+    fam = ImmersionFamily(family, m, n, T, radius=1.0, ambient_dim=0)  # _planes reads family, m, n
+    planes = _planes(fam)
+    r2 = sum(c * c * h(k * T) ** 2 for c, h, _, k, _ in planes)
+    dim = 2 * len(planes)
+    if family is FamilyKind.CATENOID_B3:
+        r2, dim = r2 + (n * T) ** 2, dim + 1
+    return replace(fam, radius=math.sqrt(r2), ambient_dim=dim)
 
 
 def make_family(family: FamilyKind, m: int | None = None, n: int | None = None) -> ImmersionFamily:

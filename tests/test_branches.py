@@ -627,6 +627,20 @@ def test_annulus_lattice_corners_match_50_digit_roots():
             assert _rel(point.height, height) <= 1e-14, m
 
 
+def test_lattice_interiors_match_50_digit_roots():
+    # every pair off the corners for index k <= 20 and k = 40, 60: band
+    # T_{k,l} (even mode 2k, odd mode 2l - 1) and annulus t_{m,n}, 1 < l < k
+    pairs = [(k, l) for k in [*range(3, 21), 40, 60] for l in range(2, k)]
+    assert len(pairs) == 267
+    with mpmath.workdps(50):
+        for k, l in pairs:
+            for a, b in ((2 * k, 2 * l - 1), (k, l)):
+                point = solve_crossing(a, b)
+                x, height = _mp_crossing(a, b, point.x)
+                assert _rel(point.x, x) <= 1e-14, (a, b)
+                assert _rel(point.height, height) <= 1e-14, (a, b)
+
+
 @pytest.mark.parametrize(
     "a, b", [(2, 1), (4, 1), (9, 1), (120, 1), (4, 3), (8, 7), (60, 59), (120, 119)]
 )

@@ -284,6 +284,23 @@ def test_surface_rejects_projection_outside_the_family(capsys, tmp_path, family,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ("annulus", "--m", str(10**400), "--n", "1"),
+        ("catenoid", "--n", str(10**400)),
+        ("mobius", "--m", str(2 * 10**400), "--n", "1"),
+    ],
+    ids=["annulus", "catenoid", "mobius"],
+)
+def test_surface_rejects_modes_past_the_double_range(capsys, tmp_path, modes):
+    out = tmp_path / "x.obj"
+    code, stdout, err = _run(capsys, "surface", "--family", *modes, "--grid", "8x8", "--out", str(out))
+    _assert_one_error_line(code, stdout, err)
+    assert err == "error: mode exceeds the double range\n"
+    assert not out.exists()
+
+
 def test_surface_permutes_catenoid_axes(capsys, tmp_path):
     first = {}
     for projection in ("0,1,2", "2,1,0"):

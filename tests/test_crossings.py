@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,12 +146,29 @@ def test_partial_signs():
         assert part.du_db > 0.0
 
 
-@given(st.floats(min_value=1e-3, max_value=20.0))
+@given(st.floats(min_value=1e-100, max_value=20.0))
 def test_aux_inequalities_positive(t):
     aux = aux_inequalities(t)
     assert aux.f_val > 0.0
     assert aux.g_prime > 0.0
     assert aux.tanh_gap > 0.0
+
+
+def _mp_aux(t):
+    # 50 digits beyond the 3*log10(1/t) that the differences cancel
+    with mpmath.workdps(50 + max(0, int(-3 * math.log10(t)))):
+        x = mpmath.mpf(t)
+        sh, ch = mpmath.sinh(x), mpmath.cosh(x)
+        return sh * ch - x, 2 * ch * (x * ch - sh) / x**3, x - mpmath.tanh(x)
+
+
+def test_aux_inequalities_match_deep_mpmath():
+    # below t = 1/2 the closed forms cancel (f_val and tanh_gap read 0.0 and
+    # g_prime -3.31 at t = 1e-8), so all three are summed from series there
+    for t in np.geomspace(1e-100, 20.0, 400).tolist() + [math.nextafter(0.5, 0.0), 0.5]:
+        aux = aux_inequalities(t)
+        for got, exact in zip((aux.f_val, aux.g_prime, aux.tanh_gap), _mp_aux(t)):
+            assert float(abs(mpmath.mpf(got) - exact) / exact) <= 1e-14, t
 
 
 def test_aux_inequalities_domain():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steklov import cli, mesh, surfaces
+from steklov.branches import SurfaceKind, crossing_lattice
 from steklov.crossings import solve_crossing, solve_t10
 from steklov.exceptions import ConstraintError, DomainError, ParameterError
 from steklov.surfaces import (
@@ -102,6 +103,58 @@ def test_critical_moduli_and_radii():
         math.sqrt(9.0 * math.sinh(2 * t) ** 2 + 4.0 * math.cosh(3 * t) ** 2),
         rel=1e-14,
     )
+
+
+def test_families_keep_the_solver_moduli_and_radii():
+    # T* as the crossing solver gives it, bit for bit, and r as written out
+    # per family with math's sinh and cosh, to the 2 ulp that NumPy's differ
+    t10 = solve_t10()
+    radius = math.sqrt(t10 * t10 + math.cosh(t10) ** 2)
+    expected = [(catenoid_b3(n), t10 / n, radius) for n in range(1, 41)]
+    for m in range(2, 41):
+        for n in range(1, m):
+            T = solve_crossing(float(m), float(n)).x
+            radius = math.sqrt(m * m * math.sinh(n * T) ** 2 + n * n * math.cosh(m * T) ** 2)
+            expected.append((annulus_b4(m, n), T, radius))
+            if m % 2 == 0 and n % 2 == 1:
+                expected.append((mobius_b4(m, n), T, radius))
+    assert len(expected) == 1030
+    for fam, T, radius in expected:
+        assert fam.T_star == T, _family_id(fam)
+        assert abs(fam.radius - radius) <= 2 * math.ulp(radius), _family_id(fam)
+
+
+def test_each_lattice_crossing_carries_its_family():
+    # the paper's correspondence: linear/even crossing m -> catenoid_b3(m),
+    # annulus (m, n) -> annulus_b4(m, n), band (k, l) -> mobius_b4(2k, 2l - 1),
+    # with T* the modulus, the boundary length the normalized eigenvalue and
+    # the ambient dimension the cluster's multiplicity
+    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    count = 0
+    for kind, circles in ((SurfaceKind.MOBIUS_BAND, 1), (SurfaceKind.ANNULUS, 2)):
+        for c in crossing_lattice(kind, 20):
+            a, b = c.increasing.mode, c.decreasing.mode
+            if kind is SurfaceKind.MOBIUS_BAND:
+                fam = mobius_b4(a, b)
+            else:
+                fam = annulus_b4(a, b) if b else catenoid_b3(a)
+            assert fam.T_star == c.modulus
+            _, _, u_theta = evaluate(fam, fam.T_star, theta)
+            length = circles * 2.0 * math.pi * float(np.mean(np.linalg.norm(u_theta, axis=-1)))
+            assert length == pytest.approx(c.value, rel=1e-15, abs=0.0)
+            assert fam.ambient_dim == c.multiplicity == 4 - (b == 0)
+            count += 1
+    assert count == 420
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: annulus_b4(10**400, 1), lambda: catenoid_b3(10**400), lambda: mobius_b4(2 * 10**400, 1)],
+    ids=["annulus", "catenoid", "mobius"],
+)
+def test_modes_past_the_double_range_raise_domain_error(build):
+    with pytest.raises(DomainError, match="^mode exceeds the double range$"):
+        build()
 
 
 def test_evaluate_center_point():
