@@ -24,10 +24,13 @@ read from one table, `_modes`, and `branch_value` and `branch_index` check it:
 
 `_value` evaluates the formula and `_crossing` turns a crossing of an even
 and an odd (or the linear) branch into its modulus and value; every
-supremum in `extrema` is read off one such crossing.  `spectrum` evaluates
+supremum in `extrema` is read off one such crossing.  `_walk` evaluates
 the same formula over one table per call, the even values by scalar
 `math.tanh` and the odd ones by one `coth` call (bit for bit the
-scalar one), and sorts it once.
+scalar one), sorts it once and reads the ordered entries off it in one
+pass, merging two rows only where their branches cross.  `spectrum` builds
+records for those entries; `sigma_bar` and the other readers of single
+values take them as plain data.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .crossings import RESIDUAL_SCALE, _double, solve_crossing, solve_t10
 from .exceptions import DomainError, UnsupportedBranchError
-from .hyperbolic import coth
+from .hyperbolic import SATURATION, coth
 from .kinds import SurfaceKind
 
 
@@ -120,6 +123,7 @@ _SCALE = {SurfaceKind.MOBIUS_BAND: 2.0 * math.pi, SurfaceKind.ANNULUS: 4.0 * mat
 _MOBIUS = SurfaceKind.MOBIUS_BAND
 _EVEN = BranchKind.EVEN_HYPERBOLIC
 _ODD = BranchKind.ODD_HYPERBOLIC
+_LINEAR_KIND = BranchKind.LINEAR
 
 
 def _modes(kind: SurfaceKind, profile: BranchKind, count: int) -> range:
@@ -183,15 +187,24 @@ def branch_index(kind: SurfaceKind, branch: Branch) -> int:
     return modes.index(mode) + 1
 
 
-def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
-    """First `count` nonzero normalized eigenvalues, merged at crossings.
+def _walk(kind: SurfaceKind, T: float, count: int) -> list[tuple]:
+    """The entries of the first `count` nonzero normalized eigenvalues, as plain data.
+
+    Each entry is (value, first, partner, index_range): `first` is a row
+    (value, rank, profile, mode) of the sorted table, `partner` the row that
+    crosses it in the same entry or None, and index_range the positions the
+    entry occupies, counting multiplicity.
 
     One table holds the even branches of indices 1..count // 2 + 2, the odd
     branches of those indices that can sort below the last even one and, on
-    the annulus, the linear branch; one sort orders it, and the entries are
-    read off its sorted prefix.  Two adjacent values share one entry only
-    where the two branches cross (see `_crosses`); distinct branches that
-    are merely close stay apart.
+    the annulus, the linear branch; one sort orders it, and one walk of its
+    sorted prefix reads the entries.  Two adjacent rows share one entry only
+    where the two branches cross: an increasing (even) branch meets a
+    decreasing one (odd, or linear of mode 0) of lower mode, and at the
+    solved crossing their values differ by at most the crossing solver's
+    bound RESIDUAL_SCALE * (a + b), times the 2*pi or 4*pi that normalizes
+    the heights a*tanh(a*x) = b*coth(b*x).  Distinct branches that are
+    merely close stay apart.
     """
     T = _check_modulus(T)
     if math.isinf(T):
@@ -211,10 +224,10 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     #     > even mode n (2n + 1 > 2n on the band, n + 1 > n on the annulus),
     #     so a value >= E_n's and a rank >= 2n + 2 > 2n - 1.  The sorted
     #     table up to E_n, S >= n items, is therefore a prefix of the spectrum.
-    # (2) The loop reads at most S items.  With r = count // 2, the entry at
+    # (2) The walk reads at most S items.  With r = count // 2, the entry at
     #     item i (1-based) starts at position 2i - 1 - L <= count, where L = 1
     #     if the linear item is among items 1..i-1, so i <= r + 1 (i <= r when
-    #     count is even and L = 0).  The loop reads through item i + 1, or
+    #     count is even and L = 0).  The walk reads through item i + 1, or
     #     i + 2 when that entry merges: at most r + 2 = n items, except with
     #     L = 1 or a merge, which read at most n + 1.  Then the linear item
     #     (among items 1..r) or the merge partner (among items 1..n) is a
@@ -222,84 +235,89 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     n = count // 2 + 2
     scale = _SCALE[kind]
     even_modes, odd_modes = _modes(kind, _EVEN, n), _modes(kind, _ODD, n)
+    # tanh and coth are 1.0 well below SATURATION, where coth clamps its
+    # argument, so the clamped modulus gives the same bits and keeps mode * T
+    # from overflowing
+    x = min(T, SATURATION)
     tanh = math.tanh  # scalar: np.tanh differs from math.tanh in the last bit
     even_ranks, odd_ranks = range(1, 2 * n, 2), range(2, 2 * n + 1, 2)
-    items = [(scale * a * tanh(a * T), r, _EVEN, a) for r, a in zip(even_ranks, even_modes)]
+    items = [(scale * a * tanh(a * x), r, _EVEN, a) for r, a in zip(even_ranks, even_modes)]
     last_even = items[-1]
     odd_modes = odd_modes[: bisect_right(odd_modes, last_even[0], key=lambda b: scale * b)]
     if len(odd_modes) > 1:  # one array coth call, bit for bit the scalar calls of _value
-        cs = coth(np.arange(odd_modes.start, odd_modes.stop, odd_modes.step) * T).tolist()
+        cs = coth(np.arange(odd_modes.start, odd_modes.stop, odd_modes.step) * x).tolist()
     else:  # none, or mode 1 alone: a scalar call costs less than a 1-element array
-        cs = [coth(b * T) for b in odd_modes]
+        cs = [coth(b * x) for b in odd_modes]
     items += [(scale * b * c, r, _ODD, b) for c, r, b in zip(cs, odd_ranks, odd_modes)]
     if kind is not _MOBIUS:
-        items.append((scale / T, 0, BranchKind.LINEAR, 0))
+        items.append((scale / T, 0, _LINEAR_KIND, 0))
     items.sort()
 
-    entries: list[EigenvalueEntry] = []
+    unit = scale * RESIDUAL_SCALE
+    entries = []
     position = 1
     i = 0  # index of the last item read
-    value, _, profile, mode = items[0]
-    branch = Branch(profile, mode)
+    first = items[0]
     while position <= count:
         i += 1
-        next_value, _, profile, mode = items[i]
-        next_branch = Branch(profile, mode)
-        if _crosses(kind, branch, value, next_branch, next_value):
-            group = (branch, next_branch)
-            mult = branch.multiplicity + next_branch.multiplicity
+        after = items[i]
+        value, _, profile, a = first
+        next_value, _, next_profile, b = after
+        mult = 2 - (profile is _LINEAR_KIND)  # the linear branch alone is simple
+        even_first = profile is _EVEN
+        if (
+            next_value - value <= unit * (a + b)
+            and even_first is not (next_profile is _EVEN)
+            and (a > b if even_first else b > a)  # the even mode is the larger
+        ):
+            partner = after
+            mult += 2 - (next_profile is _LINEAR_KIND)
             i += 1
-            next_value, _, profile, mode = items[i]
-            next_branch = Branch(profile, mode)
+            after = items[i]
         else:
-            group = (branch,)
-            mult = branch.multiplicity
-        entries.append(EigenvalueEntry(value, group, (position, position + mult - 1)))
+            partner = None
+        entries.append((value, first, partner, (position, position + mult - 1)))
         position += mult
-        value, branch = next_value, next_branch
+        first = after
     # completeness: every item read lies in the proven prefix, up to E_n
     if items[i] > last_even:  # pragma: no cover - the bound is proven above
         raise RuntimeError("mode bound too small for requested count")
     return entries
 
 
-def _crosses(
-    kind: SurfaceKind, first: Branch, v_first: float, second: Branch, v_second: float
-) -> bool:
-    """Whether adjacent spectrum values v_first <= v_second sit on a crossing.
+def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
+    """First `count` nonzero normalized eigenvalues, merged at crossings.
 
-    Only an increasing (even) branch meets a decreasing one, and only when
-    the even frequency is the larger; every even branch meets the linear one.
-    At the solved crossing the two values differ by at most the crossing
-    solver's bound RESIDUAL_SCALE * (a + b), times the 2*pi or 4*pi that
-    normalizes the heights a*tanh(a*x) = b*coth(b*x).
+    The entries are those of `_walk`, with a record built for each.
     """
-    increasing, decreasing = (first, second) if first.kind is _EVEN else (second, first)
-    if increasing.kind is not _EVEN or decreasing.kind is _EVEN:
-        return False
-    if increasing.mode <= decreasing.mode:  # the linear branch has mode 0
-        return False
-    bound = _SCALE[kind] * RESIDUAL_SCALE * (increasing.mode + decreasing.mode)
-    return v_second - v_first <= bound
+    entries = []
+    for value, (_, _, profile, mode), partner, index_range in _walk(kind, T, count):
+        group = (Branch(profile, mode),)
+        if partner is not None:
+            group += (Branch(partner[2], partner[3]),)
+        entries.append(EigenvalueEntry(value, group, index_range))
+    return entries
 
 
 def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
     """The j-th nonzero normalized eigenvalue, counted with multiplicity.
 
-    It is the value of the last entry of `spectrum(kind, T, j)`, so it costs
-    one table of at most j // 2 + 2 modes per family, sorted once.
+    It is the value of the last entry of the walk to index j (`_walk`), so it
+    costs one table of at most j // 2 + 2 modes per family, sorted once, and
+    builds no records.
     """
     j = _check_index(j, "eigenvalue index")
-    return spectrum(kind, T, j)[-1].value  # the last entry holds index j
+    return _walk(kind, T, j)[-1][0]  # the last entry holds index j
 
 
 def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     """Vectorized sigma_bar for j = 1..j_max over an array of moduli.
 
-    Returns an array of shape (j_max, len(T)).  Used as an independent
-    grid-search route; raises if the mode cutoff could have missed a value.
+    Returns an array of shape (j_max,) + T.shape, a scalar T counting as
+    shape (1,).  Used as an independent grid-search route; raises if the mode
+    cutoff could have missed a value.
     """
-    T = np.asarray(T, dtype=float)
+    T = np.atleast_1d(np.asarray(T, dtype=float))
     if np.any(T <= 0.0) or not np.all(np.isfinite(T)):
         raise DomainError("moduli must be positive and finite")
     j_max = _check_index(j_max, "j_max")
@@ -312,13 +330,14 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     if kind is SurfaceKind.ANNULUS:
         with np.errstate(over="ignore"):  # +inf, as nu_bar gives, for subnormal T
             rows.append(scale / T)
+    x = np.minimum(T, SATURATION)  # the same bits as T without overflow, as in _walk
     modes = zip(_modes(kind, _EVEN, n_modes + 1), _modes(kind, _ODD, n_modes + 1))
     for m, (a, b) in enumerate(modes, 1):
-        lam = scale * a * np.tanh(a * T)
-        mus = scale * b * coth(b * T)
+        lam = scale * a * np.tanh(a * x)
+        mus = scale * b * coth(b * x)
         if m <= n_modes:
             rows.extend([lam, lam, mus, mus])
-    stacked = np.vstack(rows)
+    stacked = np.stack(rows)  # a new leading axis: each modulus sorts alone
     stacked.sort(axis=0)  # in place: one buffer of all rows, not two
     out = stacked[:j_max].copy()  # the caller keeps only the rows returned
     # completeness: the omitted mode n_modes + 1, left in lam and mus, must

@@ -150,7 +150,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     import numpy as np
 
-    from .branches import sigma_bar_grid, spectrum
+    from .branches import _walk, sigma_bar_grid
 
     kind = SurfaceKind(args.kind)
     j_list = sorted(set(_parse_ints(args.j, "--j")))
@@ -165,8 +165,11 @@ def _cmd_sweep(args) -> int:
     values = sigma_bar_grid(kind, max(j_list), grid)
     rows = []
     for i, T in enumerate(grid):
-        entries = spectrum(kind, float(T), j_list[-1])
-        labels = [e.branch.label() for e in entries for _ in range(e.multiplicity)]
+        labels = [
+            f"{profile.value}:{mode}"  # Branch.label() of the entry's first branch
+            for _, (_, _, profile, mode), _, (lo, hi) in _walk(kind, float(T), j_list[-1])
+            for _ in range(lo, hi + 1)
+        ]
         rows.append(
             {"T": T}
             | {f"sigma_bar_{j}": values[j - 1, i] for j in j_list}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import _SCALE, SurfaceKind, spectrum
+from .branches import _SCALE, SurfaceKind, _walk
 from .exceptions import DomainError
 
 
@@ -151,8 +151,8 @@ def closed_form_sigma(kind: SurfaceKind, T: float, f: float, count: int) -> np.n
     """First `count` nonzero eigenvalues at a finite boundary factor f > 0, by the closed forms."""
     length = _SCALE[kind] * _check_weight(f)
     values = []
-    for entry in spectrum(kind, T, count):
-        values.extend([entry.value / length] * entry.multiplicity)
+    for value, _, _, (lo, hi) in _walk(kind, T, count):
+        values.extend([value / length] * (hi - lo + 1))
     return np.array(values[:count])
 
 

@@ -171,11 +171,12 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
         (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.modulus
         for c in crossing_lattice(mb, max_mode)
     }
+    # the even value at each crossing, once: each record's rhs is another's lhs
+    values = {(k, l): lambda_bar(mb, k, modulus) for (k, l), modulus in moduli.items()}
     records = []
-    for (k, l), modulus in moduli.items():
-        lhs = lambda_bar(mb, k, modulus)
+    for (k, l), lhs in values.items():
         for c in range(1, min(l, max_mode - k + 1)):
-            rhs = lambda_bar(mb, k + c, moduli[k + c, l - c])
+            rhs = values[k + c, l - c]
             records.append(InequalityRecord(label=f"k={k},l={l},c={c}", lhs=lhs, rhs=rhs))
     return records
 

@@ -1,6 +1,7 @@
 """Eigenvalue branches, spectrum assembly, and the piecewise Mobius formula."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -149,6 +150,15 @@ def test_sigma_bar_grid_matches_scalar():
                 assert table[j - 1, i] == pytest.approx(
                     sigma_bar(kind, j, float(grid[i])), rel=1e-13
                 )
+        # a 2-D grid is sorted modulus by modulus, as the 1-D one, and a
+        # scalar counts as one modulus
+        square = sigma_bar_grid(kind, 8, grid.reshape(5, 10))
+        assert square.shape == (8, 5, 10)
+        assert square.tobytes() == table.tobytes()
+        for (j, r, c), value in np.ndenumerate(square):
+            T = float(grid[10 * r + c])
+            assert value == pytest.approx(sigma_bar(kind, j + 1, T), rel=1e-13)
+        assert sigma_bar_grid(kind, 8, grid[17]).tobytes() == table[:, 17:18].tobytes()
 
 
 def test_mobius_crossing_modulus_conventions():
@@ -453,10 +463,15 @@ def test_branch_formulas_match_frozen_reference_bitwise(kind):
 
 @pytest.mark.parametrize("kind", [MB, AN])
 def test_spectrum_matches_frozen_reference_bitwise(kind):
-    for T in _REF_T[:-1]:  # spectrum refuses T = inf
+    # spectrum refuses T = inf; at the lattice's crossings entries merge
+    moduli = _REF_T[:-1] + [c.modulus for c in crossing_lattice(kind, 20)]
+    for T in moduli:
         reference = _ref_spectrum(kind, T, 60)
         got = [(e.value.hex(), e.branches, e.index_range) for e in spectrum(kind, T, 60)]
         assert got == [(v.hex(), b, r) for v, b, r in reference], T
+        for v, _, (lo, hi) in reference:
+            for j in range(lo, min(hi, 60) + 1):
+                assert sigma_bar(kind, j, T).hex() == v.hex(), (T, j)
         for f in (1.0, 0.3):
             length = (2.0 if kind is MB else 4.0) * math.pi * f
             values = [v / length for v, _, (lo, hi) in reference for _ in range(lo, hi + 1)]
@@ -553,15 +568,23 @@ def test_spectrum_reports_only_real_crossings(kind):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", [MB, AN])
-@pytest.mark.parametrize("T", [5e-324, 1e-320])
+@pytest.mark.parametrize("T", [5e-324, 1e-320, 1e308, sys.float_info.max])
 def test_subnormal_modulus_raises_no_warning(kind, T):
-    # every odd value and the linear one overflow to +inf; the even values
-    # stay finite and fill the spectrum
-    assert mu_bar(kind, 1, T) == math.inf
+    # at a subnormal T every odd value and the linear one overflow to +inf,
+    # and the even values stay finite and fill the spectrum; at 1e308 and the
+    # largest double, mode * T overflows and every hyperbolic value saturates
+    reference = _ref_spectrum(kind, T, 6)
     entries = spectrum(kind, T, 6)
-    assert [e.branches for e in entries] == [(_ref_even(kind, m),) for m in (1, 2, 3)]
-    values = [e.value for e in entries for _ in range(e.multiplicity)]
-    assert values == [lambda_bar(kind, m, T) for m in (1, 1, 2, 2, 3, 3)]
+    got = [(e.value.hex(), e.branches, e.index_range) for e in entries]
+    assert got == [(v.hex(), b, r) for v, b, r in reference]
+    values = [v for v, _, (lo, hi) in reference for _ in range(lo, hi + 1)][:6]
+    if T < 1.0:
+        assert mu_bar(kind, 1, T) == math.inf
+        assert [e.branches for e in entries] == [(_ref_even(kind, m),) for m in (1, 2, 3)]
+        assert values == [lambda_bar(kind, m, T) for m in (1, 1, 2, 2, 3, 3)]
+    assert [sigma_bar(kind, j, T) for j in range(1, 7)] == values
+    length = (2.0 if kind is MB else 4.0) * math.pi
+    assert closed_form_sigma(kind, T, 1.0, 6).tolist() == [v / length for v in values]
     assert sigma_bar_grid(kind, 6, [T])[:, 0].tolist() == values
 
 

@@ -69,7 +69,8 @@ def test_sweep_branch_switch(capsys, tmp_path):
         str(path),
     )
     assert code == EXIT_OK
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
     assert set(rows[0]) == {"T", "sigma_bar_1", "branch_1"}
     t11 = solve_crossing(2.0, 1.0).x
     labels = [(float(r["T"]), r["branch_1"]) for r in rows]
@@ -576,6 +577,9 @@ _FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
 _OUT_CASES = [
     (["spectrum", "--kind", "annulus", "--T", "1.3", "--count", "7"], ("text", "json", "csv")),
     (["sweep", "--kind", "mobius", "--j", "3,1", "--steps", "9"], ("text",)),
+    # mode * T overflows a double: the output must come without a warning
+    (["spectrum", "--kind", "annulus", "--T", "1e308", "--count", "4"], ("text",)),
+    (["sweep", "--kind", "mobius", "--j", "1,2", "--t-min", "1", "--t-max", "1e308", "--steps", "3"], ("text",)),
     (["crossings", "--kind", "annulus", "--max-mode", "3"], ("text", "json", "csv")),
     (["critical-set", "--kind", "mobius", "--max-mode", "2"], ("text", "json", "csv")),
     (["suprema", "--kind", "annulus", "--j", "2"], ("text", "json")),

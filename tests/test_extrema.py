@@ -202,6 +202,31 @@ def test_first_intersection_margins():
     assert all(r.margin > 0.0 for r in records)
 
 
+def _ref_first_intersection_max(max_mode):
+    # lambda_bar evaluated afresh for each side of each record
+    moduli = {
+        (k, l): solve_crossing(2 * k, 2 * l - 1).x
+        for k in range(1, max_mode + 1)
+        for l in range(1, k + 1)
+    }
+    return [
+        (
+            f"k={k},l={l},c={c}",
+            lambda_bar(MB, k, T).hex(),
+            lambda_bar(MB, k + c, moduli[k + c, l - c]).hex(),
+        )
+        for (k, l), T in moduli.items()
+        for c in range(1, min(l, max_mode - k + 1))
+    ]
+
+
+@pytest.mark.parametrize("max_mode", [1, 2, 12, 20, 30])
+def test_first_intersection_max_matches_per_record_reference(max_mode):
+    records = verify_first_intersection_max(max_mode)
+    got = [(r.label, r.lhs.hex(), r.rhs.hex()) for r in records]
+    assert got == _ref_first_intersection_max(max_mode)
+
+
 def test_no_asymptote_records():
     records = verify_no_asymptote(20)
     t10 = solve_t10()
