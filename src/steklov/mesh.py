@@ -8,16 +8,22 @@ written to OBJ/PLY through an orthogonal projection onto three chosen
 coordinates; CSV always carries the full coordinates.  The projection axes are
 checked against the family's dimension for every format.
 
+A mesh keeps its grid: the t of each row, the theta of each column, and the
+vertex count n_first of row 0 (n_theta, or the n_theta / 2 vertices of the
+welded core circle on the quotient).  Grid node (i, j) is vertex
+i * n_theta + j - (n_theta - n_first) * [i > 0], taken mod n_first in row 0;
+the faces are built by this rule, and ``_grid_nodes`` inverts it for
+``SurfaceMesh.params`` and the CSV parameter columns.
+
 Exports are ``%.17g`` text (``%d`` for face indices), byte for byte what
 ``template % row`` gives, built by ``steklov.numtext`` and written as bytes a
 block of about ``_BLOCK_VALUES`` values at a time.  Each distinct number is
 formatted once per export: the ``%d`` text of every vertex id is one table
 that the faces gather three cells a row from, and the CSV parameters gather
-the text of the grid's t and theta values through ``_grid_params``, the
-helper that makes ``SurfaceMesh.params``.  Every row is written with the
-line break that ends the row before it, laid into the free leading bytes of
-its first cell; the writers drop the first one or let the header end on it,
-and write the file's last line break themselves.
+the text of the grid's t and theta values at each vertex's node.  Every row
+is written with the line break that ends the row before it, laid into the
+free leading bytes of its first cell; the writers drop the first one or let
+the header end on it, and write the file's last line break themselves.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .branches import _check_integer
 from .exceptions import DomainError
 from .kinds import MeshFormat
 from .numtext import _g17_cells, _gather, _int_cells, _items, _text
@@ -49,7 +56,16 @@ _MAX_VERTICES = 2**31 - 1
 class SurfaceMesh:
     vertices: np.ndarray  # (V, ambient_dim)
     faces: np.ndarray  # (F, 3), 0-based
-    params: np.ndarray  # (V, 2) representative (t, theta) per vertex
+    # (t_vals, th_vals, n_first) of ``_grid_axes``: the t of each row, the
+    # theta of each column, the vertex count of row 0
+    grid: tuple[np.ndarray, np.ndarray, int]
+
+    @cached_property
+    def params(self) -> np.ndarray:
+        """(V, 2) representative (t, theta) per vertex, read off the grid."""
+        t_vals, th_vals, n_first = self.grid
+        row, col = _grid_nodes(np.arange(len(self.vertices)), len(th_vals), n_first)
+        return np.column_stack([t_vals[row], th_vals[col]])
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -116,31 +132,14 @@ def _grid_axes(fam: ImmersionFamily, n_t: int, n_theta: int) -> tuple[np.ndarray
     return np.linspace(-T, T, n_t + 1), th_vals, n_theta
 
 
-def _grid_params(t_items: np.ndarray, th_items: np.ndarray, n_first: int, start: int, stop: int) -> np.ndarray:
-    """``(t_items[row], th_items[col])`` of the vertices start..stop - 1, in
-    vertex order: row 0 holds vertices 0..n_first - 1 at columns
-    0..n_first - 1, every later row one vertex per column.
-
-    With the grid's t and theta values this is ``SurfaceMesh.params``; with
-    their text cells, the CSV parameter columns.
-    """
-    n_theta = len(th_items)
-    # the rows r0..r1 - 1 that hold the vertices, laid out whole
-    r0 = 0 if start < n_first else 1 + (start - n_first) // n_theta
-    r1 = 1 if stop <= n_first else 1 - (n_first - stop) // n_theta
-    n_head = n_first if r0 == 0 else 0
-    full = max(r0, 1)
-    out = np.empty((n_head + (r1 - full) * n_theta, 2), t_items.dtype)
-    out[:n_head, 0] = t_items[0]
-    out[:n_head, 1] = th_items[:n_head]
-    rows = out[n_head:].reshape(r1 - full, n_theta, 2)
-    rows[:, :, 0] = t_items[full:r1, None]
-    rows[:, :, 1] = th_items
-    offset = 0 if r0 == 0 else n_first + (r0 - 1) * n_theta
-    return out[start - offset : stop - offset]
+def _grid_nodes(v: np.ndarray, n_theta: int, n_first: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the grid node each vertex id in ``v`` stands for: the
+    inverse of the faces' rule in ``build_mesh``."""
+    return np.divmod(v + (n_theta - n_first) * (v >= n_first), n_theta)
 
 
 def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:
+    n_t, n_theta = _check_integer(n_t, "n_t"), _check_integer(n_theta, "n_theta")
     if n_t < 3 or n_theta < 3:
         raise DomainError("grid must be at least 3x3")
     if fam.is_quotient and n_theta % 2 != 0:
@@ -148,37 +147,27 @@ def build_mesh(fam: ImmersionFamily, n_t: int, n_theta: int) -> SurfaceMesh:
     if fam.is_quotient and n_theta < 6:
         # the weld leaves n_theta / 2 core vertices; two make a 2-gon, not a circle
         raise DomainError(f"the half-turn weld needs n_theta >= 6, got {n_theta}")
-    if (int(n_t) + 1) * int(n_theta) > _MAX_VERTICES:
+    if (n_t + 1) * n_theta > _MAX_VERTICES:
         raise DomainError(f"grid {n_t}x{n_theta} exceeds {_MAX_VERTICES} vertices, PLY's limit")
     t_vals, th_vals, n_first = _grid_axes(fam, n_t, n_theta)
-    params = _grid_params(t_vals, th_vals, n_first, 0, n_first + n_t * n_theta)
+    # the (t, theta) tensor grid, flattened row-major, less the nodes past
+    # n_first in row 0
+    nodes = _position(fam, t_vals[:, None], th_vals).reshape(-1, fam.ambient_dim)
+    vertices = np.concatenate([nodes[:n_first], nodes[n_theta:]])
+
     # vertex id of grid node (i, j) for j = 0..n_theta; column n_theta is the
-    # seam, welded to column 0
+    # seam, welded to column 0, and row 0 wraps at n_first, which on the
+    # quotient is the core weld (0, th) ~ (0, th + pi)
     i = np.arange(n_t + 1)[:, None]
     j = np.arange(n_theta + 1)[None, :] % n_theta
-
-    if fam.is_quotient:
-        # row 0 is the core circle: (0, th) ~ (0, th + pi) leaves half a row
-        vid = n_first + (i - 1) * n_theta + j
-        vid[0] = j[0] % n_first
-        core = params[:n_first]
-        t_rows = t_vals[1:]
-    else:
-        vid = i * n_theta + j
-        core = params[:0]
-        t_rows = t_vals
-
-    # the (row, theta) tensor grid, flattened row-major, is in the order of rows
-    grid = _position(fam, t_rows[:, None], th_vals)
-    vertices = np.concatenate(
-        [_position(fam, core[:, 0], core[:, 1]), grid.reshape(-1, fam.ambient_dim)]
-    )
+    vid = i * n_theta + j - (n_theta - n_first) * (i > 0)
+    vid[0] %= n_first
 
     # two triangles per cell (i, j), cells in row-major order
     v00, v01 = vid[:-1, :-1], vid[:-1, 1:]
     v10, v11 = vid[1:, :-1], vid[1:, 1:]
     faces = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
-    return SurfaceMesh(vertices=vertices, faces=faces, params=params)
+    return SurfaceMesh(vertices=vertices, faces=faces, grid=(t_vals, th_vals, n_first))
 
 
 def export_mesh(
@@ -190,14 +179,14 @@ def export_mesh(
     projection: tuple[int, int, int] = (0, 1, 2),
 ) -> SurfaceMesh:
     dim = fam.ambient_dim
-    axes = tuple(projection)
+    axes = tuple(_check_integer(a, "projection axis") for a in projection)
     if len(axes) != 3 or len(set(axes)) != 3 or not all(0 <= a < dim for a in axes):
         raise DomainError(
             f"invalid projection axes {projection}: need 3 distinct axes in 0..{dim - 1}"
         )
     mesh = build_mesh(fam, n_t, n_theta)
     if fmt is MeshFormat.CSV:
-        _write_csv(mesh, _grid_axes(fam, n_t, n_theta), path)
+        _write_csv(mesh, path)
     else:
         pts = mesh.vertices[:, list(axes)]
         if fmt is MeshFormat.OBJ:
@@ -233,10 +222,10 @@ def _write_ids(fh, rows: np.ndarray, ids: np.ndarray, head: str) -> None:
         fh.write(_text(_gather(table, rows[start : start + step], leads)))
 
 
-def _write_csv(mesh: SurfaceMesh, grid: tuple[np.ndarray, np.ndarray, int], path: str) -> None:
+def _write_csv(mesh: SurfaceMesh, path: str) -> None:
     # the dialect of csv.writer: comma-separated, \r\n line ends; numbers
     # never need quoting
-    t_vals, th_vals, n_first = grid
+    t_vals, th_vals, n_first = mesh.grid
     n_vertices, dim = mesh.vertices.shape
     # t and theta formatted in one call, the shorter column padded with zeros
     # that no vertex gathers
@@ -251,8 +240,9 @@ def _write_csv(mesh: SurfaceMesh, grid: tuple[np.ndarray, np.ndarray, int], path
         fh.write(",".join(["t", "theta"] + [f"x{i + 1}" for i in range(dim)]).encode("ascii"))
         for start in range(0, n_vertices, step):
             stop = min(start + step, n_vertices)
+            row, col = _grid_nodes(np.arange(start, stop), len(th_vals), n_first)
             cells = np.empty((stop - start, 2 + dim), t_cells.dtype)
-            cells[:, :2] = _grid_params(t_cells, th_cells, n_first, start, stop)
+            cells[:, 0], cells[:, 1] = t_cells[row], th_cells[col]
             cells[:, 2:] = _items(_g17_cells(mesh.vertices[start:stop], [","] * dim))
             fh.write(_text(cells))
         fh.write(b"\r\n")

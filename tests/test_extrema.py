@@ -138,6 +138,24 @@ def test_grid_never_exceeds_unattained_bound():
     assert max(values) < 4.0 * math.pi
 
 
+def test_every_supremum_is_the_best_local_max_of_the_critical_set():
+    # the exact critical set up to mode 40 holds the maximiser of every
+    # sigma_j, j <= 40: its best local maximum is the supremum, bit for bit
+    for kind, sup in ((MB, sup_sigma_mobius), (AN, sup_sigma_annulus)):
+        maxima = [r for r in critical_set(kind, 40) if r.character is Character.LOCAL_MAX]
+        for j in range(1, 41):
+            result = sup(j)
+            values = [r.value for r in maxima if j in r.indices]
+            if not result.attained:
+                # the annulus's sigma_2 rises to 4*pi and never reaches it
+                assert (kind, j) == (AN, 2) and values == []
+                continue
+            assert max(values) == result.value, (kind, j)
+            if kind is MB:
+                # the T -> infinity limit lies below the supremum
+                assert 2.0 * math.pi * math.ceil(j / 2) < result.value
+
+
 def test_mobius_critical_set_structure():
     records = critical_set(MB, 2)
     by_key = {(r.modulus, r.character): r for r in records}

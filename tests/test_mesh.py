@@ -56,11 +56,35 @@ def test_vertices_lie_in_closed_unit_ball():
         assert np.max(norms) >= 1.0 - 1e-12
 
 
-def test_grid_validation():
+@pytest.mark.parametrize(
+    "fam, n_t, n_theta",
+    [
+        (catenoid_b3(1), 2, 64),
+        (mobius_b4(2, 1), 16, 15),  # odd theta count cannot weld
+        (catenoid_b3(1), 8.5, 16),  # sizes pass the integer rule first
+        (mobius_b4(2, 1), 8, 16.5),
+        (annulus_b4(3, 2), math.nan, 16),
+        (catenoid_b3(1), 8, math.inf),
+        (mobius_b4(2, 1), -math.inf, 16),
+    ],
+    ids=["cat-short", "band-odd-theta", "cat-fraction", "band-fraction", "ann-nan", "cat-inf", "band-minus-inf"],
+)
+def test_grid_validation(tmp_path, fam, n_t, n_theta):
     with pytest.raises(DomainError):
-        build_mesh(catenoid_b3(1), 2, 64)
+        build_mesh(fam, n_t, n_theta)
+    path = tmp_path / "mesh.obj"
     with pytest.raises(DomainError):
-        build_mesh(mobius_b4(2, 1), 16, 15)  # odd theta count cannot weld
+        export_mesh(fam, n_t, n_theta, MeshFormat.OBJ, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", list(MeshFormat), ids=lambda f: f.value)
+def test_integral_float_sizes_and_axes_write_the_same_bytes(tmp_path, fmt):
+    fam = mobius_b4(2, 1)
+    exact, floats = tmp_path / f"exact.{fmt.value}", tmp_path / f"floats.{fmt.value}"
+    export_mesh(fam, 8, 16, fmt, str(exact), projection=(0, 1, 3))
+    export_mesh(fam, 8.0, np.float64(16), fmt, str(floats), projection=(0, 1.0, np.float32(3)))
+    assert exact.read_bytes() == floats.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -154,8 +178,15 @@ def test_projection_permutes_catenoid(tmp_path, fmt):
         (mobius_b4(2, 1), (9, 9, 9)),
         (mobius_b4(2, 1), (0, 1, 2, 3)),
         (annulus_b4(3, 2), (-1, 1, 2)),
+        (catenoid_b3(2), (0, 1, 2.5)),
+        (mobius_b4(2, 1), (0.5, 1, 2)),
+        (annulus_b4(3, 2), (0, math.nan, 2)),
+        (catenoid_b3(2), (0, 1, math.inf)),
     ],
-    ids=["cat-two-axes", "cat-axis-3", "cat-repeat", "band-999", "band-four-axes", "ann-negative"],
+    ids=[
+        "cat-two-axes", "cat-axis-3", "cat-repeat", "band-999", "band-four-axes", "ann-negative",
+        "cat-fraction", "band-fraction", "ann-nan", "cat-inf",
+    ],
 )
 def test_projection_checked_for_every_family_and_format(tmp_path, fam, projection, fmt):
     path = tmp_path / f"mesh.{fmt.value}"
@@ -349,15 +380,36 @@ def _reference_params(fam, n_t, n_theta):
 )
 @pytest.mark.parametrize("grid", [(3, 6), (8, 16), (9, 20), (40, 256)])
 def test_grid_params_reproduce_mesh_params(fam, grid):
-    params = build_mesh(fam, *grid).params
+    mesh = build_mesh(fam, *grid)
+    params = mesh.params
     assert params.tobytes() == _reference_params(fam, *grid).tobytes()
-    t_vals, th_vals, n_first = mesh_module._grid_axes(fam, *grid)
+    t_vals, th_vals, n_first = mesh.grid
+    n_t, n_theta = grid
     n = len(params)
-    # blocks that start and end inside, at and just past row 0
+    # the (row, col) rule on blocks that start and end inside, at and just
+    # past row 0
     for start, stop in [(0, 1), (0, n_first), (1, n_first + 1), (n_first, n_first + 3),
                         (n_first - 1, n), (n // 3, n // 2), (n - 1, n), (0, n)]:
-        got = mesh_module._grid_params(t_vals, th_vals, n_first, start, stop)
+        row, col = mesh_module._grid_nodes(np.arange(start, stop), n_theta, n_first)
+        got = np.column_stack([t_vals[row], th_vals[col]])
         assert got.tobytes() == params[start:stop].tobytes()
+    # the faces' vertex ids laid back on the grid nodes (i, j), j = 0..n_theta:
+    # cell (i, j) holds the triangles (v00, v01, v11) and (v00, v11, v10)
+    upper = mesh.faces[0::2].reshape(n_t, n_theta, 3)
+    lower = mesh.faces[1::2].reshape(n_t, n_theta, 3)
+    assert np.array_equal(lower[..., :2], upper[..., [0, 2]])
+    vid = np.empty((n_t + 1, n_theta + 1), dtype=mesh.faces.dtype)
+    vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:] = upper[..., 0], upper[..., 1], upper[..., 2]
+    vid[1:, :-1] = lower[..., 2]
+    assert np.array_equal(np.unique(vid), np.arange(n))
+    # the rule inverts them: the seam column n_theta is column 0, and on the
+    # band row 0 wraps at the core weld, n_first
+    i, j = np.indices(vid.shape)
+    j %= n_theta
+    j[0] %= n_first
+    row, col = mesh_module._grid_nodes(vid, n_theta, n_first)
+    assert np.array_equal(row, i) and np.array_equal(col, j)
+    assert params[vid].tobytes() == np.stack([t_vals[i], th_vals[j]], axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------
