@@ -42,8 +42,8 @@ from enum import Enum
 
 import numpy as np
 
-from .crossings import RESIDUAL_SCALE, _double, solve_crossing, solve_t10
-from .exceptions import DomainError, UnsupportedBranchError
+from .crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
+from .exceptions import DomainError, UnsupportedBranchError, _check_index, _check_modulus, _check_positive
 from .hyperbolic import SATURATION, coth
 from .kinds import SurfaceKind
 
@@ -87,32 +87,6 @@ class EigenvalueEntry:
     @property
     def multiplicity(self) -> int:
         return self.index_range[1] - self.index_range[0] + 1
-
-
-def _check_modulus(T: float) -> float:
-    T = float(T)
-    if math.isnan(T) or T <= 0.0:
-        raise DomainError(f"conformal modulus must be positive, got {T}")
-    return T
-
-
-def _check_integer(value, name: str, error: type[Exception] = DomainError) -> int:
-    """`value` as an int; fractions, infinities and NaN raise `error`."""
-    try:
-        index = int(value)
-    except (OverflowError, ValueError):  # inf, NaN
-        raise error(f"{name} must be an integer, got {value}") from None
-    if index != value:
-        raise error(f"{name} must be an integer, got {value}")
-    return index
-
-
-def _check_index(value, name: str = "mode index") -> int:
-    """`value` as an int >= 1, by the integer rule of `_check_integer`."""
-    index = _check_integer(value, name)
-    if index < 1:
-        raise DomainError(f"{name} must be >= 1, got {index}")
-    return index
 
 
 # Boundary length per unit conformal factor: 2*pi per boundary circle.
@@ -317,7 +291,10 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     shape (1,).  Used as an independent grid-search route; raises if the mode
     cutoff could have missed a value.
     """
-    T = np.atleast_1d(np.asarray(T, dtype=float))
+    try:
+        T = np.atleast_1d(np.asarray(T, dtype=float))
+    except OverflowError:  # an integer past the double range, refused below
+        T = np.array([math.inf])
     if np.any(T <= 0.0) or not np.all(np.isfinite(T)):
         raise DomainError("moduli must be positive and finite")
     j_max = _check_index(j_max, "j_max")
@@ -391,7 +368,7 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
         return LatticeCrossing(
             increasing=even,
             decreasing=_LINEAR,
-            modulus=t10 / _double(m),
+            modulus=t10 / _check_positive(m, "mode"),
             height=m / t10,
             value=scale * m / t10,
             first_index=2 * m - 1,

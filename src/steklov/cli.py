@@ -20,7 +20,7 @@ import sys
 # Each subcommand and suite imports the library names it calls, NumPy
 # included, so a command loads only its own modules and a usage error or
 # --help loads none.
-from .exceptions import SteklovError
+from .exceptions import SteklovError, _check_index, _check_positive
 from .kinds import FamilyKind, MeshFormat, SurfaceKind
 
 EXIT_OK = 0
@@ -113,11 +113,6 @@ def _parse_ints(text: str, option: str) -> list[int]:
         ) from exc
 
 
-def _require_positive(value: int, option: str) -> None:
-    if value < 1:
-        raise SteklovError(f"{option} must be >= 1, got {value}")
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -154,14 +149,14 @@ def _cmd_sweep(args) -> int:
 
     kind = SurfaceKind(args.kind)
     j_list = sorted(set(_parse_ints(args.j, "--j")))
-    _require_positive(j_list[0], "--j")
+    _check_index(j_list[0], "--j")
     if args.steps < 2:
         raise SteklovError(f"steps must be >= 2, got {args.steps}")
-    if not 0.0 < args.t_min < args.t_max:
-        raise SteklovError("need 0 < t-min < t-max")
-    if math.isinf(args.t_max):  # np.geomspace would warn before any check of ours
-        raise SteklovError("t-max must be finite")
-    grid = np.geomspace(args.t_min, args.t_max, args.steps)
+    # finite: np.geomspace would warn at an infinite end before any check of ours
+    t_min, t_max = _check_positive(args.t_min, "t-min"), _check_positive(args.t_max, "t-max")
+    if t_min >= t_max:
+        raise SteklovError("need t-min < t-max")
+    grid = np.geomspace(t_min, t_max, args.steps)
     values = sigma_bar_grid(kind, max(j_list), grid)
     rows = []
     for i, T in enumerate(grid):
@@ -183,7 +178,7 @@ def _cmd_crossings(args) -> int:
     from .branches import branch_index, crossing_lattice
 
     kind = SurfaceKind(args.kind)
-    _require_positive(args.max_mode, "--max-mode")
+    _check_index(args.max_mode, "--max-mode")
     # on the annulus n = 0 is the linear branch
     first, second = ("k", "l") if kind is SurfaceKind.MOBIUS_BAND else ("m", "n")
     records = [
@@ -434,7 +429,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    _require_positive(args.max_mode, "--max-mode")
+    _check_index(args.max_mode, "--max-mode")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines = []
     failed = 0

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exceptions import DomainError, NoCrossingError
+from .exceptions import NoCrossingError, _check_positive
 from .hyperbolic import coth, csch2, sech2
 
 RESIDUAL_SCALE = 1e-14  # target |F(x)| <= RESIDUAL_SCALE * (a + b)
@@ -88,19 +88,9 @@ def _solve(a: float, b: float) -> CrossingPoint:
     return CrossingPoint(a=a, b=b, x=x, height=a * math.tanh(a * x))
 
 
-def _double(mode) -> float:
-    """``float(mode)``; an integer past the double range raises DomainError."""
-    try:
-        return float(mode)
-    except OverflowError:
-        raise DomainError("mode exceeds the double range") from None
-
-
 def solve_crossing(a: float, b: float) -> CrossingPoint:
     """Unique positive root of a*tanh(a*x) = b*coth(b*x), for a > b > 0."""
-    a, b = _double(a), _double(b)
-    if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"frequencies must be finite and positive, got a={a}, b={b}")
+    a, b = _check_positive(a, "mode"), _check_positive(b, "mode")
     if a <= b:
         # F tends to a - b <= 0 at infinity while staying negative, no root.
         raise NoCrossingError(f"no crossing for a={a} <= b={b}")
@@ -120,6 +110,11 @@ def solve_t10() -> float:
         if abs(step) <= 1e-17 * t:
             break
     return t
+
+
+def _sinh2_excess(y: float) -> float:
+    """sinh(2y) - 2y from its series through y^21, to rounding for y < 1/2."""
+    return sum((2.0 * y) ** k / math.factorial(k) for k in range(21, 2, -2))
 
 
 @dataclass(frozen=True)
@@ -142,8 +137,7 @@ def crossing_partials(a: float, b: float) -> CrossingPartials:
     # left side cancels (1e4 ulps at y = 0.01), so sinh(2y) - 2y is summed
     y = b * x
     if y < 0.5:
-        excess = sum((2.0 * y) ** k / math.factorial(k) for k in range(21, 2, -2))
-        dx_db = excess / (2.0 * math.sinh(y) ** 2) / denom
+        dx_db = _sinh2_excess(y) / (2.0 * math.sinh(y) ** 2) / denom
     else:
         dx_db = (coth(y) - y * csch2(y)) / denom
     du_da = -b * b * csch2(b * x) * dx_da
@@ -166,9 +160,7 @@ def aux_inequalities(t: float) -> AuxInequalities:
     All three are strictly positive for t > 0; f_val and tanh_gap vanish
     like t^3 as t -> 0+, and g_prime tends to 2/3.
     """
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    t = _check_positive(t, "t")
     if t >= 0.5:
         f_val = 0.5 * math.sinh(2.0 * t) - t
         g_prime = 2.0 * math.cosh(t) * (t * math.cosh(t) - math.sinh(t)) / t**3
@@ -176,10 +168,9 @@ def aux_inequalities(t: float) -> AuxInequalities:
     # below t = 1/2 the differences cancel (f_val = 0 at t = 1e-8), so, as in
     # crossing_partials, sinh(2t) - 2t and (t*cosh(t) - sinh(t)) / t^3 =
     # sum over k >= 1 of 2k t^(2k-2) / (2k+1)! are summed from their series
-    f_val = 0.5 * sum((2.0 * t) ** k / math.factorial(k) for k in range(21, 2, -2))
     excess = sum(2 * k * t ** (2 * k - 2) / math.factorial(2 * k + 1) for k in range(10, 0, -1))
     return AuxInequalities(
-        f_val=f_val,
+        f_val=0.5 * _sinh2_excess(t),
         g_prime=2.0 * math.cosh(t) * excess,
         tanh_gap=t**3 * excess / math.cosh(t),
     )

@@ -18,18 +18,12 @@ node count must be even so the half-turn shift lands on grid nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .branches import _SCALE, SurfaceKind, _walk
-from .exceptions import DomainError
-
-
-def _check_weight(w: float) -> float:
-    if not (w > 0.0 and math.isfinite(w)):
-        raise DomainError(f"boundary weight must be positive and finite, got {w}")
-    return w
+from .exceptions import DomainError, _check_integer, _check_positive
 
 
 @dataclass(frozen=True)
@@ -40,18 +34,16 @@ class OracleProblem:
     boundary_weight: float = 1.0  # conformal factor at the boundary
 
     def __post_init__(self):
-        if len(self.grid) != 2 or not all(
-            isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.grid
-        ):
+        if len(self.grid) != 2:
             raise DomainError(f"grid must be two integers (n_t, n_theta), got {self.grid!r}")
-        n_t, n_theta = self.grid
-        if self.T <= 0.0 or not math.isfinite(self.T):
-            raise DomainError(f"modulus must be positive and finite, got {self.T}")
+        grid = n_t, n_theta = tuple(_check_integer(n, "grid size") for n in self.grid)
+        _check_positive(self.T, "modulus")
         if n_t < 4 or n_theta < 4:
             raise DomainError(f"grid too coarse: {self.grid}")
         if n_theta % 2 != 0:
             raise DomainError("n_theta must be even (half-turn shift must be on-grid)")
-        _check_weight(self.boundary_weight)
+        _check_positive(self.boundary_weight, "boundary weight")
+        object.__setattr__(self, "grid", grid)  # integral floats become ints
 
     @property
     def boundary_size(self) -> int:
@@ -135,21 +127,22 @@ def rayleigh_quotient(dtn: DtNMatrix, data: np.ndarray) -> float:
     The boundary quadrature weights are uniform, so they cancel.
     """
     data = np.asarray(data, dtype=float)
+    if data.shape != (dtn.size,) or not (np.all(np.isfinite(data)) and np.any(data)):
+        raise DomainError(f"boundary data must be a finite, nonzero vector of {dtn.size} entries")
     return float(data @ (dtn.entries @ data) / (data @ data))
 
 
 def oracle_spectrum(p: OracleProblem, count: int) -> np.ndarray:
     """Smallest `count` eigenvalues of the discrete boundary operator."""
-    if not 1 <= count <= p.boundary_size:
-        raise DomainError(
-            f"count must be between 1 and {p.boundary_size} (the operator size), got {count}"
-        )
+    count, size = _check_integer(count, "count"), p.boundary_size
+    if not 1 <= count <= size:
+        raise DomainError(f"count must be between 1 and {size} (the operator size), got {count}")
     return np.linalg.eigvalsh(assemble_dtn(p).entries)[:count]
 
 
 def closed_form_sigma(kind: SurfaceKind, T: float, f: float, count: int) -> np.ndarray:
     """First `count` nonzero eigenvalues at a finite boundary factor f > 0, by the closed forms."""
-    length = _SCALE[kind] * _check_weight(f)
+    length = _SCALE[kind] * _check_positive(f, "boundary weight")
     values = []
     for value, _, _, (lo, hi) in _walk(kind, T, count):
         values.extend([value / length] * (hi - lo + 1))
@@ -179,10 +172,7 @@ def convergence_study(
     exact = closed_form_sigma(p.kind, p.T, p.boundary_weight, n_eigs)
     errors = []
     for grid in levels:
-        prob = OracleProblem(
-            kind=p.kind, T=p.T, grid=grid, boundary_weight=p.boundary_weight
-        )
-        eigs = oracle_spectrum(prob, n_eigs + 1)[1:]  # drop the constant mode
+        eigs = oracle_spectrum(replace(p, grid=grid), n_eigs + 1)[1:]  # drop the constant mode
         errors.append(np.abs(eigs - exact))
     errors = np.array(errors)
     hs = np.array([2.0 * p.T / g[0] for g in levels])

@@ -22,7 +22,6 @@ from .branches import (
     Branch,
     BranchKind,
     SurfaceKind,
-    _check_index,
     _crossing,
     branch_index,
     crossing_lattice,
@@ -30,6 +29,7 @@ from .branches import (
     sigma_bar_grid,
 )
 from .crossings import solve_t10
+from .exceptions import _check_index
 
 # Largest modulus on the default search grid.  Past T ~ 19 the even annulus
 # branch saturates to exactly 4*pi in double precision, which would make the

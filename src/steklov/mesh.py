@@ -35,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .branches import _check_integer
-from .exceptions import DomainError
+from .exceptions import DomainError, _check_integer
 from .kinds import MeshFormat
 from .numtext import _g17_cells, _gather, _int_cells, _items, _text
 from .surfaces import ImmersionFamily, _position
@@ -52,7 +51,7 @@ _BLOCK_VALUES = 8192
 _MAX_VERTICES = 2**31 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # NumPy fields: equality is identity, hashing by id
 class SurfaceMesh:
     vertices: np.ndarray  # (V, ambient_dim)
     faces: np.ndarray  # (F, 3), 0-based

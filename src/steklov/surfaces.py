@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .branches import _EVEN, _MOBIUS, _ODD, LatticeCrossing, _check_integer, _crossing, _modes
-from .exceptions import ConstraintError, DomainError, ParameterError
+from .branches import _EVEN, _MOBIUS, _ODD, LatticeCrossing, _crossing, _modes
+from .exceptions import ConstraintError, DomainError, ParameterError, _check_integer
 from .kinds import FamilyKind, SurfaceKind
 
 
@@ -104,11 +104,11 @@ def make_family(family: FamilyKind, m: int | None = None, n: int | None = None) 
         if n is None:
             raise ParameterError("catenoid family requires n")
         return catenoid_b3(n)
+    if family not in (FamilyKind.ANNULUS_B4, FamilyKind.MOBIUS_B4):
+        raise ParameterError(f"family must be a FamilyKind, got {family!r}")
     if m is None or n is None:
         raise ParameterError("four-dimensional families require m and n")
-    if family is FamilyKind.ANNULUS_B4:
-        return annulus_b4(m, n)
-    return mobius_b4(m, n)
+    return (annulus_b4 if family is FamilyKind.ANNULUS_B4 else mobius_b4)(m, n)
 
 
 _U, _U_T, _U_THETA = range(3)  # the outputs of evaluate, in order
@@ -118,17 +118,21 @@ def evaluate(fam: ImmersionFamily, t, theta):
     """Position and first derivatives of the immersion, broadcast over grids.
 
     Returns (u, du_dt, du_dtheta), each with a trailing axis of length
-    ambient_dim; raises DomainError if some |t| exceeds T*.  Every coordinate
-    is a t-profile times a theta-mode: ``_factors`` computes the profiles on
-    ``t`` and the modes on ``theta`` as given, and only their products
-    broadcast, so a tensor grid ``t[:, None]``, ``theta[None, :]`` costs
-    O(n_t + n_theta) transcendental calls.  The routines below compute only
-    the outputs they read, unchecked, through ``_outputs`` (or ``_position``
+    ambient_dim; raises DomainError unless |t| <= T* and theta is finite.
+    Every coordinate is a t-profile times a theta-mode: ``_factors`` computes
+    the profiles on ``t`` and the modes on ``theta`` as given, and only their
+    products broadcast, so a tensor grid ``t[:, None]``, ``theta[None, :]``
+    costs O(n_t + n_theta) transcendental calls.  The routines below compute
+    only the outputs they read, unchecked, through ``_outputs`` (or ``_position``
     and ``_velocity`` for one output), or contract the factor table itself.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > fam.T_star * (1.0 + 1e-12)):
-        raise DomainError(f"|t| must not exceed T* = {fam.T_star}")
+    try:
+        t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
+    except OverflowError:  # an integer past the double range, refused below
+        t = theta = np.array(math.inf)
+    # NaN fails the comparison, so it is refused too
+    if not (np.all(np.abs(t) <= fam.T_star * (1.0 + 1e-12)) and np.all(np.isfinite(theta))):
+        raise DomainError(f"need |t| <= T* = {fam.T_star} and finite theta")
     return tuple(_outputs(fam, t, theta, (_U, _U_T, _U_THETA)))
 
 

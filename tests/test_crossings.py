@@ -176,3 +176,36 @@ def test_aux_inequalities_domain():
         aux_inequalities(0.0)
     with pytest.raises(DomainError):
         aux_inequalities(-1.0)
+
+
+# float.hex of the outputs that sum the series of sinh(2y) - 2y (y < 1/2),
+# recorded before the two generator expressions became one helper
+SERIES_PARTIALS = {
+    (4.0, 1.0): ("0x1.b8b78de867217p-7", "0x1.0191892da30aap-4"),
+    (6.0, 1.0): ("0x1.f52a039c997e1p-9", "0x1.51b3d41e82575p-5"),
+    (40.0, 3.0): ("0x1.3c8501b4696aap-15", "0x1.2cbaee38f2a0fp-6"),
+}
+SERIES_AUX = {
+    1e-8: ("0x1.9ca58cce0be35p-81", "0x1.5555555555555p-1", "0x1.9ca58cce0be35p-82"),
+    0.01: ("0x1.65ebcd304b649p-21", "0x1.555a93882bc58p-1", "0x1.65e64dd8e6f66p-22"),
+    0.3: ("0x1.2c442213744a8p-6", "0x1.6807cec18bb36p-1", "0x1.1cab16b43c723p-7"),
+    0.49: ("0x1.510b6ca4a11a2p-4", "0x1.886a4c12129f3p-1", "0x1.2523946ba52a3p-5"),
+}
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("ab", sorted(SERIES_PARTIALS))
+def test_series_partials_bitwise(ab):
+    assert ab[1] * solve_crossing(*ab).x < 0.5  # the series branch
+    p = crossing_partials(*ab)
+    assert _bits([p.dx_db, p.du_db]) == _bits([float.fromhex(h) for h in SERIES_PARTIALS[ab]])
+
+
+@pytest.mark.parametrize("t", sorted(SERIES_AUX))
+def test_series_aux_inequalities_bitwise(t):
+    aux = aux_inequalities(t)
+    pinned = [float.fromhex(h) for h in SERIES_AUX[t]]
+    assert _bits([aux.f_val, aux.g_prime, aux.tanh_gap]) == _bits(pinned)

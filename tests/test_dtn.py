@@ -54,13 +54,22 @@ def test_closed_form_sigma_rejects_a_bad_weight(kind, weight):
         closed_form_sigma(kind, 1.0, weight, 4)
 
 
-@pytest.mark.parametrize(
-    "grid", [(8, 4.0), (8.0, 8), (8.5, 8), (True, 8), (8,), (8, 8, 8)], ids=repr
-)
+@pytest.mark.parametrize("grid", [(8.5, 8), (True, 8), (8,), (8, 8, 8)], ids=repr)
 @pytest.mark.parametrize("kind", [AN, MB])
 def test_problem_rejects_non_integer_grid(kind, grid):
+    # True reads as 1, a grid too coarse to assemble
     with pytest.raises(DomainError):
         OracleProblem(kind=kind, T=1.0, grid=grid)
+
+
+@pytest.mark.parametrize("grid, integers", [((8, 4.0), (8, 4)), ((8.0, 8), (8, 8))], ids=repr)
+@pytest.mark.parametrize("kind", [AN, MB])
+def test_integral_float_grid_assembles_as_the_integer_grid(kind, grid, integers):
+    # the integer rule of build_mesh: an integral float is its integer
+    problem = OracleProblem(kind=kind, T=1.0, grid=grid)
+    assert problem.grid == integers and all(type(n) is int for n in problem.grid)
+    reference = assemble_dtn(OracleProblem(kind=kind, T=1.0, grid=integers))
+    assert assemble_dtn(problem).entries.tobytes() == reference.entries.tobytes()
 
 
 def test_problem_accepts_numpy_integer_grid():
@@ -352,3 +361,15 @@ def test_closed_form_sigma_multiplicities():
     assert values[0] == values[1] == pytest.approx(math.tanh(1.0), rel=1e-14)
     assert values[2] == pytest.approx(1.0, rel=1e-14)
     assert values[3] == values[4] == pytest.approx(1.0 / math.tanh(1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [np.zeros(16), np.full(16, math.nan), np.ones(5), np.ones((4, 4))],
+    ids=["zeros", "nan", "five-entries", "matrix"],
+)
+def test_rayleigh_quotient_refuses_bad_data(data):
+    # zeros divided 0 by 0, NaN came back as NaN, a wrong length reached matmul
+    dtn = assemble_dtn(OracleProblem(kind=AN, T=1.0, grid=(8, 8)))
+    with pytest.raises(DomainError, match="finite, nonzero vector of 16 entries"):
+        rayleigh_quotient(dtn, data)

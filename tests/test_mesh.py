@@ -591,3 +591,10 @@ def test_export_matches_per_row_writer(tmp_path, fam, grid, projection, fmt):
     export_mesh(fam, *grid, fmt, str(got), projection=projection)
     _reference_export(fam, *grid, fmt, str(want), projection)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_mesh_equality_is_identity_and_hashable():
+    fam = mobius_b4(2, 1)
+    a, b = build_mesh(fam, 3, 6), build_mesh(fam, 3, 6)
+    assert a == a and a != b  # NumPy fields are never compared
+    assert len({a, b, a}) == 2

@@ -907,3 +907,10 @@ def test_family_modes_refuse_fractions_and_non_finite(build, value):
     # NaN must not escape as OverflowError or ValueError
     with pytest.raises(ParameterError, match="must be an integer"):
         build(value)
+
+
+@pytest.mark.parametrize("family", ["annulus", None, 2], ids=repr)
+def test_make_family_refuses_a_family_that_is_not_a_kind(family):
+    # "annulus" used to fall through to mobius_b4 and its parity message
+    with pytest.raises(ParameterError, match=f"^family must be a FamilyKind, got {family!r}$"):
+        surfaces.make_family(family, 3, 2)
