@@ -124,11 +124,12 @@ def assemble_dtn(p: OracleProblem) -> DtNMatrix:
 def rayleigh_quotient(dtn: DtNMatrix, data: np.ndarray) -> float:
     """Rayleigh quotient of boundary data against the operator.
 
-    The boundary quadrature weights are uniform, so they cancel.
+    The uniform boundary quadrature weights and the scale of the data cancel.
     """
     data = np.asarray(data, dtype=float)
     if data.shape != (dtn.size,) or not (np.all(np.isfinite(data)) and np.any(data)):
         raise DomainError(f"boundary data must be a finite, nonzero vector of {dtn.size} entries")
+    data = data / np.max(np.abs(data))  # so that data @ data stays in the double range
     return float(data @ (dtn.entries @ data) / (data @ data))
 
 

@@ -20,15 +20,16 @@ ambient dimension come from ``_planes`` at t = T*.
 Beside the catenoid's linear axis, every coordinate pair is a plane
 c*h(k t) (cos j th, sin j th) / r, h = sinh or cosh; ``_planes`` is the one
 table of them.  The plane's flat Laplacian is (k^2 - j^2) times the plane,
-so harmonicity is exact from the table, as are the double points
-(``injectivity_scan``).  Conformality, unit boundary norm, boundary
-orthogonality, vanishing total stress-energy and the vanishing summed
-eigenvalue-perturbation form are evaluated numerically on grids.
+so harmonicity is exact from the table, as are conformality, the vanishing
+total stress-energy and the double points (``injectivity_scan``); the plane
+values at t = T* give the unit boundary norm, boundary orthogonality and the
+boundary factor (``verify_identities``).  The vanishing summed
+eigenvalue-perturbation form is integrated numerically (``q_form_sum``).
 
 ``_factors`` expands the planes per output into a t-factor and a theta-factor
-per column.  Positions and derivatives are their products; the interior
-certificates contract the t-factors with the theta-factors by matrix
-products and never build an (n_t, n_theta, dim) grid.
+per column.  Positions and derivatives are their products; the quadratic
+form contracts the t-factors with the theta-factors by matrix products and
+never builds an (n_t, n_theta, dim) grid.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def make_family(family: FamilyKind, m: int | None = None, n: int | None = None) 
     if family is FamilyKind.CATENOID_B3:
         if n is None:
             raise ParameterError("catenoid family requires n")
+        if m is not None:
+            raise ParameterError("catenoid family takes n alone, not m")
         return catenoid_b3(n)
     if family not in (FamilyKind.ANNULUS_B4, FamilyKind.MOBIUS_B4):
         raise ParameterError(f"family must be a FamilyKind, got {family!r}")
@@ -124,7 +127,7 @@ def evaluate(fam: ImmersionFamily, t, theta):
     products broadcast, so a tensor grid ``t[:, None]``, ``theta[None, :]``
     costs O(n_t + n_theta) transcendental calls.  The routines below compute
     only the outputs they read, unchecked, through ``_outputs`` (or ``_position``
-    and ``_velocity`` for one output), or contract the factor table itself.
+    for u alone), or contract the factor table itself.
     """
     try:
         t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
@@ -139,11 +142,6 @@ def evaluate(fam: ImmersionFamily, t, theta):
 def _position(fam: ImmersionFamily, t, theta) -> np.ndarray:
     """u of ``evaluate`` alone, without the domain check."""
     return _outputs(fam, t, theta, (_U,))[0]
-
-
-def _velocity(fam: ImmersionFamily, t, theta) -> np.ndarray:
-    """du/dt of ``evaluate`` alone, without the domain check."""
-    return _outputs(fam, t, theta, (_U_T,))[0]
 
 
 def _planes(fam: ImmersionFamily) -> list[tuple[int, Callable, Callable, int, int]]:
@@ -221,11 +219,23 @@ def boundary_eigenvalue_factor(fam: ImmersionFamily) -> float:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """``harmonic_residual`` is max |k^2 - j^2| over ``_planes``, 0.0 exactly
-    when the map is harmonic.  ``harmonic_order`` is then inf, else 0.0 (the
-    limit of the log2 ratio of five-point Laplacian residuals at steps h and
-    h/2), so ``harmonic_order >= 1.8`` passes the harmonic maps alone.  The
-    other fields are maxima over grids."""
+    """Pointwise identities of the immersion, each read from ``_planes``, T*
+    and r; none samples a grid.
+
+    A plane c*h(k t) (cos j th, sin j th) / r has <u_t, u_theta> = 0 (u_t is
+    radial, u_theta angular) and |u_t|^2 - |u_theta|^2 = (+-c^2 k^2 +
+    c^2 (k^2 - j^2) h^2) / r^2, as h'^2 - h^2 = +-1.  ``conformal_residual``
+    and ``stress_energy_residual`` are both its bound
+    (|sum +-c^2 k^2| + sum c^2 |k^2 - j^2| h(k T*)^2) / r^2, the catenoid's
+    axis adding n^2 to the first sum: 0.0 where the integers cancel and k = j.
+    At (T*, 0), which the rotations in theta and the mirror t -> -t carry to
+    the whole boundary, ``boundary_norm_residual`` is ||u| - 1|,
+    ``free_boundary_angle`` the sine of the angle between u_t and u, and
+    ``boundary_factor_deviation`` |u_t - c u|, c = ``boundary_eigenvalue_factor``.
+    ``harmonic_residual`` is max |k^2 - j^2|, 0.0 exactly when the map is
+    harmonic; ``harmonic_order`` is then inf, else 0.0 (the limit of the log2
+    ratio of five-point Laplacian residuals at steps h and h/2), so
+    ``harmonic_order >= 1.8`` passes the harmonic maps alone."""
 
     conformal_residual: float
     harmonic_residual: float
@@ -237,46 +247,28 @@ class IdentityReport:
 
 
 def verify_identities(fam: ImmersionFamily) -> IdentityReport:
-    """Certify ``fam``: harmonicity exactly from ``_planes``, the other
-    identities on a 200 x 400 parameter grid and its two boundary circles."""
-    T = fam.T_star
-    t = np.linspace(-T, T, 200)
-    theta = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
-    th = theta[None, :]
-    # the (t, theta) grids <u_t, u_theta> and |u_t|^2 - |u_theta|^2 as
-    # products of the factor table, of rank dim and 2 * dim
-    r2 = fam.radius**2
-    (a_t, x_t), (a_th, x_th) = _factors(fam, t, theta, (_U_T, _U_THETA))
-    cross = (a_t * a_th / r2) @ (x_t * x_th).T
-    gap = (np.hstack([a_t**2, -(a_th**2)]) / r2) @ np.vstack([x_t.T**2, x_th.T**2])
-    # in place: the grids are 640 KB each, and every new one is fresh pages
-    np.abs(cross, out=cross)
-    np.abs(gap, out=gap)
-    stress = float(np.max(gap) + np.max(cross))
-    conformal = float(np.max(np.add(cross, gap, out=cross)))
+    """Certify ``fam`` from its plane table, as ``IdentityReport`` states."""
+    T, planes = fam.T_star, _planes(fam)
+    # h'^2 - h^2 at t = 0 is exactly +1 for sinh and -1 for cosh
+    exact = sum(c * c * k * k * (dh(0.0) ** 2 - h(0.0) ** 2) for c, h, dh, k, _ in planes)
+    if fam.family is FamilyKind.CATENOID_B3:
+        exact += fam.n**2  # the axis n t / r
+    detuned = sum(c * c * abs(k * k - j * j) * h(k * T) ** 2 for c, h, _, k, j in planes)
+    conformal = float(abs(exact) + detuned) / fam.radius**2
 
-    ub, utb = _outputs(fam, np.array([[-T], [T]]), th, (_U, _U_T))
-    norms = np.linalg.norm(ub, axis=-1)
-    boundary_norm = float(np.max(np.abs(norms - 1.0)))
-
-    unit = ub / norms[..., None]
-    proj = np.einsum("...i,...i->...", utb, unit)[..., None] * unit
-    rejection = np.linalg.norm(utb - proj, axis=-1)
-    angle = float(np.max(rejection / np.linalg.norm(utb, axis=-1)))
-
-    c = boundary_eigenvalue_factor(fam)
-    factor_dev = float(np.max(np.linalg.norm(utb - c * ub * np.array([[-1.0], [1.0]])[..., None], axis=-1)))
-
-    harmonic = float(max(abs(k * k - j * j) for _, _, _, k, j in _planes(fam)))
+    u, ut = _outputs(fam, T, 0.0, (_U, _U_T))
+    norm = float(np.linalg.norm(u))
+    rejection = ut - (ut @ u) / norm**2 * u
+    harmonic = float(max(abs(k * k - j * j) for _, _, _, k, j in planes))
 
     return IdentityReport(
         conformal_residual=conformal,
         harmonic_residual=harmonic,
         harmonic_order=math.inf if harmonic == 0.0 else 0.0,
-        boundary_norm_residual=boundary_norm,
-        free_boundary_angle=angle,
-        stress_energy_residual=stress,
-        boundary_factor_deviation=factor_dev,
+        boundary_norm_residual=abs(norm - 1.0),
+        free_boundary_angle=float(np.linalg.norm(rejection) / np.linalg.norm(ut)),
+        stress_energy_residual=conformal,
+        boundary_factor_deviation=float(np.linalg.norm(ut - boundary_eigenvalue_factor(fam) * u)),
     )
 
 
@@ -363,7 +355,7 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
 
     # eigenvalue of the induced metric (equals 1 for these unit-ball surfaces)
     c = boundary_eigenvalue_factor(fam)
-    ut_b = _velocity(fam, fam.T_star, 0.0)
+    (ut_b,) = _outputs(fam, fam.T_star, 0.0, (_U_T,))
     sigma = c / float(np.linalg.norm(ut_b))
     return -interior - 0.5 * sigma * boundary
 

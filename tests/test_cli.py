@@ -302,6 +302,16 @@ def test_surface_rejects_modes_past_the_double_range(capsys, tmp_path, modes):
     assert not out.exists()
 
 
+def test_surface_refuses_m_for_the_catenoid(capsys, tmp_path):
+    # the catenoid has one frequency, n; an m used to be dropped unread
+    out = tmp_path / "x.obj"
+    argv = ["surface", "--family", "catenoid", "--m", "7", "--n", "2", "--grid", "4x6"]
+    code, stdout, err = _run(capsys, *argv, "--out", str(out))
+    _assert_one_error_line(code, stdout, err)
+    assert err == "error: catenoid family takes n alone, not m\n"
+    assert not out.exists()
+
+
 def test_surface_permutes_catenoid_axes(capsys, tmp_path):
     first = {}
     for projection in ("0,1,2", "2,1,0"):

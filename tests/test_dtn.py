@@ -373,3 +373,23 @@ def test_rayleigh_quotient_refuses_bad_data(data):
     dtn = assemble_dtn(OracleProblem(kind=AN, T=1.0, grid=(8, 8)))
     with pytest.raises(DomainError, match="finite, nonzero vector of 16 entries"):
         rayleigh_quotient(dtn, data)
+
+
+@pytest.mark.parametrize(
+    "data, unit",
+    [
+        (np.full(16, 1e200), np.ones(16)),
+        (np.full(16, 1e-200), np.ones(16)),
+        (np.concatenate([[1e200], np.ones(15)]), np.concatenate([[1.0], np.full(15, 1e-200)])),
+    ],
+    ids=["huge", "tiny", "mixed"],
+)
+def test_rayleigh_quotient_holds_across_the_double_range(data, unit):
+    # data @ data overflowed to inf on the huge data and underflowed to a
+    # NaN quotient on the tiny; the quotient is that of the unit-scaled data
+    dtn = assemble_dtn(OracleProblem(kind=AN, T=1.0, grid=(8, 8)))
+    want = float(unit @ (dtn.entries @ unit) / (unit @ unit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rayleigh_quotient(dtn, data)
+    assert abs(got - want) <= 1e-15 * abs(want)

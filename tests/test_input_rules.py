@@ -38,9 +38,9 @@ from steklov.extrema import (
     verify_first_intersection_max,
     verify_no_asymptote,
 )
-from steklov.kinds import MeshFormat
+from steklov.kinds import FamilyKind, MeshFormat
 from steklov.mesh import build_mesh, export_mesh
-from steklov.surfaces import annulus_b4, catenoid_b3, evaluate, mobius_b4
+from steklov.surfaces import annulus_b4, catenoid_b3, evaluate, make_family, mobius_b4
 
 AN, MB = SurfaceKind.ANNULUS, SurfaceKind.MOBIUS_BAND
 
@@ -50,6 +50,8 @@ INTEGER = [math.nan, math.inf, -math.inf, 0, -1, 2.5]
 REAL = [math.nan, math.inf, -math.inf, 0.0, -1.0, 10**400]
 # the closed forms have a limit as T -> inf, which `_check_modulus` allows
 MODULUS = [v for v in REAL if v != math.inf]
+# the catenoid takes n alone: any m at all is refused
+CATENOID_M = [math.nan, 0, -3, 2.5, 7, 10**400]
 # t and theta of a point: 0 and -1 lie in the domain (|t| <= T* > 1)
 COORDINATE = [math.nan, math.inf, -math.inf, 10**400]
 
@@ -131,6 +133,18 @@ TABLE = {
     "catenoid_b3": (lambda kind, n=1: catenoid_b3(n), {"n": INTEGER}),
     "annulus_b4": (lambda kind, m=2, n=1: annulus_b4(m, n), {"m": INTEGER, "n": INTEGER}),
     "mobius_b4": (lambda kind, m=2, n=1: mobius_b4(m, n), {"m": INTEGER, "n": INTEGER}),
+    "make_family(catenoid)": (
+        lambda kind, m=None, n=1: make_family(FamilyKind.CATENOID_B3, m=m, n=n),
+        {"m": CATENOID_M, "n": INTEGER},
+    ),
+    "make_family(annulus)": (
+        lambda kind, m=2, n=1: make_family(FamilyKind.ANNULUS_B4, m=m, n=n),
+        {"m": INTEGER, "n": INTEGER},
+    ),
+    "make_family(mobius)": (
+        lambda kind, m=2, n=1: make_family(FamilyKind.MOBIUS_B4, m=m, n=n),
+        {"m": INTEGER, "n": INTEGER},
+    ),
     "evaluate": (
         lambda kind, t=0.5, theta=0.5: evaluate(CATENOID, t, theta),
         {"t": COORDINATE, "theta": COORDINATE},
@@ -150,7 +164,8 @@ TABLE = {
 KINDLESS = {
     "sup_sigma_mobius", "sup_sigma_annulus", "verify_first_intersection_max",
     "verify_no_asymptote", "solve_crossing", "crossing_partials", "aux_inequalities",
-    "catenoid_b3", "annulus_b4", "mobius_b4", "evaluate", "build_mesh", "export_mesh",
+    "catenoid_b3", "annulus_b4", "mobius_b4", "make_family(catenoid)", "make_family(annulus)",
+    "make_family(mobius)", "evaluate", "build_mesh", "export_mesh",
 }
 KINDS = {name: (MB,) if name in KINDLESS else (AN, MB) for name in TABLE}
 
