@@ -378,6 +378,7 @@ def _suite_surfaces(_max_mode: int):
             and rep.boundary_norm_residual <= 1e-12
             and rep.stress_energy_residual <= 1e-12
             and rep.free_boundary_angle <= 1e-10
+            and rep.boundary_factor_deviation <= 1e-10
             and rep.harmonic_order >= 1.8
         )
         checks.append((f"identities {name}", ok))
@@ -452,9 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="steklov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind=True):
-        if kind:
-            p.add_argument("--kind", choices=[k.value for k in SurfaceKind], required=True)
+    def common(p):
+        p.add_argument("--kind", choices=[k.value for k in SurfaceKind], required=True)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def formats(p):

@@ -6,10 +6,10 @@ intersect in exactly one point when a > b > 0, because their difference
     F(x) = a*tanh(a*x) - b*coth(b*x)
 
 is strictly increasing, tends to -inf at 0+ and to a - b at +inf.  The
-solver brackets the root by expansion, bisects, and finishes with a few
-Newton steps using the closed-form derivative
-
-    F'(x) = a^2*sech(a*x)^2 + b^2*csch(b*x)^2 > 0.
+solver brackets the root between 1/a and the first doubling of 2/a where F
+is positive, then bisects until no double is left between the ends.  The
+bracket scales with 1/a, so the solver finds every root that a double can
+represent, and scaling a and b by a power of two scales x exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exceptions import NoCrossingError, _check_positive
+from .exceptions import DomainError, NoCrossingError, _check_positive
 from .hyperbolic import coth, csch2, sech2
 
 RESIDUAL_SCALE = 1e-14  # target |F(x)| <= RESIDUAL_SCALE * (a + b)
@@ -42,50 +42,23 @@ def _gap(a: float, b: float, x: float) -> float:
     return a * math.tanh(a * x) - b * coth(b * x)
 
 
-def _gap_derivative(a: float, b: float, x: float) -> float:
-    return a * a * sech2(a * x) + b * b * csch2(b * x)
-
-
 @lru_cache(maxsize=None)
 def _solve(a: float, b: float) -> CrossingPoint:
-    lo = 1.0 / (2.0 * (a + b))
-    for _ in range(200):
-        if _gap(a, b, lo) < 0.0:
-            break
-        lo /= 2.0
-    else:  # pragma: no cover - unreachable for a > b > 0
-        raise NoCrossingError(f"no sign change below bracket for a={a}, b={b}")
-    hi = 1.0
-    for _ in range(200):
-        if _gap(a, b, hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoCrossingError(f"branches a={a}, b={b} do not cross")
-
-    # 1074 halvings close a width-1 bracket to adjacent subnormals, so the
-    # loop always ends on mid == lo or mid == hi, even when the root is ~1/a
-    for _ in range(1100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    # b*coth(b*x) > 1/x, so F(1/a) < a*(tanh(1) - 1) ~ -0.24a: 1/a lies below the root
+    lo, hi = 1.0 / a, 2.0 / a
+    while _gap(a, b, hi) < 0.0:  # keeps F(lo) < 0 <= F(hi), as bisection does
+        lo, hi = hi, 2.0 * hi
+    if hi == math.inf:  # F(inf) = a - b > 0 ends the doubling
+        raise DomainError(f"the crossing of a={a}, b={b} lies past the double range")
+    # bisection on doubles ends by itself: the midpoint of adjacent doubles is one of them
+    mid = 0.5 * (lo + hi)
+    while mid != lo and mid != hi:
         if _gap(a, b, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-
-    x = 0.5 * (lo + hi)
-    target = RESIDUAL_SCALE * (a + b)
-    for _ in range(5):
-        f = _gap(a, b, x)
-        if abs(f) <= target:
-            break
-        step = f / _gap_derivative(a, b, x)
-        x -= step
-        if abs(step) <= 1e-17 * x:
-            break
-
-    return CrossingPoint(a=a, b=b, x=x, height=a * math.tanh(a * x))
+        mid = 0.5 * (lo + hi)
+    return CrossingPoint(a=a, b=b, x=mid, height=a * math.tanh(a * mid))
 
 
 def solve_crossing(a: float, b: float) -> CrossingPoint:
@@ -100,15 +73,10 @@ def solve_crossing(a: float, b: float) -> CrossingPoint:
 @lru_cache(maxsize=None)
 def solve_t10() -> float:
     """Unique positive solution of tanh(t) = 1/t (equivalently t = coth(t))."""
-    t = 1.2
-    for _ in range(50):
-        f = math.tanh(t) - 1.0 / t
-        if f == 0.0:
-            break
-        step = f / (sech2(t) + 1.0 / (t * t))
-        t -= step
-        if abs(step) <= 1e-17 * t:
-            break
+    # Newton's method reaches its fixed point in three steps; stop when it repeats
+    t, prev = 1.2, 0.0
+    while t != prev:
+        prev, t = t, t - (math.tanh(t) - 1.0 / t) / (sech2(t) + 1.0 / (t * t))
     return t
 
 

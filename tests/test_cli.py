@@ -421,8 +421,8 @@ def test_oracle_rejects_tiny_modulus(capsys, kind):
 
 @pytest.mark.parametrize("kind", ["annulus", "mobius"])
 def test_suprema_at_a_mode_past_1e27(capsys, kind):
-    # unless bisection narrows the bracket to the root (~1e-27), Newton's
-    # derivative at its midpoint underflows to 0
+    # the root is ~1e-27: the bracket starts at 1/a, not at a fixed width, so
+    # bisection narrows it to adjacent doubles around the root
     code, out, _ = _run(capsys, "suprema", "--kind", kind, "--j", str(10**27))
     assert code == EXIT_OK
     assert out.startswith(f"sup sigma_bar_{10**27} ({kind}) = ")
@@ -463,6 +463,21 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--suite", "injectivity")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
+
+
+def test_verify_surfaces_checks_the_boundary_factor(capsys, monkeypatch):
+    # a factor off by 1e-9 leaves every other identity field untouched, and
+    # its deviation on annulus(3,2) reads 2.7e-9, past the suite's 1e-10 rule
+    import steklov.surfaces as surfaces
+
+    factor = surfaces.boundary_eigenvalue_factor
+    monkeypatch.setattr(
+        surfaces, "boundary_eigenvalue_factor", lambda fam: factor(fam) * (1.0 + 1e-9)
+    )
+    code, out, _ = _run(capsys, "verify", "--suite", "surfaces")
+    assert code == EXIT_VERIFY
+    assert "  [FAIL] surfaces     identities annulus(3,2)" in out.splitlines()
+    assert "all checks passed" not in out
 
 
 # sha256 of `<command> --kind <kind> --max-mode 12 [--json|--csv] --out <file>`,

@@ -1,5 +1,6 @@
 """Crossing solver: frozen roots, closed-form partials, auxiliary positivity."""
 
+import hashlib
 import math
 
 import mpmath
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steklov import crossings
+from steklov.branches import SurfaceKind, crossing_lattice
 from steklov.crossings import (
     RESIDUAL_SCALE,
     aux_inequalities,
@@ -16,6 +19,7 @@ from steklov.crossings import (
     solve_t10,
 )
 from steklov.exceptions import DomainError, NoCrossingError
+from steklov.hyperbolic import sech2
 
 # frozen 40-digit mpmath roots of a*tanh(a*x) = b*coth(b*x)
 FROZEN_ROOTS = {
@@ -75,18 +79,69 @@ def test_domain_errors():
 
 
 def test_residual_bound_at_high_modes():
-    # the root is ~1.2/a; bisection must run until the bracket is that narrow
-    # before Newton starts, or the residual misses the bound (a ~ 3e24), the
-    # derivative vanishes (a ~ 1e27) or x turns NaN (a ~ 1e200)
+    # the root is ~1.2/a; the bracket starts at 1/a, so bisection ends on
+    # adjacent doubles around the root at every scale
     for a in (10**e for e in range(9, 301)):
         p = solve_crossing(a, 1)
         assert p.x > 0.0 and p.residual <= RESIDUAL_SCALE * (a + 1), a
+
+
+def test_solver_scales_with_the_modes():
+    # F(x) = a*tanh(a*x) - b*coth(b*x) at (2^k a, 2^k b) is 2^k F(2^k x) exactly,
+    # so a bracket that scales with 1/a yields a root scaled by 2^-k bit for bit
+    for a, b in ((2.0, 1.0), (4.0, 3.0), (60.0, 59.0), (1.0, 1e-7)):
+        x = solve_crossing(a, b).x
+        for k in range(-1000, 1001):
+            got = solve_crossing(math.ldexp(a, k), math.ldexp(b, k)).x
+            assert got == math.ldexp(x, -k), (a, b, k)
+
+
+@pytest.mark.parametrize("a,b", [(1e-61, 5e-62), (1e-300, 1e-301)])
+def test_tiny_modes_meet_the_residual_bound(a, b):
+    # the roots, ~1.3e61 and ~1.2e300, lie far past any fixed initial bracket
+    p = solve_crossing(a, b)
+    assert p.x > 1e60 and p.residual <= RESIDUAL_SCALE * (a + b)
+
+
+def test_crossing_past_the_double_range_raises():
+    # the branches cross (a > b), but 1/a, the bracket's lower end, is inf
+    with pytest.raises(DomainError, match="past the double range"):
+        solve_crossing(2e-323, 5e-324)
+
+
+# sha256 of the float.hex of every modulus, height and value of
+# crossing_lattice(kind, 60), Moebius band then annulus, one per line;
+# recorded before the solver lost its Newton polish and fixed bracket
+LATTICE_60_SHA256 = "f98a3a4a7975a7c1ad99afdcbad66b67c239dd89f8c6fba6e65bd0b6d6576b97"
+
+
+def test_lattice_to_mode_60_matches_frozen_bits():
+    text = "\n".join(
+        v.hex()
+        for kind in (SurfaceKind.MOBIUS_BAND, SurfaceKind.ANNULUS)
+        for c in crossing_lattice(kind, 60)
+        for v in (c.modulus, c.height, c.value)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_60_SHA256
 
 
 def test_t10_frozen_value():
     t = solve_t10()
     assert t == pytest.approx(T10, rel=1e-15)
     assert math.tanh(t) == pytest.approx(1.0 / t, rel=1e-15)
+
+
+def test_t10_stops_when_newton_repeats(monkeypatch):
+    # Newton from 1.2 reaches its fixed point in three steps; one sech2 call per step
+    calls = []
+
+    def counting_sech2(t):
+        calls.append(t)
+        return sech2(t)
+
+    monkeypatch.setattr(crossings, "sech2", counting_sech2)
+    assert solve_t10.__wrapped__() == solve_t10()
+    assert len(calls) <= 6
 
 
 def test_t10_is_degenerate_crossing_limit():
