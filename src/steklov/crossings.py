@@ -15,6 +15,7 @@ represent, and scaling a and b by a power of two scales x exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,22 +43,28 @@ def _gap(a: float, b: float, x: float) -> float:
     return a * math.tanh(a * x) - b * coth(b * x)
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    mid = 0.5 * (lo + hi)
+    # halve first only when lo + hi overflows; for normal ends both give the same bits
+    return mid if mid != math.inf else 0.5 * lo + 0.5 * hi
+
+
 @lru_cache(maxsize=None)
 def _solve(a: float, b: float) -> CrossingPoint:
     # b*coth(b*x) > 1/x, so F(1/a) < a*(tanh(1) - 1) ~ -0.24a: 1/a lies below the root
-    lo, hi = 1.0 / a, 2.0 / a
+    lo, hi = 1.0 / a, min(2.0 / a, sys.float_info.max)
     while _gap(a, b, hi) < 0.0:  # keeps F(lo) < 0 <= F(hi), as bisection does
-        lo, hi = hi, 2.0 * hi
-    if hi == math.inf:  # F(inf) = a - b > 0 ends the doubling
-        raise DomainError(f"the crossing of a={a}, b={b} lies past the double range")
+        if hi == sys.float_info.max:  # F(inf) = a - b > 0: the root is past every double
+            raise DomainError(f"the crossing of a={a}, b={b} lies past the double range")
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
     # bisection on doubles ends by itself: the midpoint of adjacent doubles is one of them
-    mid = 0.5 * (lo + hi)
+    mid = _midpoint(lo, hi)
     while mid != lo and mid != hi:
         if _gap(a, b, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
     return CrossingPoint(a=a, b=b, x=mid, height=a * math.tanh(a * mid))
 
 

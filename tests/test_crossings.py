@@ -89,24 +89,32 @@ def test_residual_bound_at_high_modes():
 def test_solver_scales_with_the_modes():
     # F(x) = a*tanh(a*x) - b*coth(b*x) at (2^k a, 2^k b) is 2^k F(2^k x) exactly,
     # so a bracket that scales with 1/a yields a root scaled by 2^-k bit for bit
+    # k samples [-1000, 1000], densely where a bracket fixed at 1.0 stops working
+    ks = sorted({*range(-1000, 1001, 37), *range(-210, -190), 1000})
     for a, b in ((2.0, 1.0), (4.0, 3.0), (60.0, 59.0), (1.0, 1e-7)):
         x = solve_crossing(a, b).x
-        for k in range(-1000, 1001):
+        for k in ks:
             got = solve_crossing(math.ldexp(a, k), math.ldexp(b, k)).x
             assert got == math.ldexp(x, -k), (a, b, k)
 
 
-@pytest.mark.parametrize("a,b", [(1e-61, 5e-62), (1e-300, 1e-301)])
+@pytest.mark.parametrize(
+    "a,b", [(1e-61, 5e-62), (1e-300, 1e-301), (1.2e-308, 6e-309), (1e-308, 5e-309)]
+)
 def test_tiny_modes_meet_the_residual_bound(a, b):
-    # the roots, ~1.3e61 and ~1.2e300, lie far past any fixed initial bracket
+    # the roots, ~1.3e61 to ~1.3e308, lie far past any fixed initial bracket; in the
+    # last two lo + hi overflows, and in the last 2/a does, though the root is a double
     p = solve_crossing(a, b)
-    assert p.x > 1e60 and p.residual <= RESIDUAL_SCALE * (a + b)
+    assert 1e60 < p.x < math.inf and p.residual <= RESIDUAL_SCALE * (a + b)
 
 
 def test_crossing_past_the_double_range_raises():
     # the branches cross (a > b), but 1/a, the bracket's lower end, is inf
     with pytest.raises(DomainError, match="past the double range"):
         solve_crossing(2e-323, 5e-324)
+    # 1/a ~ 1.7e308 is a double, but the root, ~2.2e308, is not
+    with pytest.raises(DomainError, match="past the double range"):
+        solve_crossing(6e-309, 3e-309)
 
 
 # sha256 of the float.hex of every modulus, height and value of
