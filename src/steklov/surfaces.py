@@ -29,7 +29,8 @@ eigenvalue-perturbation form is integrated numerically (``q_form_sum``).
 ``_factors`` expands the planes per output into a t-factor and a theta-factor
 per column.  Positions and derivatives are their products; the quadratic
 form contracts the t-factors with the theta-factors by matrix products and
-never builds an (n_t, n_theta, dim) grid.
+never builds an (n_t, n_theta, dim) grid.  It and ``make_admissible`` read the
+S^1-invariant metric lambda^2(t) (dt^2 + dth^2) from ``_planes`` alone.
 """
 
 from __future__ import annotations
@@ -208,6 +209,16 @@ def _outputs(fam: ImmersionFamily, t, theta, outputs) -> list[np.ndarray]:
     return arrays
 
 
+def _conformal_factor(fam: ImmersionFamily, t) -> np.ndarray:
+    """lambda^2(t) = |u_t|^2 = |u_theta|^2, shaped as ``t``: the sum over ``_planes``
+    of (c k h'(k t))^2, plus n^2 for the catenoid's axis, over r^2."""
+    t = np.asarray(t, dtype=float)
+    f2 = sum((c * k * dh(k * t)) ** 2 for c, _, dh, k, _ in _planes(fam))
+    if fam.family is FamilyKind.CATENOID_B3:
+        f2 = f2 + fam.n**2
+    return f2 / fam.radius**2
+
+
 def boundary_eigenvalue_factor(fam: ImmersionFamily) -> float:
     """Scalar c with du/dt = c*u on the t = T* boundary circle.
 
@@ -289,25 +300,21 @@ def _boundary_sums(
 ) -> tuple[float, float, float, np.ndarray]:
     """Rectangle-rule integrals over both boundary circles t = -T*, T*.
 
-    With f = |du/dt| the boundary length element, returns the integrals of
-    h_thetatheta / f, of |h_thetatheta| / f and of f, and per component of u
-    that of (h_thetatheta / f) u_i^2, on 512 nodes per circle.
+    The boundary length element is f = sqrt(lambda^2(T*)), read from
+    ``_planes`` by ``_conformal_factor`` and the same at every boundary point,
+    so the length is 4 pi f.  Returns the integrals of h_thetatheta / f, of
+    |h_thetatheta| / f and of f, and per component of u that of
+    (h_thetatheta / f) u_i^2, on 512 nodes per circle.
     """
     n_theta = 512
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     wth = 2.0 * math.pi / n_theta
     sides = np.array([[-fam.T_star], [fam.T_star]])
-    u, ut = _outputs(fam, sides, theta, (_U, _U_T))
-    f = np.sqrt(np.einsum("...i,...i->...", ut, ut))
-    hf = sample.h_thetatheta(sides, theta) / f
-    signed = absolute = length = 0.0
-    weighted = np.zeros(fam.ambient_dim)
-    for side in range(2):
-        signed += float(np.sum(hf[side]) * wth)
-        absolute += float(np.sum(np.abs(hf[side])) * wth)
-        length += float(np.sum(f[side]) * wth)
-        weighted += (hf[side] @ u[side] ** 2) * wth
-    return signed, absolute, length, weighted
+    f = math.sqrt(_conformal_factor(fam, fam.T_star))
+    hf = np.broadcast_to(sample.h_thetatheta(sides, theta), (2, n_theta)) / f
+    u2 = _position(fam, sides, theta) ** 2
+    weighted = np.einsum("st,sti->i", hf, u2) * wth
+    return float(np.sum(hf) * wth), float(np.sum(np.abs(hf)) * wth), 4.0 * math.pi * f, weighted
 
 
 def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
@@ -318,13 +325,13 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     Steklov eigenvalue of the induced metric; for an admissible h the sum
     over components must vanish.  The interior uses Simpson's rule in t on
     201 nodes (an odd count) and the rectangle rule on 256 theta nodes; the
-    boundary term is the quadrature of ``_boundary_sums``.
+    boundary term is the quadrature of ``_boundary_sums``.  The metric
+    lambda^2(t) (dt^2 + dth^2) enters through ``_conformal_factor``, read
+    from ``_planes`` on the t axis alone.
     """
     residual, scale, _, boundary = _boundary_sums(fam, sample)
     if abs(residual) > 1e-8 * (scale + 1.0):
-        raise ConstraintError(
-            f"variation violates the boundary length constraint: {residual:.3e}"
-        )
+        raise ConstraintError(f"variation violates the boundary length constraint: {residual:.3e}")
 
     n_t, n_theta = 201, 256
     T = fam.T_star
@@ -335,14 +342,11 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     wt[2:-1:2] = 2.0
     wt *= (t[1] - t[0]) / 3.0
     wth = 2.0 * math.pi / n_theta
-    tt = t[:, None]
-    th = theta[None, :]
-    r2 = fam.radius**2
+    tt, th, grid = t[:, None], theta[None, :], (n_t, n_theta)
     (a_t, x_t), (a_th, x_th) = _factors(fam, t, theta, (_U_T, _U_THETA))
-    f2 = (a_t**2 / r2) @ (x_t**2).T  # conformal factor squared
-    w = wt[:, None] / f2
-    d = w * (sample.h_tt(tt, th) - sample.h_thetatheta(tt, th))
-    e = w * sample.h_ttheta(tt, th)
+    w = (wt / _conformal_factor(fam, t))[:, None]
+    d = np.broadcast_to(w * (sample.h_tt(tt, th) - sample.h_thetatheta(tt, th)), grid)
+    e = np.broadcast_to(w * sample.h_ttheta(tt, th), grid)
 
     # per component the stress-energy tau_tt = (u_t^2 - u_theta^2) / 2 and
     # tau_ttheta = u_t u_theta, paired with h, summed over theta by products
@@ -351,12 +355,10 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
         0.5 * a_t**2 * (d @ x_t**2)
         - 0.5 * a_th**2 * (d @ x_th**2)
         + 2.0 * a_t * a_th * (e @ (x_t * x_th))
-    ).sum(axis=0) * (wth / r2)
+    ).sum(axis=0) * (wth / fam.radius**2)
 
     # eigenvalue of the induced metric (equals 1 for these unit-ball surfaces)
-    c = boundary_eigenvalue_factor(fam)
-    (ut_b,) = _outputs(fam, fam.T_star, 0.0, (_U_T,))
-    sigma = c / float(np.linalg.norm(ut_b))
+    sigma = boundary_eigenvalue_factor(fam) / math.sqrt(_conformal_factor(fam, T))
     return -interior - 0.5 * sigma * boundary
 
 
@@ -367,23 +369,17 @@ def q_form_sum(fam: ImmersionFamily, sample: QFormSample) -> float:
 def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     """Project a variation onto the fixed-boundary-length constraint.
 
-    Subtracts a multiple of the induced metric, which leaves the interior
-    pairing unchanged (the stress-energy tensor is trace-free) and shifts the
-    boundary integral to zero.
+    Subtracts alpha times the induced metric lambda^2(t) (dt^2 + dth^2), its
+    factor read from ``_planes`` by ``_conformal_factor``.  That leaves the
+    interior pairing unchanged (the stress-energy tensor is trace-free) and
+    shifts the boundary integral to zero.
     """
     numerator, _, length, _ = _boundary_sums(fam, sample)
     alpha = numerator / length
-
-    r2 = fam.radius**2
-
-    def f2_of(t, th):
-        ((a, x),) = _factors(fam, t, th, (_U_T,))
-        return np.einsum("...i,...i->...", a**2 / r2, x**2, optimize=True)
-
     return QFormSample(
-        h_tt=lambda t, th: sample.h_tt(t, th) - alpha * f2_of(t, th),
+        h_tt=lambda t, th: sample.h_tt(t, th) - alpha * _conformal_factor(fam, t),
         h_ttheta=sample.h_ttheta,
-        h_thetatheta=lambda t, th: sample.h_thetatheta(t, th) - alpha * f2_of(t, th),
+        h_thetatheta=lambda t, th: sample.h_thetatheta(t, th) - alpha * _conformal_factor(fam, t),
     )
 
 

@@ -484,6 +484,7 @@ def test_verify_surfaces_checks_the_boundary_factor(capsys, monkeypatch):
 # recorded before the lattice enumerator replaced the per-command loops; the
 # annulus json/csv pins again when the linear crossings' residual column
 # began to report |m tanh(m x) - 1/x| at the float modulus instead of 0
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
 LATTICE_OUTPUT_SHA256 = {
     ("crossings", "mobius", "text"): "38857b4712ca7592ba4ec96a221ebe034a53bfab1a79e4a1620eb8da2376744f",
     ("crossings", "mobius", "json"): "2e56999b696b8c8e4c19084f8271d70bff4d47166eb4f54505274ae3d5f34ef8",
@@ -513,6 +514,7 @@ def test_lattice_output_pinned(tmp_path, command, kind, fmt):
 
 # sha256 of `sweep --kind <kind> --j 8,1,3,2,5 --out <file>` on the default
 # grid, recorded while sweep still called spectrum once per (T, j)
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
 SWEEP_SHA256 = {
     "mobius": "ae2c7d7b881ce507dcf14c9a4574a13bb71db89496098b9900a01d86ba639d26",
     "annulus": "4cb020024144abc497db2cb196a5ce4fa64c6ad30db917b7dc9b4209142a5920",
@@ -584,6 +586,7 @@ def test_suprema_output_pinned(tmp_path, kind, j, fmt):
 
 # sha256 of `oracle --kind <kind> --T 0.7 --grid 12x12 --count 5 [--json] --out
 # <file>`, recorded once the output stopped reporting the assembly asymmetry
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
 ORACLE_SHA256 = {
     ("annulus", "text"): "2e6ba82eb8da239409e87dbcc6720c8c2ad83edde6a5c15eeacfb07a3a8a679f",
     ("annulus", "json"): "c50237454e3aa2d4c8abaf4f1c270f46db4b414bf9c4bd7320e0c6df8535c0d6",

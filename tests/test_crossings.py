@@ -120,6 +120,7 @@ def test_crossing_past_the_double_range_raises():
 # sha256 of the float.hex of every modulus, height and value of
 # crossing_lattice(kind, 60), Moebius band then annulus, one per line;
 # recorded before the solver lost its Newton polish and fixed bracket
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
 LATTICE_60_SHA256 = "f98a3a4a7975a7c1ad99afdcbad66b67c239dd89f8c6fba6e65bd0b6d6576b97"
 
 

@@ -30,6 +30,7 @@ from steklov.surfaces import (
     _U,
     _U_T,
     _U_THETA,
+    _conformal_factor,
     _factors,
     _outputs,
     _planes,
@@ -516,8 +517,42 @@ def test_q_form_admissible_metric_variation():
     assert abs(total) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "fam", [catenoid_b3(2), annulus_b4(3, 2), mobius_b4(4, 1)], ids=["catenoid", "annulus", "mobius"]
+)
+def test_constant_components_broadcast_against_the_grid(fam):
+    # components that return Python floats, not grids: the projection adds
+    # a t-axis term and q_form_components weights on the t axis, and both
+    # must broadcast the constants over the (t, theta) grid
+    constant = QFormSample(
+        h_tt=lambda t, th: 1.0, h_ttheta=lambda t, th: 0.0, h_thetatheta=lambda t, th: 2.0
+    )
+    sample = make_admissible(fam, constant)
+    components = q_form_components(fam, sample)
+    assert components.shape == (fam.ambient_dim,)
+    assert np.max(np.abs(components)) > 0.0
+    assert abs(q_form_sum(fam, sample)) <= 1e-8 * np.max(np.abs(components))
+    _assert_close(components, _reference_q_form_components(fam, sample))
+
+
 def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
+
+
+def test_conformal_factor_matches_the_grid_to_mode_20():
+    # lambda^2(t) from the plane table against |u_t|^2 and |u_theta|^2 on a
+    # (t, theta) grid; on the boundary sqrt(lambda^2) = |u_t| = c |u| = c
+    for fam in _families(20, 20):
+        T = fam.T_star
+        t = np.linspace(-T, T, 41)[:, None]
+        th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, :]
+        ut, uth = _outputs(fam, t, th, (_U_T, _U_THETA))
+        f2 = _conformal_factor(fam, t)
+        assert f2.shape == t.shape
+        for want in (_dot(ut, ut), _dot(uth, uth)):
+            assert np.all(np.abs(f2 - want) <= 1e-13 * want), _family_id(fam)
+        c = boundary_eigenvalue_factor(fam)
+        assert abs(math.sqrt(_conformal_factor(fam, T)) - c) <= 4 * math.ulp(c), _family_id(fam)
 
 
 def _reference_identity_residuals(fam):
@@ -682,20 +717,24 @@ def test_certificates_never_evaluate_the_interior_grid(fam, monkeypatch):
     # verify_identities reads the plane table and asks _outputs for the one
     # boundary point (T*, 0); q_form_components contracts t-profiles with
     # theta-modes, so every point set it asks _outputs for is of the order
-    # of the grid's sides (boundary circles), never the n_t x n_theta interior
-    sizes = []
+    # of the grid's sides (boundary circles), never the n_t x n_theta interior;
+    # the q-form stack reads |u_t|^2 from the plane table, never asking for u_t
+    sizes, requested = [], []
 
     def spy(fam, t, theta, outputs):
         sizes.append(int(np.prod(np.broadcast_shapes(np.shape(t), np.shape(theta)))))
+        requested.append(tuple(outputs))
         return _outputs(fam, t, theta, outputs)
 
     monkeypatch.setattr(surfaces, "_outputs", spy)
     surfaces.verify_identities(fam)
     assert sizes == [1]
+    requested.clear()
     sample = make_admissible(fam, SAMPLES[0])
     sizes.clear()
     q_form_components(fam, sample)  # 201 x 256 interior
     assert sizes and max(sizes) <= 4 * (201 + 256)
+    assert requested and not any(_U_T in outputs for outputs in requested), requested
 
 
 def test_covering_degrees():
