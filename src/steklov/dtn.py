@@ -34,6 +34,8 @@ class OracleProblem:
     boundary_weight: float = 1.0  # conformal factor at the boundary
 
     def __post_init__(self):
+        if not isinstance(self.kind, SurfaceKind):
+            raise DomainError(f"kind must be a SurfaceKind, got {self.kind!r}")
         if len(self.grid) != 2:
             raise DomainError(f"grid must be two integers (n_t, n_theta), got {self.grid!r}")
         grid = n_t, n_theta = tuple(_check_integer(n, "grid size") for n in self.grid)

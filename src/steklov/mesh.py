@@ -177,6 +177,8 @@ def export_mesh(
     path: str,
     projection: tuple[int, int, int] = (0, 1, 2),
 ) -> SurfaceMesh:
+    if not isinstance(fmt, MeshFormat):
+        raise DomainError(f"format must be a MeshFormat, got {fmt!r}")
     dim = fam.ambient_dim
     axes = tuple(_check_integer(a, "projection axis") for a in projection)
     if len(axes) != 3 or len(set(axes)) != 3 or not all(0 <= a < dim for a in axes):

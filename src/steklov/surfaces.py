@@ -29,8 +29,10 @@ eigenvalue-perturbation form is integrated numerically (``q_form_sum``).
 ``_factors`` expands the planes per output into a t-factor and a theta-factor
 per column.  Positions and derivatives are their products; the quadratic
 form contracts the t-factors with the theta-factors by matrix products and
-never builds an (n_t, n_theta, dim) grid.  It and ``make_admissible`` read the
-S^1-invariant metric lambda^2(t) (dt^2 + dth^2) from ``_planes`` alone.
+never builds an (n_t, n_theta, dim) grid, and it samples the variation in
+blocks of t-rows, never on the whole (n_t, n_theta) grid at once.  It and
+``make_admissible`` read the S^1-invariant metric lambda^2(t) (dt^2 + dth^2)
+from ``_planes`` alone.
 """
 
 from __future__ import annotations
@@ -295,26 +297,28 @@ class QFormSample:
     h_thetatheta: Component
 
 
-def _boundary_sums(
+# rectangle-rule nodes per boundary circle
+_N_BOUNDARY = 512
+# t-rows per block of the Q-form's interior: its 201 rows are sampled in
+# three blocks, never as one 201 x 256 grid
+_ROW_BLOCK = 67
+
+
+def _boundary_terms(
     fam: ImmersionFamily, sample: QFormSample
-) -> tuple[float, float, float, np.ndarray]:
-    """Rectangle-rule integrals over both boundary circles t = -T*, T*.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """h_thetatheta / f on both boundary circles t = -T*, T*.
 
     The boundary length element is f = sqrt(lambda^2(T*)), read from
     ``_planes`` by ``_conformal_factor`` and the same at every boundary point,
-    so the length is 4 pi f.  Returns the integrals of h_thetatheta / f, of
-    |h_thetatheta| / f and of f, and per component of u that of
-    (h_thetatheta / f) u_i^2, on 512 nodes per circle.
+    so the length is 4 pi f.  Returns the circles as a (2, 1) column, their
+    512 theta nodes, h_thetatheta / f on them, of shape (2, 512), and f.
     """
-    n_theta = 512
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    wth = 2.0 * math.pi / n_theta
+    theta = np.linspace(0.0, 2.0 * math.pi, _N_BOUNDARY, endpoint=False)
     sides = np.array([[-fam.T_star], [fam.T_star]])
     f = math.sqrt(_conformal_factor(fam, fam.T_star))
-    hf = np.broadcast_to(sample.h_thetatheta(sides, theta), (2, n_theta)) / f
-    u2 = _position(fam, sides, theta) ** 2
-    weighted = np.einsum("st,sti->i", hf, u2) * wth
-    return float(np.sum(hf) * wth), float(np.sum(np.abs(hf)) * wth), 4.0 * math.pi * f, weighted
+    hf = np.broadcast_to(sample.h_thetatheta(sides, theta), (2, _N_BOUNDARY)) / f
+    return sides, theta, hf, f
 
 
 def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
@@ -325,15 +329,23 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     Steklov eigenvalue of the induced metric; for an admissible h the sum
     over components must vanish.  The interior uses Simpson's rule in t on
     201 nodes (an odd count) and the rectangle rule on 256 theta nodes; the
-    boundary term is the quadrature of ``_boundary_sums``.  The metric
-    lambda^2(t) (dt^2 + dth^2) enters through ``_conformal_factor``, read
-    from ``_planes`` on the t axis alone.
+    boundary term is the rectangle rule on 512 nodes per boundary circle
+    (``_boundary_terms``).  The interior is sampled in blocks of 67 t-rows:
+    each component is called on a block and summed over theta against the
+    theta-factors of ``_factors`` by one matrix product, and h_tt - h_thth,
+    the t-factors and the t-weight wt / lambda^2(t) are applied to those
+    (n_t, dim) sums, not to grids.  The metric lambda^2(t) (dt^2 + dth^2)
+    enters through ``_conformal_factor``, read from ``_planes`` on the t axis
+    alone.
     """
-    residual, scale, _, boundary = _boundary_sums(fam, sample)
-    if abs(residual) > 1e-8 * (scale + 1.0):
+    sides, theta_b, hf, f = _boundary_terms(fam, sample)
+    wb = 2.0 * math.pi / _N_BOUNDARY
+    residual = float(np.sum(hf) * wb)
+    if abs(residual) > 1e-8 * (float(np.sum(np.abs(hf)) * wb) + 1.0):
         raise ConstraintError(f"variation violates the boundary length constraint: {residual:.3e}")
+    boundary = np.einsum("st,sti->i", hf, _position(fam, sides, theta_b) ** 2) * wb
 
-    n_t, n_theta = 201, 256
+    n_t, n_theta, dim = 201, 256, fam.ambient_dim
     T = fam.T_star
     t = np.linspace(-T, T, n_t)
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
@@ -342,27 +354,42 @@ def q_form_components(fam: ImmersionFamily, sample: QFormSample) -> np.ndarray:
     wt[2:-1:2] = 2.0
     wt *= (t[1] - t[0]) / 3.0
     wth = 2.0 * math.pi / n_theta
-    tt, th, grid = t[:, None], theta[None, :], (n_t, n_theta)
     (a_t, x_t), (a_th, x_th) = _factors(fam, t, theta, (_U_T, _U_THETA))
-    w = (wt / _conformal_factor(fam, t))[:, None]
-    d = np.broadcast_to(w * (sample.h_tt(tt, th) - sample.h_thetatheta(tt, th)), grid)
-    e = np.broadcast_to(w * sample.h_ttheta(tt, th), grid)
+    x_d = np.concatenate([x_t**2, x_th**2], axis=1)
+    x_e = x_t * x_th
+
+    # theta-sums of h against the squared and crossed theta-factors, row by
+    # row: d against (x_t^2, x_th^2) for the diagonal components, e against
+    # x_t x_th for the off-diagonal one
+    d, e = np.empty((n_t, 2 * dim)), np.empty((n_t, dim))
+    th = theta[None, :]
+    for start in range(0, n_t, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        tt = t[rows, None]
+        block = (len(tt), n_theta)
+        h_tt = np.broadcast_to(sample.h_tt(tt, th), block)
+        h_thth = np.broadcast_to(sample.h_thetatheta(tt, th), block)
+        d[rows] = h_tt @ x_d - h_thth @ x_d
+        e[rows] = np.broadcast_to(sample.h_ttheta(tt, th), block) @ x_e
 
     # per component the stress-energy tau_tt = (u_t^2 - u_theta^2) / 2 and
-    # tau_ttheta = u_t u_theta, paired with h, summed over theta by products
-    # of the grids d and e with the theta factors
+    # tau_ttheta = u_t u_theta, paired with h
+    w = (wt / _conformal_factor(fam, t))[:, None]
     interior = (
-        0.5 * a_t**2 * (d @ x_t**2)
-        - 0.5 * a_th**2 * (d @ x_th**2)
-        + 2.0 * a_t * a_th * (e @ (x_t * x_th))
+        w * (0.5 * a_t**2 * d[:, :dim] - 0.5 * a_th**2 * d[:, dim:] + 2.0 * a_t * a_th * e)
     ).sum(axis=0) * (wth / fam.radius**2)
 
     # eigenvalue of the induced metric (equals 1 for these unit-ball surfaces)
-    sigma = boundary_eigenvalue_factor(fam) / math.sqrt(_conformal_factor(fam, T))
+    sigma = boundary_eigenvalue_factor(fam) / f
     return -interior - 0.5 * sigma * boundary
 
 
 def q_form_sum(fam: ImmersionFamily, sample: QFormSample) -> float:
+    """The sum over coordinates of ``q_form_components``: zero, to quadrature
+    accuracy, for an admissible variation of a free boundary minimal surface,
+    which is the first-order criticality of its metric for the normalized
+    Steklov eigenvalue.  Raises ConstraintError unless ``sample`` keeps the
+    boundary length fixed (see ``make_admissible``)."""
     return float(np.sum(q_form_components(fam, sample)))
 
 
@@ -372,10 +399,12 @@ def make_admissible(fam: ImmersionFamily, sample: QFormSample) -> QFormSample:
     Subtracts alpha times the induced metric lambda^2(t) (dt^2 + dth^2), its
     factor read from ``_planes`` by ``_conformal_factor``.  That leaves the
     interior pairing unchanged (the stress-energy tensor is trace-free) and
-    shifts the boundary integral to zero.
+    shifts the boundary integral to zero: alpha is the integral of
+    h_thetatheta / f over the boundary circles (``_boundary_terms``) over
+    their length 4 pi f.
     """
-    numerator, _, length, _ = _boundary_sums(fam, sample)
-    alpha = numerator / length
+    _, _, hf, f = _boundary_terms(fam, sample)
+    alpha = float(np.sum(hf) * (2.0 * math.pi / _N_BOUNDARY)) / (4.0 * math.pi * f)
     return QFormSample(
         h_tt=lambda t, th: sample.h_tt(t, th) - alpha * _conformal_factor(fam, t),
         h_ttheta=sample.h_ttheta,

@@ -55,6 +55,11 @@ CATENOID_M = [math.nan, 0, -3, 2.5, 7, 10**400]
 # t and theta of a point: 0 and -1 lie in the domain (|t| <= T* > 1)
 COORDINATE = [math.nan, math.inf, -math.inf, 10**400]
 
+# an enum argument given by its value, by a member of another enum or by a
+# number is refused, not read as some member
+NOT_A_KIND = ["mobius", "annulus", FamilyKind.MOBIUS_B4, 1]
+NOT_A_FORMAT = ["obj", "ply", "csv", "stl", 3, SurfaceKind.ANNULUS]
+
 BAND = mobius_b4(2, 1)
 CATENOID = catenoid_b3(1)
 
@@ -63,8 +68,8 @@ def _problem(kind, T=1.0, n_t=8, n_theta=8, boundary_weight=1.0):
     return OracleProblem(kind=kind, T=T, grid=(n_t, n_theta), boundary_weight=boundary_weight)
 
 
-def _export(n_t=4, n_theta=6, axis=2, path=None):
-    return export_mesh(BAND, n_t, n_theta, MeshFormat.OBJ, path, projection=(0, 1, axis))
+def _export(n_t=4, n_theta=6, axis=2, fmt=MeshFormat.OBJ, path=None):
+    return export_mesh(BAND, n_t, n_theta, fmt, path, projection=(0, 1, axis))
 
 
 # entry point -> (call taking keyword arguments, {parameter: values it refuses});
@@ -120,6 +125,10 @@ TABLE = {
         lambda kind, count=3: oracle_spectrum(_problem(kind), count),
         {"count": INTEGER},
     ),
+    "oracle_spectrum(kind)": (
+        lambda kind, surface=MB: oracle_spectrum(_problem(surface), 3),
+        {"surface": NOT_A_KIND},
+    ),
     "closed_form_sigma": (
         lambda kind, T=1.0, f=1.0, count=3: closed_form_sigma(kind, T, f, count),
         {"T": REAL, "f": REAL, "count": INTEGER},
@@ -156,7 +165,7 @@ TABLE = {
     # axis 0 repeats the first axis, so every value below is refused
     "export_mesh": (
         lambda kind, **kwargs: _export(**kwargs),
-        {"n_t": INTEGER, "n_theta": INTEGER, "axis": INTEGER},
+        {"n_t": INTEGER, "n_theta": INTEGER, "axis": INTEGER, "fmt": NOT_A_FORMAT},
     ),
 }
 
@@ -165,7 +174,7 @@ KINDLESS = {
     "sup_sigma_mobius", "sup_sigma_annulus", "verify_first_intersection_max",
     "verify_no_asymptote", "solve_crossing", "crossing_partials", "aux_inequalities",
     "catenoid_b3", "annulus_b4", "mobius_b4", "make_family(catenoid)", "make_family(annulus)",
-    "make_family(mobius)", "evaluate", "build_mesh", "export_mesh",
+    "make_family(mobius)", "evaluate", "build_mesh", "export_mesh", "oracle_spectrum(kind)",
 }
 KINDS = {name: (MB,) if name in KINDLESS else (AN, MB) for name in TABLE}
 

@@ -521,18 +521,28 @@ def test_q_form_admissible_metric_variation():
     "fam", [catenoid_b3(2), annulus_b4(3, 2), mobius_b4(4, 1)], ids=["catenoid", "annulus", "mobius"]
 )
 def test_constant_components_broadcast_against_the_grid(fam):
-    # components that return Python floats, not grids: the projection adds
-    # a t-axis term and q_form_components weights on the t axis, and both
-    # must broadcast the constants over the (t, theta) grid
-    constant = QFormSample(
-        h_tt=lambda t, th: 1.0, h_ttheta=lambda t, th: 0.0, h_thetatheta=lambda t, th: 2.0
-    )
-    sample = make_admissible(fam, constant)
-    components = q_form_components(fam, sample)
-    assert components.shape == (fam.ambient_dim,)
-    assert np.max(np.abs(components)) > 0.0
-    assert abs(q_form_sum(fam, sample)) <= 1e-8 * np.max(np.abs(components))
-    _assert_close(components, _reference_q_form_components(fam, sample))
+    # components that return Python floats, a t-column or a theta-row, not
+    # grids: the projection adds a t-axis term and q_form_components samples
+    # t-blocks and weights on the t axis, and each block must broadcast them
+    # over its rows of the (t, theta) grid as the whole grid does
+    shaped = [
+        QFormSample(
+            h_tt=lambda t, th: 1.0, h_ttheta=lambda t, th: 0.0, h_thetatheta=lambda t, th: 2.0
+        ),
+        QFormSample(h_tt=lambda t, th: t, h_ttheta=lambda t, th: t, h_thetatheta=lambda t, th: t * t),
+        QFormSample(
+            h_tt=lambda t, th: np.cos(th),
+            h_ttheta=lambda t, th: np.sin(th),
+            h_thetatheta=lambda t, th: np.cos(th) + 1.0,
+        ),
+    ]
+    for raw in shaped:
+        sample = make_admissible(fam, raw)
+        components = q_form_components(fam, sample)
+        assert components.shape == (fam.ambient_dim,)
+        assert np.max(np.abs(components)) > 0.0
+        assert abs(q_form_sum(fam, sample)) <= 1e-8 * np.max(np.abs(components))
+        _assert_close(components, _reference_q_form_components(fam, sample))
 
 
 def _dot(u, v):
@@ -730,11 +740,38 @@ def test_certificates_never_evaluate_the_interior_grid(fam, monkeypatch):
     surfaces.verify_identities(fam)
     assert sizes == [1]
     requested.clear()
-    sample = make_admissible(fam, SAMPLES[0])
+    # make_admissible reads h_thetatheta on the boundary circles and lambda^2
+    # from the plane table, and evaluates no point of the surface
     sizes.clear()
+    calls = []
+    sample = make_admissible(fam, _spy_sample(SAMPLES[0], calls))
+    assert sizes == []
+    calls.clear()
     q_form_components(fam, sample)  # 201 x 256 interior
     assert sizes and max(sizes) <= 4 * (201 + 256)
     assert requested and not any(_U_T in outputs for outputs in requested), requested
+    # every component is sampled on t-blocks of the 256-node interior rows
+    # that cover the 201 t-nodes once each, never on the whole grid at once
+    T = fam.T_star
+    for name in ("h_tt", "h_ttheta", "h_thetatheta"):
+        blocks = [t for called, t, theta in calls if called == name and theta.size == 256]
+        assert blocks and all(t.size < 201 for t in blocks), name
+        covered = np.sort(np.concatenate([t.ravel() for t in blocks]))
+        np.testing.assert_array_equal(covered, np.linspace(-T, T, 201))
+
+
+def _spy_sample(sample, calls):
+    # records (component, t, theta) of each call on `sample`
+    def spied(name):
+        component = getattr(sample, name)
+
+        def call(t, th):
+            calls.append((name, np.asarray(t), np.asarray(th)))
+            return component(t, th)
+
+        return call
+
+    return QFormSample(*(spied(name) for name in ("h_tt", "h_ttheta", "h_thetatheta")))
 
 
 def test_covering_degrees():
