@@ -86,7 +86,6 @@ _EXPORTS = {
         "mobius_b4",
         "q_form_components",
         "q_form_sum",
-        "radial_monotonicity_margin",
         "verify_identities",
     ),
 }

@@ -89,8 +89,17 @@ class EigenvalueEntry:
         return self.index_range[1] - self.index_range[0] + 1
 
 
+class _KindTable(dict):
+    """A dict keyed by SurfaceKind whose failed lookup raises DomainError.
+
+    `__missing__` runs only on a miss: a good kind adds no call and no check."""
+
+    def __missing__(self, kind):
+        raise DomainError(f"kind must be a SurfaceKind, got {kind!r}")
+
+
 # Boundary length per unit conformal factor: 2*pi per boundary circle.
-_SCALE = {SurfaceKind.MOBIUS_BAND: 2.0 * math.pi, SurfaceKind.ANNULUS: 4.0 * math.pi}
+_SCALE = _KindTable({SurfaceKind.MOBIUS_BAND: 2.0 * math.pi, SurfaceKind.ANNULUS: 4.0 * math.pi})
 
 # Enum members bound once for the scalar path: reading a member off its Enum
 # class costs about 0.1 us in Python 3.11, a tenth of a branch evaluation.

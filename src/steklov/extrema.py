@@ -6,8 +6,10 @@ extremum sits at a crossing of an increasing and a decreasing branch (or
 escapes to infinity, for the second annulus eigenvalue).  Each supremum is
 read off one crossing of the lattice (`branches._crossing`): on the Mobius
 band sigma_bar_j peaks at T_{ceil(j/2),1}, on the annulus at t10/k for
-j = 2k-1 and at t_{k,1} for j = 2k > 2.  The tests cross-check every one
-against a dense grid search.
+j = 2k-1 and at t_{k,1} for j = 2k > 2.  `verify --suite suprema` checks
+each one, bit for bit, against the best local maximum of `critical_set`;
+the dense grid search `grid_supremum` runs only in the tests and the
+benchmark.
 """
 
 from __future__ import annotations

@@ -474,13 +474,3 @@ def injectivity_scan(fam: ImmersionFamily) -> InjectivityReport:
     return InjectivityReport(
         injective=g == 1 and fam.m % 2 == 1, covering_degree=g, core_sheets=fam.m // g
     )
-
-
-def radial_monotonicity_margin(fam: ImmersionFamily) -> float:
-    """Min of d/dt |u|^2 over 200 samples of t in (0, T*]; positive for the B^4 families."""
-    if fam.family is FamilyKind.CATENOID_B3:
-        raise DomainError("radial monotonicity applies to the 4-dimensional families")
-    t = np.linspace(1e-6, fam.T_star, 200)
-    # d/dt (c h(k t))^2 = c^2 k sinh(2 k t) for h = sinh and h = cosh
-    deriv = sum(c * c * k * np.sinh(2.0 * k * t) for c, _, _, k, _ in _planes(fam))
-    return float(np.min(deriv / fam.radius**2))

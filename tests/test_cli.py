@@ -465,6 +465,41 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "name, kind, j",
+    [("sup_sigma_mobius", "mobius", 3), ("sup_sigma_annulus", "annulus", 5),
+     ("sup_sigma_annulus", "annulus", 2)],
+)
+def test_verify_suprema_is_exact(capsys, monkeypatch, name, kind, j):
+    # one supremum one ulp high fails its check alone: the suite compares
+    # with the critical set bit for bit, where a 1e-9 tolerance would pass it
+    import dataclasses
+
+    import steklov.extrema as extrema
+
+    sup = getattr(extrema, name)
+
+    def nudged(i):
+        result = sup(i)
+        if i != j:
+            return result
+        return dataclasses.replace(result, value=math.nextafter(result.value, math.inf))
+
+    monkeypatch.setattr(extrema, name, nudged)
+    code, out, _ = _run(capsys, "verify", "--suite", "suprema")
+    assert code == EXIT_VERIFY
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        f"  [FAIL] suprema      {kind} sup sigma_bar_{j} vs critical set"
+    ]
+
+
+def test_verify_suprema_to_mode_20_passes(capsys):
+    code, out, _ = _run(capsys, "verify", "--suite", "suprema", "--max-mode", "20")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 81 and lines[-1] == "all checks passed"
+
+
 def test_verify_surfaces_checks_the_boundary_factor(capsys, monkeypatch):
     # a factor off by 1e-9 leaves every other identity field untouched, and
     # its deviation on annulus(3,2) reads 2.7e-9, past the suite's 1e-10 rule

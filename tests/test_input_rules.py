@@ -185,12 +185,20 @@ CASES = [
     for param, values in params.items()
     for value in values
 ]
+# the kind column: every entry point that takes a surface kind refuses one
+# that is not a SurfaceKind, its other arguments at their defaults
+CASES += [
+    pytest.param(name, value, "kind", value, id=f"{name}-kind={value!r}")
+    for name in TABLE
+    if name not in KINDLESS
+    for value in NOT_A_KIND
+]
 
 
 @pytest.mark.parametrize("name, kind, param, value", CASES)
 def test_entry_point_refuses_bad_value(tmp_path, name, kind, param, value):
     call, _ = TABLE[name]
-    kwargs = {param: value}
+    kwargs = {} if param == "kind" else {param: value}
     if name == "export_mesh":
         kwargs["path"] = str(tmp_path / "mesh.obj")
     with warnings.catch_warnings():

@@ -66,7 +66,6 @@ PUBLIC = {
     "oracle_spectrum": "dtn",
     "q_form_components": "surfaces",
     "q_form_sum": "surfaces",
-    "radial_monotonicity_margin": "surfaces",
     "rayleigh_quotient": "dtn",
     "sigma_bar": "branches",
     "sigma_bar_grid": "branches",
@@ -84,7 +83,7 @@ LIBRARY = ("branches", "crossings", "dtn", "extrema", "hyperbolic", "mesh", "num
 
 
 def test_public_names_are_the_owning_modules_objects(monkeypatch):
-    assert len(PUBLIC) == 65
+    assert len(PUBLIC) == 64
     assert sorted(steklov.__all__) == sorted(PUBLIC)
     for name, module in PUBLIC.items():
         owner = importlib.import_module(f"steklov.{module}")

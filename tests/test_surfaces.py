@@ -23,7 +23,6 @@ from steklov.surfaces import (
     mobius_b4,
     q_form_components,
     q_form_sum,
-    radial_monotonicity_margin,
     verify_identities,
 )
 from steklov.surfaces import (
@@ -337,7 +336,8 @@ def test_non_harmonic_plane_fails_the_harmonic_rule(capsys, monkeypatch):
     assert cli.run(["verify", "--suite", "surfaces"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert "  [FAIL] surfaces     identities catenoid(1)" in lines
-    assert not any("FAIL" in line for line in lines if "q-form" in line)
+    # the suite prints one identities line per family, and nothing else
+    assert all(" surfaces     identities " in line for line in lines[:-1])
 
 
 def _passes_rules(report):
@@ -420,12 +420,6 @@ def test_plane_table_reads_keep_the_literal_formulas(fam):
     m, n, T = fam.m, fam.n, fam.T_star
     k = n if fam.ambient_dim == 3 else m
     assert boundary_eigenvalue_factor(fam) == k * math.tanh(k * T)
-    if fam.ambient_dim == 4:
-        t = np.linspace(1e-6, T, 200)
-        deriv = (
-            m * m * n * np.sinh(2.0 * n * t) + n * n * m * np.sinh(2.0 * m * t)
-        ) / fam.radius**2
-        assert radial_monotonicity_margin(fam) == float(np.min(deriv))
 
 
 def test_planes_read_numpy_at_call_time(monkeypatch):
@@ -1063,13 +1057,6 @@ def test_mirror_double_cover_separation_vanishes(m, n):
     fam = annulus_b4(m, n)
     assert not injectivity_scan(fam).injective
     assert _separation(fam, 48, 96)[0] < 1e-15
-
-
-def test_radial_monotonicity():
-    for fam in (mobius_b4(2, 1), mobius_b4(4, 3), annulus_b4(3, 2)):
-        assert radial_monotonicity_margin(fam) > 0.0
-    with pytest.raises(DomainError):
-        radial_monotonicity_margin(catenoid_b3(1))
 
 
 @pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
