@@ -22,15 +22,17 @@ read from one table, `_modes`, and `branch_value` and `branch_index` check it:
         odd branch n    mode a = n
         linear branch   mode 0, value 4*pi / T
 
-`_value` evaluates the formula and `_crossing` turns a crossing of an even
-and an odd (or the linear) branch into its modulus and value; every
-supremum in `extrema` is read off one such crossing.  `_walk` evaluates
-the same formula over one table per call, the even values by scalar
-`math.tanh` and the odd ones by one `coth` call (bit for bit the
-scalar one), sorts it once and reads the ordered entries off it in one
-pass, merging two rows only where their branches cross.  `spectrum` builds
-records for those entries; `sigma_bar` and the other readers of single
-values take them as plain data.
+`_value` evaluates the formula.  `_crossing` solves for the modulus where
+an even and an odd (or the linear) branch cross and reads its value off
+`_value` there, the lower of the two branch values, which is the value
+`_walk` gives the merged entry: every crossing, critical metric and
+supremum in `extrema` is sigma_bar at its own modulus, bit for bit.
+`_walk` evaluates the same formula over one table per call, the even
+values by scalar `math.tanh` and the odd ones by one `coth` call (bit for
+bit the scalar one), sorts it once and reads the ordered entries off it in
+one pass, merging two rows only where their branches cross.  `spectrum`
+builds records for those entries; `sigma_bar` and the other readers of
+single values take them as plain data.
 """
 
 from __future__ import annotations
@@ -297,8 +299,10 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     """Vectorized sigma_bar for j = 1..j_max over an array of moduli.
 
     Returns an array of shape (j_max,) + T.shape, a scalar T counting as
-    shape (1,).  Used as an independent grid-search route; raises if the mode
-    cutoff could have missed a value.
+    shape (1,).  An independent reference route, evaluated with np.tanh:
+    `extrema.grid_supremum` and the spectrum-ordering check of `verify
+    --suite lemmas` read it, and no command prints its values.  Raises if
+    the mode cutoff could have missed a value.
     """
     try:
         T = np.atleast_1d(np.asarray(T, dtype=float))
@@ -340,8 +344,8 @@ class LatticeCrossing:
     increasing: Branch  # even
     decreasing: Branch  # odd, or linear on the annulus
     modulus: float
-    height: float  # common value of the unnormalized branch heights
-    value: float  # normalized eigenvalue at the crossing
+    height: float  # the solver's unnormalized height a*tanh(a*x), or m/t10 on the linear branch
+    value: float  # sigma_bar at first_index and the modulus: the lower branch value there
     first_index: int  # lowest eigenvalue index of the cluster
 
     @property
@@ -365,34 +369,29 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
     """The crossing of even branch m with odd branch n (n = 0: the linear branch).
 
     It solves a*tanh(a*x) = b*coth(b*x) for the two modes a > b, or sits at
-    t10/m on the linear branch.  The cluster's first index counts the values
-    below it: each branch family increases with mode at fixed T, every odd
-    annulus branch lies above the linear one, and the linear branch lies
-    below even mode m exactly when T > t10/m.
+    t10/m on the linear branch.  Its value is the lower of the two branch
+    values `_value` gives at that modulus, the value `_walk` reports for the
+    merged entry there, so it is sigma_bar at the cluster's first index bit
+    for bit.  That first index counts the values below it: each branch
+    family increases with mode at fixed T, every odd annulus branch lies
+    above the linear one, and the linear branch lies below even mode m
+    exactly when T > t10/m.
     """
-    scale = _SCALE[kind]
     t10 = solve_t10()
     even = Branch(_EVEN, _modes(kind, _EVEN, m)[-1])
     if n == 0:
-        return LatticeCrossing(
-            increasing=even,
-            decreasing=_LINEAR,
-            modulus=t10 / _check_positive(m, "mode"),
-            height=m / t10,
-            value=scale * m / t10,
-            first_index=2 * m - 1,
-        )
-    odd = Branch(_ODD, _modes(kind, _ODD, n)[-1])
-    point = solve_crossing(even.mode, odd.mode)
-    return LatticeCrossing(
-        increasing=even,
-        decreasing=odd,
-        modulus=point.x,
-        height=point.height,
-        value=scale * point.height,
+        decreasing, x, height = _LINEAR, t10 / _check_positive(m, "mode"), m / t10
+        first_index = 2 * m - 1
+    else:
+        decreasing = Branch(_ODD, _modes(kind, _ODD, n)[-1])
+        point = solve_crossing(even.mode, decreasing.mode)
+        x, height = point.x, point.height
         # on the annulus the linear value is below the cluster too
-        first_index=2 * (m + n) - 3 + (kind is not _MOBIUS and point.x > t10 / m),
+        first_index = 2 * (m + n) - 3 + (kind is not _MOBIUS and x > t10 / m)
+    value = min(
+        _value(kind, _EVEN, even.mode, x), _value(kind, decreasing.kind, decreasing.mode, x)
     )
+    return LatticeCrossing(even, decreasing, x, height, value, first_index)
 
 
 def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:

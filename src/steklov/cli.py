@@ -145,7 +145,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     import numpy as np
 
-    from .branches import _walk, sigma_bar_grid
+    from .branches import _walk
 
     kind = SurfaceKind(args.kind)
     j_list = sorted(set(_parse_ints(args.j, "--j")))
@@ -156,19 +156,18 @@ def _cmd_sweep(args) -> int:
     t_min, t_max = _check_positive(args.t_min, "t-min"), _check_positive(args.t_max, "t-max")
     if t_min >= t_max:
         raise SteklovError("need t-min < t-max")
-    grid = np.geomspace(t_min, t_max, args.steps)
-    values = sigma_bar_grid(kind, max(j_list), grid)
     rows = []
-    for i, T in enumerate(grid):
-        labels = [
-            f"{profile.value}:{mode}"  # Branch.label() of the entry's first branch
-            for _, (_, _, profile, mode), _, (lo, hi) in _walk(kind, float(T), j_list[-1])
+    for T in np.geomspace(t_min, t_max, args.steps):
+        # each index's value and Branch.label() of its entry's first branch
+        cells = [
+            (value, f"{profile.value}:{mode}")
+            for value, (_, _, profile, mode), _, (lo, hi) in _walk(kind, float(T), j_list[-1])
             for _ in range(lo, hi + 1)
         ]
         rows.append(
             {"T": T}
-            | {f"sigma_bar_{j}": values[j - 1, i] for j in j_list}
-            | {f"branch_{j}": labels[j - 1] for j in j_list}
+            | {f"sigma_bar_{j}": cells[j - 1][0] for j in j_list}
+            | {f"branch_{j}": cells[j - 1][1] for j in j_list}
         )
     _emit(args, {"sweep": rows})
     return EXIT_OK
@@ -326,12 +325,12 @@ def _suite_lemmas(max_mode: int):
     margins = [r.margin for r in verify_first_intersection_max(max_mode)]
     checks.append(("first-intersection margins positive", all(m > 0 for m in margins) if margins else True))
     records = verify_no_asymptote(min(2 * max_mode, 20))
-    # t_k must solve 2k tanh(2k t_k) = 1/t_k
+    # t_k = t10/(2k) is the annulus crossing of even mode 2k with the linear
+    # branch, and must solve 2k tanh(2k t_k) = 1/t_k
+    linear = [_crossing(SurfaceKind.ANNULUS, 2 * r.k, 0) for r in records]
     ok = all(
-        r.margin > 0
-        and abs(2 * r.k * math.tanh(2 * r.k * r.t_k) - 1.0 / r.t_k) <= 1e-13 * 2 * r.k
-        and r.t_k < r.t_k1
-        for r in records
+        r.margin > 0 and c.modulus == r.t_k and c.residual <= 1e-13 * 2 * r.k and r.t_k < r.t_k1
+        for r, c in zip(records, linear)
     )
     checks.append(("no-asymptote margins and identity", ok))
     return checks

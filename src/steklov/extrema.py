@@ -162,19 +162,17 @@ class InequalityRecord:
 
 
 def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
-    """Check that crossing heights increase along antidiagonals of the lattice.
+    """Check that crossing values increase along antidiagonals of the lattice.
 
-    For all integers k >= l > c > 0 with k + c <= max_mode, the even-branch
+    For all integers k >= l > c > 0 with k + c <= max_mode, the crossing
     value at T_{k,l} is strictly below the value at T_{k+c,l-c}.
     """
     mb = SurfaceKind.MOBIUS_BAND
     max_mode = _check_index(max_mode, "max_mode")
-    moduli = {
-        (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.modulus
+    values = {
+        (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.value
         for c in crossing_lattice(mb, max_mode)
     }
-    # the even value at each crossing, once: each record's rhs is another's lhs
-    values = {(k, l): lambda_bar(mb, k, modulus) for (k, l), modulus in moduli.items()}
     records = []
     for (k, l), lhs in values.items():
         for c in range(1, min(l, max_mode - k + 1)):
@@ -187,7 +185,7 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
 class NoAsymptoteRecord:
     k: int
     limit_value: float  # even-branch limit at half the mode
-    crossing_value: float  # even-branch value at its first crossing
+    crossing_value: float  # the crossing value sigma_bar at T_{k,1}, its first crossing
     t_k: float  # solution of 2k*tanh(2kt) = 1/t
     t_k1: float  # first crossing modulus
 
@@ -212,7 +210,7 @@ def verify_no_asymptote(max_even: int) -> list[NoAsymptoteRecord]:
             NoAsymptoteRecord(
                 k=k,
                 limit_value=lambda_bar(mb, k // 2, math.inf),
-                crossing_value=lambda_bar(mb, k, c.modulus),
+                crossing_value=c.value,
                 t_k=t10 / c.increasing.mode,
                 t_k1=c.modulus,
             )

@@ -403,7 +403,6 @@ def _ref_grid(kind, j_max, T):
 
 def _ref_lattice(kind, max_mode):
     mobius = kind is MB
-    scale = 2.0 * math.pi if mobius else 4.0 * math.pi
     t10 = solve_t10()
     lattice = []
     for m in range(1, max_mode + 1):
@@ -412,33 +411,36 @@ def _ref_lattice(kind, max_mode):
             linear = Branch(BranchKind.LINEAR, 0)
             x = t10 / m
             residual = abs(m * math.tanh(m * x) - 1.0 / x)  # m tanh(m x) = 1/x
-            lattice.append((even, linear, x, m / t10, scale * m / t10, residual, 2 * m - 1))
+            value = min(_ref_lambda(kind, m, x), _ref_nu(x))  # the lower branch value
+            lattice.append((even, linear, x, m / t10, value, residual, 2 * m - 1))
         for n in range(1, m + 1 if mobius else m):
             odd = _ref_odd(kind, n)
             point = solve_crossing(float(even.mode), float(odd.mode))
             first = 2 * (m + n) - 3 + (not mobius and point.x > t10 / m)
-            lattice.append(
-                (even, odd, point.x, point.height, scale * point.height, point.residual, first)
-            )
+            value = min(_ref_lambda(kind, m, point.x), _ref_mu(kind, n, point.x))
+            lattice.append((even, odd, point.x, point.height, value, point.residual, first))
     return lattice
 
 
 def _ref_sup_mobius(j):
+    # the lower branch value at T_{k,1}
     k = (j + 1) // 2
-    point = solve_crossing(2.0 * k, 1.0)
-    return 2.0 * math.pi * point.height, True, point.x
+    x = solve_crossing(2.0 * k, 1.0).x
+    return min(_ref_lambda(MB, k, x), _ref_mu(MB, 1, x)), True, x
 
 
 def _ref_sup_annulus(j):
+    # the lower branch value at t10/k, or at t_{k,1}
     t10 = solve_t10()
     if j % 2 == 1:
         k = (j + 1) // 2
-        return 4.0 * math.pi * k / t10, True, t10 / k
+        x = t10 / k
+        return min(_ref_lambda(AN, k, x), _ref_nu(x)), True, x
     k = j // 2
     if k == 1:
         return 4.0 * math.pi, False, None
-    point = solve_crossing(float(k), 1.0)
-    return 4.0 * math.pi * point.height, True, point.x
+    x = solve_crossing(float(k), 1.0).x
+    return min(_ref_lambda(AN, k, x), _ref_mu(AN, 1, x)), True, x
 
 
 def _hex(values):
@@ -630,7 +632,7 @@ def test_mobius_lattice_corners_match_50_digit_roots():
         for k in range(1, 61):  # the supremum of sigma_bar_{2k} sits at T_{k,1}
             sup = sup_sigma_mobius(2 * k)
             assert sup.attaining_modulus == solve_crossing(2 * k, 1).x
-            assert sup.value == 2.0 * math.pi * solve_crossing(2 * k, 1).height
+            assert sup.value == _ref_sup_mobius(2 * k)[0]
 
 
 def test_annulus_lattice_corners_match_50_digit_roots():

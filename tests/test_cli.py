@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov.branches import SurfaceKind
+from steklov.branches import SurfaceKind, crossing_lattice, sigma_bar
 from steklov.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from steklov.crossings import solve_crossing
 from steklov.dtn import OracleProblem, oracle_spectrum
@@ -331,6 +331,23 @@ def test_surface_rejects_mobius_grid_below_six_columns(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--kind", "annulus", "--steps", "1"],
+        ["sweep", "--kind", "mobius", "--t-min", "2", "--t-max", "1"],
+        ["surface", "--family", "catenoid", "--grid", "4x6"],
+        ["surface", "--family", "annulus", "--n", "1", "--grid", "4x6"],
+        ["surface", "--family", "mobius", "--m", "2", "--grid", "4x6"],
+    ],
+    ids=["sweep-one-step", "sweep-t-min-above-t-max", "catenoid-no-n", "annulus-no-m", "mobius-no-n"],
+)
+def test_refused_arguments_write_no_file(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    _assert_one_error_line(*_run(capsys, *argv, "--out", str(out)))
+    assert not out.exists()
+
+
 def _unwritable_paths(tmp_path, name):
     # a file in a missing directory, and an existing directory
     return [tmp_path / "missing" / name, tmp_path]
@@ -516,23 +533,22 @@ def test_verify_surfaces_checks_the_boundary_factor(capsys, monkeypatch):
 
 
 # sha256 of `<command> --kind <kind> --max-mode 12 [--json|--csv] --out <file>`,
-# recorded before the lattice enumerator replaced the per-command loops; the
-# annulus json/csv pins again when the linear crossings' residual column
-# began to report |m tanh(m x) - 1/x| at the float modulus instead of 0
+# whose value columns are sigma_bar at each crossing's modulus, the lower
+# branch value there
 # recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
 LATTICE_OUTPUT_SHA256 = {
-    ("crossings", "mobius", "text"): "38857b4712ca7592ba4ec96a221ebe034a53bfab1a79e4a1620eb8da2376744f",
-    ("crossings", "mobius", "json"): "2e56999b696b8c8e4c19084f8271d70bff4d47166eb4f54505274ae3d5f34ef8",
-    ("crossings", "mobius", "csv"): "2ed0d1e04166b471a36c47ac106a8e498be77a1df256affe1be96d1ae7c92a6a",
-    ("crossings", "annulus", "text"): "a71fb59a6d29833a5eeb1ce81284d45c8ba6363d6d52e4400a8da65587e45ed1",
-    ("crossings", "annulus", "json"): "267cbe4bb70cbeab8ca64fbae05d315e115b83822dcaed33498cde2c9822678d",
-    ("crossings", "annulus", "csv"): "aae85de168453a76b1098edfcdcdf50af293abc0e71d3ab0f3d3a058d9c0ad24",
-    ("critical-set", "mobius", "text"): "20c9ce05c2388907aa4befd374749a16e3664f8668459abea597c1726894e3cb",
-    ("critical-set", "mobius", "json"): "d904eef6dbc2021e01f844a9f6652ccb92e96b73f31a187b642e781da2117fad",
-    ("critical-set", "mobius", "csv"): "0932d43372b88ed2a46ac31cc9929a907a6d3e62b05c801902071eef8bac6fe3",
-    ("critical-set", "annulus", "text"): "3d1126166bc88e2f21c2334f2e4fbb44edfc84b9f8d84db54c6212e5f30e604d",
-    ("critical-set", "annulus", "json"): "7c792141a5323d1c9d4ad01740381cd18c2795998a1da969662c3343581ecb2d",
-    ("critical-set", "annulus", "csv"): "6883d87c5d1b29df44ce3d0eb8d33ff0a97151437fbb84355b46e9e30e7385d2",
+    ("crossings", "mobius", "text"): "e33f0ffc6026f9faaf39266809813455615fc26c3d515dca6e2d759cdf5efa5d",
+    ("crossings", "mobius", "json"): "c06ae1c7409df2c303103c26e0905d757d86a9fab5338fd646c2a543ceb79060",
+    ("crossings", "mobius", "csv"): "5084916e0a8c1e40115c387327091033242651c1e6deeff969c7eccd625e825d",
+    ("crossings", "annulus", "text"): "d07315375de682ca29e97251240a1a8cd6cf7f581ee1aba26b7af227a2586c85",
+    ("crossings", "annulus", "json"): "4713ed0c8efc2970f3e13f1d21d4a1293c8370d5209c8b055b31b74bb6336fd2",
+    ("crossings", "annulus", "csv"): "0ade3d2cf58c79ee93a88f79801c643f51b5fe737cbe292af8042735b019b58c",
+    ("critical-set", "mobius", "text"): "dc5030262509dc6dc29f87633bb7ea9568cef093bb1c2b3985a923583795ad64",
+    ("critical-set", "mobius", "json"): "3fb95d9cf82bb7f586367feae0b5cd4bcd75ae9b987f0af3c06fb459599d6524",
+    ("critical-set", "mobius", "csv"): "4d75e1c471a631ecc804f4d09528381b5a4fa28d2f01ca951abc1ffcc3da14a3",
+    ("critical-set", "annulus", "text"): "29b1468be48265fe488a7053ac7f92476ddd782b3b0a3feb0126b8cbbaea3ef9",
+    ("critical-set", "annulus", "json"): "87a9ca6d02c6d1a00490133303cf624117fc1edd7b42d08ee869b3647569cb99",
+    ("critical-set", "annulus", "csv"): "e97510b639df041d0e6c18273497419c7cac03585b86555b21a8dbf42ff49dd7",
 }
 
 
@@ -548,11 +564,12 @@ def test_lattice_output_pinned(tmp_path, command, kind, fmt):
 
 
 # sha256 of `sweep --kind <kind> --j 8,1,3,2,5 --out <file>` on the default
-# grid, recorded while sweep still called spectrum once per (T, j)
+# grid: each value cell is sigma_bar_j at its row's T, read off the same walk
+# as the branch labels
 # recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
 SWEEP_SHA256 = {
-    "mobius": "ae2c7d7b881ce507dcf14c9a4574a13bb71db89496098b9900a01d86ba639d26",
-    "annulus": "4cb020024144abc497db2cb196a5ce4fa64c6ad30db917b7dc9b4209142a5920",
+    "mobius": "e25b4f770cd00508ca6a14b837cba46ea02c629510de3c8114f0e45ca3292af8",
+    "annulus": "cbc518af5df3d99191cbe8dd99bb02f012e3f2d6a89fea50948bcf3f405cad2e",
 }
 
 
@@ -561,6 +578,36 @@ def test_sweep_output_pinned(tmp_path, kind):
     path = tmp_path / "sweep.csv"
     assert run(["sweep", "--kind", kind, "--j", "8,1,3,2,5", "--out", str(path)]) == EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", ["annulus", "mobius"])
+def test_sweep_cells_are_sigma_bar_at_their_modulus(tmp_path, kind):
+    path = tmp_path / "sweep.csv"
+    assert run(["sweep", "--kind", kind, "--j", "1,2,3,4,5,6", "--out", str(path)]) == EXIT_OK
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 400
+    for row in rows:
+        T = float(row["T"])
+        for j in range(1, 7):
+            assert float(row[f"sigma_bar_{j}"]) == sigma_bar(SurfaceKind(kind), j, T), (T, j)
+
+
+@pytest.mark.parametrize("kind", ["annulus", "mobius"])
+def test_crossing_values_are_the_spectrum_at_their_modulus(capsys, kind):
+    code, out, _ = _run(capsys, "crossings", "--kind", kind, "--max-mode", "12", "--json")
+    assert code == EXIT_OK
+    rows = json.loads(out)["crossings"]
+    lattice = crossing_lattice(SurfaceKind(kind), 12)
+    assert len(rows) == len(lattice) == 78
+    for row, c in zip(rows, lattice):
+        assert row["modulus"] == c.modulus
+        j = c.first_index  # the lowest index of the crossing's cluster
+        argv = ["spectrum", "--kind", kind, "--T", repr(row["modulus"]), "--count", str(j)]
+        code, out, _ = _run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        values = {r["index"]: r["value"] for r in json.loads(out)["spectrum"]}
+        assert row["normalized_value"] == values[j], (row, j)
 
 
 def _pinned_digest(tmp_path, argv, fmt):
@@ -596,10 +643,11 @@ def test_spectrum_output_pinned(tmp_path, kind, T, fmt):
 
 
 # sha256 of `suprema --kind <kind> --j <j> [--json] --out <file>`, recorded with
-# the spectrum pins
+# the spectrum pins; annulus j = 1 again once its value was sigma_bar_1 at
+# t10, one ulp below 4*pi/t10
 SUPREMA_SHA256 = {
-    ("annulus", 1, "text"): "c1fe5004c88bbb1de166366032d2618036e4b6816daa103af8e7ac220d602408",
-    ("annulus", 1, "json"): "458e6eb29a86e7040e21e2565939385e5a9c5fd445ee9054bde280248943017b",
+    ("annulus", 1, "text"): "b87b6cf34b074d6cefbdaa98b217548c1b6f529d929297708cf6850ceb94fa26",
+    ("annulus", 1, "json"): "f9d96f6057b4057ebca8d377beb054d14e2e36c8b6b84fc9d79fd883079138da",
     ("annulus", 2, "text"): "071a79b3ae7a75c05582cd0295d5def31ea5c763f396931f77e4f87b6696188f",
     ("annulus", 2, "json"): "2290a5827b9ec27d28d71fb43e054874d0b4b4256c221b337278d116b3c60b70",
     ("annulus", 8, "text"): "4c90d90d4ca422b47ff7efbed47ae3a05e5324b561288f42e38b763923bf2b74",

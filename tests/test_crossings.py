@@ -119,9 +119,9 @@ def test_crossing_past_the_double_range_raises():
 
 # sha256 of the float.hex of every modulus, height and value of
 # crossing_lattice(kind, 60), Moebius band then annulus, one per line;
-# recorded before the solver lost its Newton polish and fixed bracket
+# each value is sigma_bar at the crossing's modulus, the lower branch value there
 # recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
-LATTICE_60_SHA256 = "f98a3a4a7975a7c1ad99afdcbad66b67c239dd89f8c6fba6e65bd0b6d6576b97"
+LATTICE_60_SHA256 = "dc0b5a3f4f7e07f769fc942f41ab29665d65a95a245a726e935f31e27358da44"
 
 
 def test_lattice_to_mode_60_matches_frozen_bits():

@@ -25,6 +25,7 @@ from steklov.extrema import (
     verify_first_intersection_max,
     verify_no_asymptote,
 )
+from steklov.hyperbolic import coth
 
 MB = SurfaceKind.MOBIUS_BAND
 AN = SurfaceKind.ANNULUS
@@ -156,6 +157,32 @@ def test_every_supremum_is_the_best_local_max_of_the_critical_set():
                 assert 2.0 * math.pi * math.ceil(j / 2) < result.value
 
 
+# One route to a normalized value: each crossing, critical record and attained
+# supremum reports sigma_bar at its own modulus, bit for bit.
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_every_crossing_value_is_sigma_bar_at_its_modulus(kind):
+    for c in crossing_lattice(kind, 60):
+        assert c.value == sigma_bar(kind, c.first_index, c.modulus), c
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_every_critical_value_is_sigma_bar_at_its_modulus(kind):
+    for r in critical_set(kind, 20):
+        for j in r.indices:
+            assert r.value == sigma_bar(kind, j, r.modulus), (r, j)
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_every_attained_supremum_is_sigma_bar_at_its_modulus(kind):
+    sup = sup_sigma_mobius if kind is MB else sup_sigma_annulus
+    for j in range(1, 41):
+        result = sup(j)
+        if result.attained:
+            assert result.value == sigma_bar(kind, j, result.attaining_modulus), j
+
+
 def test_mobius_critical_set_structure():
     records = critical_set(MB, 2)
     by_key = {(r.modulus, r.character): r for r in records}
@@ -221,19 +248,19 @@ def test_first_intersection_margins():
 
 
 def _ref_first_intersection_max(max_mode):
-    # lambda_bar evaluated afresh for each side of each record
-    moduli = {
-        (k, l): solve_crossing(2 * k, 2 * l - 1).x
-        for k in range(1, max_mode + 1)
-        for l in range(1, k + 1)
-    }
+    # the crossing value, the lower branch value at T_{k,l}, written out:
+    # even mode 2k meets odd mode 2l - 1
+    values = {}
+    for k in range(1, max_mode + 1):
+        for l in range(1, k + 1):
+            b = 2 * l - 1
+            x = solve_crossing(2 * k, b).x
+            values[k, l] = min(
+                4.0 * math.pi * k * math.tanh(2 * k * x), 2.0 * math.pi * b * coth(b * x)
+            )
     return [
-        (
-            f"k={k},l={l},c={c}",
-            lambda_bar(MB, k, T).hex(),
-            lambda_bar(MB, k + c, moduli[k + c, l - c]).hex(),
-        )
-        for (k, l), T in moduli.items()
+        (f"k={k},l={l},c={c}", values[k, l].hex(), values[k + c, l - c].hex())
+        for k, l in values
         for c in range(1, min(l, max_mode - k + 1))
     ]
 

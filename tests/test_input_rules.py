@@ -52,6 +52,8 @@ REAL = [math.nan, math.inf, -math.inf, 0.0, -1.0, 10**400]
 MODULUS = [v for v in REAL if v != math.inf]
 # the catenoid takes n alone: any m at all is refused
 CATENOID_M = [math.nan, 0, -3, 2.5, 7, 10**400]
+# a mode that make_family's family takes must be given
+FAMILY_MODE = INTEGER + [None]
 # t and theta of a point: 0 and -1 lie in the domain (|t| <= T* > 1)
 COORDINATE = [math.nan, math.inf, -math.inf, 10**400]
 
@@ -144,15 +146,15 @@ TABLE = {
     "mobius_b4": (lambda kind, m=2, n=1: mobius_b4(m, n), {"m": INTEGER, "n": INTEGER}),
     "make_family(catenoid)": (
         lambda kind, m=None, n=1: make_family(FamilyKind.CATENOID_B3, m=m, n=n),
-        {"m": CATENOID_M, "n": INTEGER},
+        {"m": CATENOID_M, "n": FAMILY_MODE},
     ),
     "make_family(annulus)": (
         lambda kind, m=2, n=1: make_family(FamilyKind.ANNULUS_B4, m=m, n=n),
-        {"m": INTEGER, "n": INTEGER},
+        {"m": FAMILY_MODE, "n": FAMILY_MODE},
     ),
     "make_family(mobius)": (
         lambda kind, m=2, n=1: make_family(FamilyKind.MOBIUS_B4, m=m, n=n),
-        {"m": INTEGER, "n": INTEGER},
+        {"m": FAMILY_MODE, "n": FAMILY_MODE},
     ),
     "evaluate": (
         lambda kind, t=0.5, theta=0.5: evaluate(CATENOID, t, theta),
