@@ -22,17 +22,7 @@ read from one table, `_modes`, and `branch_value` and `branch_index` check it:
         odd branch n    mode a = n
         linear branch   mode 0, value 4*pi / T
 
-`_value` evaluates the formula.  `_crossing` solves for the modulus where
-an even and an odd (or the linear) branch cross and reads its value off
-`_value` there, the lower of the two branch values, which is the value
-`_walk` gives the merged entry: every crossing, critical metric and
-supremum in `extrema` is sigma_bar at its own modulus, bit for bit.
-`_walk` evaluates the same formula over one table per call, the even
-values by scalar `math.tanh` and the odd ones by one `coth` call (bit for
-bit the scalar one), sorts it once and reads the ordered entries off it in
-one pass, merging two rows only where their branches cross.  `spectrum`
-builds records for those entries; `sigma_bar` and the other readers of
-single values take them as plain data.
+`_value` evaluates the formula, and `spectrum` orders its values.
 """
 
 from __future__ import annotations
@@ -41,6 +31,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +47,7 @@ class BranchKind(Enum):
     LINEAR = "linear"  # profile t, annulus only
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One separated-variables eigenvalue family: parity plus Fourier mode."""
 
     kind: BranchKind
@@ -74,8 +64,7 @@ class Branch:
 _LINEAR = Branch(BranchKind.LINEAR, 0)
 
 
-@dataclass(frozen=True)
-class EigenvalueEntry:
+class EigenvalueEntry(NamedTuple):
     """One entry of the ordered spectrum, possibly a merged crossing."""
 
     value: float
@@ -172,24 +161,25 @@ def branch_index(kind: SurfaceKind, branch: Branch) -> int:
     return modes.index(mode) + 1
 
 
-def _walk(kind: SurfaceKind, T: float, count: int) -> list[tuple]:
-    """The entries of the first `count` nonzero normalized eigenvalues, as plain data.
+def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
+    """First `count` nonzero normalized eigenvalues, merged at crossings.
 
-    Each entry is (value, first, partner, index_range): `first` is a row
-    (value, rank, profile, mode) of the sorted table, `partner` the row that
-    crosses it in the same entry or None, and index_range the positions the
-    entry occupies, counting multiplicity.
+    Each entry holds its value, its one or two branches and the positions it
+    occupies, counting multiplicity.  `sigma_bar`, `dtn.closed_form_sigma`
+    and `steklov sweep` read these entries too.
 
     One table holds the even branches of indices 1..count // 2 + 2, the odd
     branches of those indices that can sort below the last even one and, on
-    the annulus, the linear branch; one sort orders it, and one walk of its
-    sorted prefix reads the entries.  Two adjacent rows share one entry only
-    where the two branches cross: an increasing (even) branch meets a
-    decreasing one (odd, or linear of mode 0) of lower mode, and at the
-    solved crossing their values differ by at most the crossing solver's
-    bound RESIDUAL_SCALE * (a + b), times the 2*pi or 4*pi that normalizes
-    the heights a*tanh(a*x) = b*coth(b*x).  Distinct branches that are
-    merely close stay apart.
+    the annulus, the linear branch.  The even values come from scalar
+    `math.tanh` and the odd ones from one `coth` call, bit for bit the values
+    of `_value`.  One sort orders the table, and one walk of its sorted
+    prefix builds the entries.  Two adjacent rows share one entry only where
+    the two branches cross: an increasing (even) branch meets a decreasing
+    one (odd, or linear of mode 0) of lower mode, and at the solved crossing
+    their values differ by at most the crossing solver's bound
+    RESIDUAL_SCALE * (a + b), times the 2*pi or 4*pi that normalizes the
+    heights a*tanh(a*x) = b*coth(b*x).  Distinct branches that are merely
+    close stay apart.
     """
     T = _check_modulus(T)
     if math.isinf(T):
@@ -242,12 +232,10 @@ def _walk(kind: SurfaceKind, T: float, count: int) -> list[tuple]:
     entries = []
     position = 1
     i = 0  # index of the last item read
-    first = items[0]
+    value, _, profile, a = items[0]
     while position <= count:
         i += 1
-        after = items[i]
-        value, _, profile, a = first
-        next_value, _, next_profile, b = after
+        next_value, _, next_profile, b = items[i]
         mult = 2 - (profile is _LINEAR_KIND)  # the linear branch alone is simple
         even_first = profile is _EVEN
         if (
@@ -255,44 +243,30 @@ def _walk(kind: SurfaceKind, T: float, count: int) -> list[tuple]:
             and even_first is not (next_profile is _EVEN)
             and (a > b if even_first else b > a)  # the even mode is the larger
         ):
-            partner = after
+            group = (Branch(profile, a), Branch(next_profile, b))
             mult += 2 - (next_profile is _LINEAR_KIND)
             i += 1
-            after = items[i]
+            next_value, _, next_profile, b = items[i]
         else:
-            partner = None
-        entries.append((value, first, partner, (position, position + mult - 1)))
+            group = (Branch(profile, a),)
+        entries.append(EigenvalueEntry(value, group, (position, position + mult - 1)))
         position += mult
-        first = after
+        value, profile, a = next_value, next_profile, b
     # completeness: every item read lies in the proven prefix, up to E_n
     if items[i] > last_even:  # pragma: no cover - the bound is proven above
         raise RuntimeError("mode bound too small for requested count")
     return entries
 
 
-def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
-    """First `count` nonzero normalized eigenvalues, merged at crossings.
-
-    The entries are those of `_walk`, with a record built for each.
-    """
-    entries = []
-    for value, (_, _, profile, mode), partner, index_range in _walk(kind, T, count):
-        group = (Branch(profile, mode),)
-        if partner is not None:
-            group += (Branch(partner[2], partner[3]),)
-        entries.append(EigenvalueEntry(value, group, index_range))
-    return entries
-
-
 def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
     """The j-th nonzero normalized eigenvalue, counted with multiplicity.
 
-    It is the value of the last entry of the walk to index j (`_walk`), so it
-    costs one table of at most j // 2 + 2 modes per family, sorted once, and
-    builds no records.
+    It is the value of the last entry of `spectrum` to index j, so it costs
+    one table of at most j // 2 + 2 modes per family, sorted once, and one
+    record per entry up to j.
     """
     j = _check_index(j, "eigenvalue index")
-    return _walk(kind, T, j)[-1][0]  # the last entry holds index j
+    return spectrum(kind, T, j)[-1].value  # the last entry holds index j
 
 
 def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
@@ -320,7 +294,7 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     if kind is SurfaceKind.ANNULUS:
         with np.errstate(over="ignore"):  # +inf, as nu_bar gives, for subnormal T
             rows.append(scale / T)
-    x = np.minimum(T, SATURATION)  # the same bits as T without overflow, as in _walk
+    x = np.minimum(T, SATURATION)  # the same bits as T without overflow, as in spectrum
     modes = zip(_modes(kind, _EVEN, n_modes + 1), _modes(kind, _ODD, n_modes + 1))
     for m, (a, b) in enumerate(modes, 1):
         lam = scale * a * np.tanh(a * x)
@@ -370,7 +344,7 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
 
     It solves a*tanh(a*x) = b*coth(b*x) for the two modes a > b, or sits at
     t10/m on the linear branch.  Its value is the lower of the two branch
-    values `_value` gives at that modulus, the value `_walk` reports for the
+    values `_value` gives at that modulus, the value `spectrum` reports for the
     merged entry there, so it is sigma_bar at the cluster's first index bit
     for bit.  That first index counts the values below it: each branch
     family increases with mode at fixed T, every odd annulus branch lies

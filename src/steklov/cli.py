@@ -145,24 +145,26 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     import numpy as np
 
-    from .branches import _walk
+    from .branches import spectrum
 
     kind = SurfaceKind(args.kind)
     j_list = sorted(set(_parse_ints(args.j, "--j")))
     _check_index(j_list[0], "--j")
     if args.steps < 2:
         raise SteklovError(f"steps must be >= 2, got {args.steps}")
+    # the moduli are one array of doubles, and NumPy addresses at most sys.maxsize bytes
+    if args.steps > sys.maxsize // 8:
+        raise SteklovError(f"steps must be <= {sys.maxsize // 8}, got {args.steps}")
     # finite: np.geomspace would warn at an infinite end before any check of ours
     t_min, t_max = _check_positive(args.t_min, "t-min"), _check_positive(args.t_max, "t-max")
     if t_min >= t_max:
         raise SteklovError("need t-min < t-max")
     rows = []
     for T in np.geomspace(t_min, t_max, args.steps):
-        # each index's value and Branch.label() of its entry's first branch
         cells = [
-            (value, f"{profile.value}:{mode}")
-            for value, (_, _, profile, mode), _, (lo, hi) in _walk(kind, float(T), j_list[-1])
-            for _ in range(lo, hi + 1)
+            (e.value, e.branch.label())
+            for e in spectrum(kind, float(T), j_list[-1])
+            for _ in range(e.multiplicity)
         ]
         rows.append(
             {"T": T}

@@ -18,12 +18,18 @@ node count must be even so the half-turn shift lands on grid nodes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branches import _SCALE, SurfaceKind, _walk
+from .branches import _SCALE, SurfaceKind, spectrum
 from .exceptions import DomainError, _check_integer, _check_positive
+
+# Most boundary nodes n_b a grid may have, checked before any allocation: the
+# dense operator holds n_b**2 doubles, and NumPy addresses at most
+# sys.maxsize bytes.
+_MAX_BOUNDARY = math.isqrt(sys.maxsize // 8)
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,11 @@ class OracleProblem:
             raise DomainError(f"grid too coarse: {self.grid}")
         if n_theta % 2 != 0:
             raise DomainError("n_theta must be even (half-turn shift must be on-grid)")
+        _check_positive(n_t, "grid size")  # h_t = T / n_t is a double
         _check_positive(self.boundary_weight, "boundary weight")
         object.__setattr__(self, "grid", grid)  # integral floats become ints
+        if self.boundary_size > _MAX_BOUNDARY:
+            raise DomainError(f"grid {n_t}x{n_theta} exceeds {_MAX_BOUNDARY} boundary nodes")
 
     @property
     def boundary_size(self) -> int:
@@ -147,8 +156,8 @@ def closed_form_sigma(kind: SurfaceKind, T: float, f: float, count: int) -> np.n
     """First `count` nonzero eigenvalues at a finite boundary factor f > 0, by the closed forms."""
     length = _SCALE[kind] * _check_positive(f, "boundary weight")
     values = []
-    for value, _, _, (lo, hi) in _walk(kind, T, count):
-        values.extend([value / length] * (hi - lo + 1))
+    for entry in spectrum(kind, T, count):
+        values.extend([entry.value / length] * entry.multiplicity)
     return np.array(values[:count])
 
 

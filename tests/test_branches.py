@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from steklov.branches import (
     Branch,
     BranchKind,
+    EigenvalueEntry,
     SurfaceKind,
     branch_index,
     branch_value,
@@ -106,6 +107,21 @@ def test_multiplicity_law():
     assert Branch(BranchKind.LINEAR, 0).multiplicity == 1
     assert Branch(BranchKind.EVEN_HYPERBOLIC, 3).multiplicity == 2
     assert Branch(BranchKind.ODD_HYPERBOLIC, 1).multiplicity == 2
+
+
+def test_records_are_immutable_and_hash_by_value():
+    T = solve_crossing(2.0, 1.0).x  # Mobius T_{1,1}: a merged entry
+    entry, again = spectrum(MB, T, 4)[0], spectrum(MB, T, 4)[0]
+    branch = entry.branch
+    for record, field in ((branch, "kind"), (branch, "mode"), (entry, "value"),
+                          (entry, "branches"), (entry, "index_range")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert again is not entry and again == entry and hash(again) == hash(entry)
+    copy = Branch(branch.kind, branch.mode)
+    assert copy == branch and hash(copy) == hash(branch)
+    rebuilt = EigenvalueEntry(entry.value, entry.branches, entry.index_range)
+    assert rebuilt == entry and hash(rebuilt) == hash(entry)
 
 
 @pytest.mark.parametrize("kind", [MB, AN])

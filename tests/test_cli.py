@@ -397,6 +397,29 @@ def test_surface_refused_allocation_exits_one(capsys, tmp_path, grid):
     assert not path.exists()
 
 
+_SWEEP = ["sweep", "--kind", "annulus", "--j", "1", "--steps"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SWEEP + ["100000000000000000000"], "steps must be <= 1152921504606846975"),
+        (_SWEEP + ["9223372036854775807"], "steps must be <= 1152921504606846975"),
+        (
+            ["oracle", "--kind", "mobius", "--T", "1", "--grid", "4x100000000000000000000"],
+            "grid 4x100000000000000000000 exceeds 1073741823 boundary nodes",
+        ),
+    ],
+)
+def test_oversized_size_exits_one(capsys, tmp_path, argv, message):
+    # sizes past what NumPy can address are refused before any allocation
+    path = tmp_path / "out.txt"
+    code, out, err = _run(capsys, *argv, "--out", str(path))
+    _assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: {message}")
+    assert not path.exists()
+
+
 def test_surface_memory_error_exits_one(capsys, monkeypatch, tmp_path):
     # a grid inside the vertex bound can still be more than the host holds;
     # the refusal is simulated, so nothing large is allocated

@@ -123,6 +123,8 @@ TABLE = {
         _problem,
         {"T": REAL, "n_t": INTEGER, "n_theta": INTEGER, "boundary_weight": REAL},
     ),
+    # a grid past the double range, or whose dense operator NumPy cannot address
+    "OracleProblem(grid)": (_problem, {"n_t": [10**400], "n_theta": [10**20]}),
     "oracle_spectrum": (
         lambda kind, count=3: oracle_spectrum(_problem(kind), count),
         {"count": INTEGER},
