@@ -7,7 +7,7 @@ modulus T; normalizing by total boundary length removes the conformal
 factor entirely, so every branch is one formula in T alone:
 
     scale * a * tanh(a*T)   even (cosh profile)
-    scale * a * coth(a*T)   odd (sinh profile)
+    scale * a / tanh(a*T)   odd (sinh profile): scale * a * coth(a*T)
     scale / T               linear (profile t, mode 0; the a -> 0 limit of the odd one)
 
 where a is the branch's theta-mode and scale is the boundary length per
@@ -22,7 +22,10 @@ read from one table, `_modes`, and `branch_value` and `branch_index` check it:
         odd branch n    mode a = n
         linear branch   mode 0, value 4*pi / T
 
-`_value` evaluates the formula, and `spectrum` orders its values.
+`_value` evaluates the formula with scalar `math.tanh` on both hyperbolic
+profiles, and `spectrum` orders the same values: no NumPy call, so their bits
+do not depend on NumPy's SIMD dispatch.  `sigma_bar_grid` is the array route
+(`np.tanh` and `hyperbolic.coth`).
 """
 
 from __future__ import annotations
@@ -112,11 +115,16 @@ def _modes(kind: SurfaceKind, profile: BranchKind, count: int) -> range:
 
 
 def _value(kind: SurfaceKind, profile: BranchKind, a: int, T: float) -> float:
-    """scale * a * phi(a*T) for the profile's phi; the linear branch is scale / T."""
+    """scale * a * tanh(a*T), or scale * a / tanh(a*T) if odd; the linear branch is scale / T.
+
+    `spectrum` evaluates the same expressions, grouped left to right, so both
+    give the same bits.  A product past the double range is inf and tanh(inf)
+    is 1.0, so huge T needs no clamp; a subnormal T gives +inf on the odd branch.
+    """
     if profile is _EVEN:
         return _SCALE[kind] * a * math.tanh(a * T)
     if profile is _ODD:
-        return _SCALE[kind] * a * coth(a * T)
+        return _SCALE[kind] * a / math.tanh(a * T)
     return _SCALE[kind] / T
 
 
@@ -170,9 +178,9 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
 
     One table holds the even branches of indices 1..count // 2 + 2, the odd
     branches of those indices that can sort below the last even one and, on
-    the annulus, the linear branch.  The even values come from scalar
-    `math.tanh` and the odd ones from one `coth` call, bit for bit the values
-    of `_value`.  One sort orders the table, and one walk of its sorted
+    the annulus, the linear branch.  Both hyperbolic profiles come from scalar
+    `math.tanh`, scale * a * tanh(a*T) and scale * b / tanh(b*T), bit for bit
+    the values of `_value`.  One sort orders the table, and one walk of its sorted
     prefix builds the entries.  Two adjacent rows share one entry only where
     the two branches cross: an increasing (even) branch meets a decreasing
     one (odd, or linear of mode 0) of lower mode, and at the solved crossing
@@ -191,11 +199,12 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     # of the families), and the rank breaks exact ties in the order linear,
     # even 1, odd 1, even 2, ...
     # (1) Every omitted item sorts after E_n.  Omitted even items have larger
-    #     index and rank.  An even value of mode a is fl(fl(scale*a) * tanh)
-    #     <= fl(scale*a), as tanh <= 1 and rounding is monotone; an odd value
-    #     of mode b is >= fl(scale*b), as coth >= 1.  So an odd item whose
-    #     fl(scale*b) exceeds E_n's value, the only ones of index <= n left
-    #     out, lies above it; one of index > n has mode b >= odd mode n + 1
+    #     index and rank.  With t = fl(tanh) in (0, 1] and rounding monotone,
+    #     an even value of mode a is fl(fl(scale*a) * t) <= fl(scale*a), and
+    #     an odd value of mode b is fl(fl(scale*b) / t) >= fl(scale*b): the
+    #     left-to-right grouping of both expressions is what this needs.  So
+    #     an odd item whose fl(scale*b) exceeds E_n's value, the only ones of
+    #     index <= n left out, lies above it; one of index > n has mode b >= odd mode n + 1
     #     > even mode n (2n + 1 > 2n on the band, n + 1 > n on the annulus),
     #     so a value >= E_n's and a rank >= 2n + 2 > 2n - 1.  The sorted
     #     table up to E_n, S >= n items, is therefore a prefix of the spectrum.
@@ -210,20 +219,14 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     n = count // 2 + 2
     scale = _SCALE[kind]
     even_modes, odd_modes = _modes(kind, _EVEN, n), _modes(kind, _ODD, n)
-    # tanh and coth are 1.0 well below SATURATION, where coth clamps its
-    # argument, so the clamped modulus gives the same bits and keeps mode * T
-    # from overflowing
-    x = min(T, SATURATION)
+    # the expressions of _value, so no clamp: mode * T past the double range is
+    # inf, whose tanh is 1.0, and a subnormal T makes the odd values +inf
     tanh = math.tanh  # scalar: np.tanh differs from math.tanh in the last bit
     even_ranks, odd_ranks = range(1, 2 * n, 2), range(2, 2 * n + 1, 2)
-    items = [(scale * a * tanh(a * x), r, _EVEN, a) for r, a in zip(even_ranks, even_modes)]
+    items = [(scale * a * tanh(a * T), r, _EVEN, a) for r, a in zip(even_ranks, even_modes)]
     last_even = items[-1]
     odd_modes = odd_modes[: bisect_right(odd_modes, last_even[0], key=lambda b: scale * b)]
-    if len(odd_modes) > 1:  # one array coth call, bit for bit the scalar calls of _value
-        cs = coth(np.arange(odd_modes.start, odd_modes.stop, odd_modes.step) * x).tolist()
-    else:  # none, or mode 1 alone: a scalar call costs less than a 1-element array
-        cs = [coth(b * x) for b in odd_modes]
-    items += [(scale * b * c, r, _ODD, b) for c, r, b in zip(cs, odd_ranks, odd_modes)]
+    items += [(scale * b / tanh(b * T), r, _ODD, b) for r, b in zip(odd_ranks, odd_modes)]
     if kind is not _MOBIUS:
         items.append((scale / T, 0, _LINEAR_KIND, 0))
     items.sort()
@@ -273,7 +276,8 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     """Vectorized sigma_bar for j = 1..j_max over an array of moduli.
 
     Returns an array of shape (j_max,) + T.shape, a scalar T counting as
-    shape (1,).  An independent reference route, evaluated with np.tanh:
+    shape (1,).  An independent reference route, evaluated with np.tanh and
+    the array `hyperbolic.coth`:
     `extrema.grid_supremum` and the spectrum-ordering check of `verify
     --suite lemmas` read it, and no command prints its values.  Raises if
     the mode cutoff could have missed a value.
@@ -294,7 +298,7 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     if kind is SurfaceKind.ANNULUS:
         with np.errstate(over="ignore"):  # +inf, as nu_bar gives, for subnormal T
             rows.append(scale / T)
-    x = np.minimum(T, SATURATION)  # the same bits as T without overflow, as in spectrum
+    x = np.minimum(T, SATURATION)  # the same bits as T, without overflow warnings
     modes = zip(_modes(kind, _EVEN, n_modes + 1), _modes(kind, _ODD, n_modes + 1))
     for m, (a, b) in enumerate(modes, 1):
         lam = scale * a * np.tanh(a * x)

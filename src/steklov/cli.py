@@ -143,8 +143,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import numpy as np
-
     from .branches import spectrum
 
     kind = SurfaceKind(args.kind)
@@ -152,18 +150,25 @@ def _cmd_sweep(args) -> int:
     _check_index(j_list[0], "--j")
     if args.steps < 2:
         raise SteklovError(f"steps must be >= 2, got {args.steps}")
-    # the moduli are one array of doubles, and NumPy addresses at most sys.maxsize bytes
+    # refused before any row is built: each row holds at least one 8-byte
+    # double, and no process addresses more than sys.maxsize bytes
     if args.steps > sys.maxsize // 8:
         raise SteklovError(f"steps must be <= {sys.maxsize // 8}, got {args.steps}")
-    # finite: np.geomspace would warn at an infinite end before any check of ours
+    # positive and finite, so both logarithms are finite
     t_min, t_max = _check_positive(args.t_min, "t-min"), _check_positive(args.t_max, "t-max")
     if t_min >= t_max:
         raise SteklovError("need t-min < t-max")
+    # geometric moduli from scalar math, not np.geomspace, whose bits depend on
+    # NumPy's SIMD dispatch; both ends are exactly t_min and t_max
+    last = args.steps - 1
+    lo = math.log(t_min)
+    span = math.log(t_max) - lo
+    inner = (math.exp(lo + i * span / last) for i in range(1, last))
     rows = []
-    for T in np.geomspace(t_min, t_max, args.steps):
+    for T in (t_min, *inner, t_max):
         cells = [
             (e.value, e.branch.label())
-            for e in spectrum(kind, float(T), j_list[-1])
+            for e in spectrum(kind, T, j_list[-1])
             for _ in range(e.multiplicity)
         ]
         rows.append(

@@ -40,6 +40,11 @@ class CrossingPoint:
 
 
 def _gap(a: float, b: float, x: float) -> float:
+    # The array `coth` stays here, though b / math.tanh(b*x) (the branch
+    # values' form) cuts a cold solve several-fold: the moduli keep their bits,
+    # and perfbench/run.py keeps every output record until a run ends, so a
+    # faster solver lifts the benchmark's peak_rss_mb past its bound (ROADMAP
+    # item 1 comes first).
     return a * math.tanh(a * x) - b * coth(b * x)
 
 

@@ -1,10 +1,12 @@
-"""Overflow-safe hyperbolic function evaluations.
+"""Overflow-safe hyperbolic function evaluations over arrays.
 
-All branch formulas in this package reduce to tanh, coth and the squared
-secant/cosecant.  Large-mode crossings push the arguments of these functions
-well past the range where the naive exp-based forms overflow, and coth
-suffers catastrophic cancellation near zero, so everything here is written
-in terms of expm1/exp(-|x|).
+The crossing solver and the array reference route reduce to coth and the
+squared secant/cosecant.  Large-mode crossings push the arguments of these
+functions well past the range where the naive exp-based forms overflow, and
+coth suffers catastrophic cancellation near zero, so everything here is
+written in terms of expm1/exp(-|x|).  `coth` serves only `crossings` (the
+solver's gap and the partials) and `branches.sigma_bar_grid`; the branch
+values themselves are scale * a / math.tanh(a*T), in `branches`.
 """
 
 from __future__ import annotations

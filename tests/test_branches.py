@@ -346,7 +346,7 @@ def _ref_mu(kind, l, T):
         scale = 4.0 * math.pi * l
     if math.isinf(T):
         return scale
-    return scale * coth(freq * T)
+    return scale / math.tanh(freq * T)
 
 
 def _ref_nu(T):
@@ -584,6 +584,37 @@ def test_spectrum_reports_only_real_crossings(kind):
         assert merges(float(T), 40) == []
 
 
+class _NoNumPy:
+    """Stands in for a NumPy binding: any use of it fails the test."""
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("array call on the scalar path")
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} on the scalar path")
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_scalar_path_makes_no_numpy_call(monkeypatch, kind):
+    # both hyperbolic profiles come from math.tanh: the array coth, and NumPy
+    # itself, serve only sigma_bar_grid
+    import steklov.branches as branches
+
+    monkeypatch.setattr(branches, "coth", _NoNumPy())
+    monkeypatch.setattr(branches, "np", _NoNumPy())
+    for T in (1e-320, 0.03, 0.7, 40.0, 1e308):
+        assert len(spectrum(kind, T, 200)) >= 100
+        assert sigma_bar(kind, 7, T) > 0.0
+        assert lambda_bar(kind, 3, T) > 0.0 and mu_bar(kind, 3, T) > 0.0
+        assert branch_value(kind, _ref_odd(kind, 2), T) > 0.0
+    assert nu_bar(0.7) == 4.0 * math.pi / 0.7
+    assert len(crossing_lattice(kind, 6)) == 21
+    sup = sup_sigma_mobius if kind is MB else sup_sigma_annulus
+    assert all(sup(j).value > 0.0 for j in range(1, 13))
+    with pytest.raises(AssertionError, match="scalar path"):
+        sigma_bar_grid(kind, 4, [0.7])  # the array route still reads them
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", [MB, AN])
 @pytest.mark.parametrize("T", [5e-324, 1e-320, 1e308, sys.float_info.max])
@@ -702,3 +733,33 @@ def test_crossing_partials_match_50_digit_derivatives(a, b):
         )
         got = (p.dx_da, p.dx_db, p.du_da, p.du_db)
         assert max(_rel(g, e) for g, e in zip(got, exact)) <= 5e-14
+
+
+# log-uniform moduli over the normal range the odd values stay finite in, plus
+# the subnormal and near-overflow moduli where scale*b/tanh(b*T) passes the
+# largest double
+_ODD_CORPUS = sorted(
+    10.0 ** np.random.default_rng(3407).uniform(-300.0, 3.0, 150)
+) + [5e-324, 1e-320, 1e-310, 1e-308, 5e-308, 7e-308, 1e-307]
+
+
+@pytest.mark.parametrize("kind", [MB, AN])
+def test_odd_values_match_50_digit_coth(kind):
+    # mu_bar is scale*b / math.tanh(b*T); its exact value is scale*b*coth(b*T)
+    # with the exact 2*pi or 4*pi.  Four rounding steps (scale, scale*b, tanh,
+    # the quotient) stay within 4 eps, and a value past the largest double is +inf
+    eps, largest = sys.float_info.epsilon, mpmath.mpf(sys.float_info.max)
+    infinite = 0
+    with mpmath.workdps(50):
+        scale = (2 if kind is MB else 4) * mpmath.pi
+        for l in range(1, 61):
+            b = 2 * l - 1 if kind is MB else l
+            for T in _ODD_CORPUS:
+                got = mu_bar(kind, l, float(T))
+                exact = scale * b * mpmath.coth(b * mpmath.mpf(float(T)))
+                if exact > largest:
+                    assert got == math.inf, (l, T)
+                    infinite += 1
+                else:
+                    assert _rel(got, exact) <= 4 * eps, (l, T)
+    assert infinite > 0  # the overflow side is reached

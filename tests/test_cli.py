@@ -4,10 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklov
 from steklov.branches import SurfaceKind, crossing_lattice, sigma_bar
 from steklov.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from steklov.crossings import solve_crossing
@@ -558,20 +563,22 @@ def test_verify_surfaces_checks_the_boundary_factor(capsys, monkeypatch):
 # sha256 of `<command> --kind <kind> --max-mode 12 [--json|--csv] --out <file>`,
 # whose value columns are sigma_bar at each crossing's modulus, the lower
 # branch value there
-# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the
+# bits differ: the moduli come from the crossing solver, whose `_gap` reads the
+# array `hyperbolic.coth` (np.expm1)
 LATTICE_OUTPUT_SHA256 = {
-    ("crossings", "mobius", "text"): "e33f0ffc6026f9faaf39266809813455615fc26c3d515dca6e2d759cdf5efa5d",
-    ("crossings", "mobius", "json"): "c06ae1c7409df2c303103c26e0905d757d86a9fab5338fd646c2a543ceb79060",
-    ("crossings", "mobius", "csv"): "5084916e0a8c1e40115c387327091033242651c1e6deeff969c7eccd625e825d",
-    ("crossings", "annulus", "text"): "d07315375de682ca29e97251240a1a8cd6cf7f581ee1aba26b7af227a2586c85",
-    ("crossings", "annulus", "json"): "4713ed0c8efc2970f3e13f1d21d4a1293c8370d5209c8b055b31b74bb6336fd2",
-    ("crossings", "annulus", "csv"): "0ade3d2cf58c79ee93a88f79801c643f51b5fe737cbe292af8042735b019b58c",
-    ("critical-set", "mobius", "text"): "dc5030262509dc6dc29f87633bb7ea9568cef093bb1c2b3985a923583795ad64",
-    ("critical-set", "mobius", "json"): "3fb95d9cf82bb7f586367feae0b5cd4bcd75ae9b987f0af3c06fb459599d6524",
-    ("critical-set", "mobius", "csv"): "4d75e1c471a631ecc804f4d09528381b5a4fa28d2f01ca951abc1ffcc3da14a3",
-    ("critical-set", "annulus", "text"): "29b1468be48265fe488a7053ac7f92476ddd782b3b0a3feb0126b8cbbaea3ef9",
-    ("critical-set", "annulus", "json"): "87a9ca6d02c6d1a00490133303cf624117fc1edd7b42d08ee869b3647569cb99",
-    ("critical-set", "annulus", "csv"): "e97510b639df041d0e6c18273497419c7cac03585b86555b21a8dbf42ff49dd7",
+    ("crossings", "mobius", "text"): "2387733ef6b7d7436f27692ade345245404672890d5b56dd0888c947bf068a55",
+    ("crossings", "mobius", "json"): "894d65a314639248316b664b226b9e1f10ac4d112a8e839ed5133b0c4ce983b7",
+    ("crossings", "mobius", "csv"): "e1f2f9bebd5d31f93bb93feed6c63810b8f45228d3131c8f698206323098133d",
+    ("crossings", "annulus", "text"): "7504d53502bb0756de072cce603976cfd308b7b0ed6b94e66ecfd707ab05d602",
+    ("crossings", "annulus", "json"): "7111c27dd72cbdfa77f4420623d926447f3f717cd22811679d8b5e67272c219c",
+    ("crossings", "annulus", "csv"): "dcdb1e8857a2324ee05729bb58f4372eadad480db6c18af710c808f0ab0399a2",
+    ("critical-set", "mobius", "text"): "00538c2bd56daa015128b9227dbcccd87c1dab2a81ee334674a2393f6813b7d5",
+    ("critical-set", "mobius", "json"): "8cd3bf3444f221ceae6910d4336ea0cc02ce904e68e3897375f036bc87023d0d",
+    ("critical-set", "mobius", "csv"): "7cdc29ffa0ab78a49156acb7c4c4fe28f732299cc16d1e303987c4c1020a5cdc",
+    ("critical-set", "annulus", "text"): "aa04628ee771efed779458534da66d7f034af8f75c4f70f6e3adaff914c66d9f",
+    ("critical-set", "annulus", "json"): "6ab33f3d3533b8f543e13bd6e95a37225fa7c660d17073e228e2a37eaf65b4c8",
+    ("critical-set", "annulus", "csv"): "c3581f788886950fd1b79700911a989db2d6710d31e73712583de553c44d9456",
 }
 
 
@@ -588,11 +595,11 @@ def test_lattice_output_pinned(tmp_path, command, kind, fmt):
 
 # sha256 of `sweep --kind <kind> --j 8,1,3,2,5 --out <file>` on the default
 # grid: each value cell is sigma_bar_j at its row's T, read off the same walk
-# as the branch labels
-# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
+# as the branch labels.  The moduli and values make no NumPy call (math.exp and
+# math.log, math.tanh), so the bits are the same under every NumPy dispatch
 SWEEP_SHA256 = {
-    "mobius": "e25b4f770cd00508ca6a14b837cba46ea02c629510de3c8114f0e45ca3292af8",
-    "annulus": "cbc518af5df3d99191cbe8dd99bb02f012e3f2d6a89fea50948bcf3f405cad2e",
+    "mobius": "f717a333192b7e08fb7a024b8ca0cccabc8050f2cf87283e6760718b2359d89c",
+    "annulus": "0a8ebbd178a398a3c73133ecd60e274c2603271e3f5332b10046140fcf8858e5",
 }
 
 
@@ -642,17 +649,18 @@ def _pinned_digest(tmp_path, argv, fmt):
 
 
 # sha256 of `spectrum --kind <kind> --T <T> --count 12 [--json|--csv] --out <file>`,
-# recorded while each subcommand still had its own format dispatch
+# recorded while each subcommand still had its own format dispatch; the values
+# come from math.tanh alone, so the bits are the same under every NumPy dispatch
 SPECTRUM_SHA256 = {
-    ("annulus", "0.7", "text"): "3877429b3c35cd111b29b06aac1d433c0f8b0897e04dff7722494875901788c9",
-    ("annulus", "0.7", "json"): "def0ffa627fadf6cd299d59d755876571201a01a04085026625a453e9872be1c",
-    ("annulus", "0.7", "csv"): "3037b867757650ba84e69ec3cebe3cb43c752d28a6b91b3d37e85754762d91fc",
+    ("annulus", "0.7", "text"): "6cfdd901cd985e7c62437167fd7dfa0adbd212d26adaeaa2a93b7415a9595715",
+    ("annulus", "0.7", "json"): "6284e166f67920853f34a961d985089c2d56962e07a82157f0d49fe4ac573a0e",
+    ("annulus", "0.7", "csv"): "3e8f98bc1f54430b5887ce584b82aa5d57d914c1db3452e69aeb511757ef8d7c",
     ("annulus", "1e-14", "text"): "8e2740ac09937c3768af01d3947b95a68444aa9f516c02ab5373a9a9d543a8b9",
     ("annulus", "1e-14", "json"): "ca83d848fc71364623753643965e42a08dbf95249fba5d0a47d7fefe91bb0e23",
     ("annulus", "1e-14", "csv"): "a3436df7d0eda0793bd2cafdcdd00203773a3e2af7e4a3361f7a96f913059509",
-    ("mobius", "0.7", "text"): "5aec9a13708163006164b176b4e46c48c015d6776a0264ce5a98cc04a7baaa57",
-    ("mobius", "0.7", "json"): "bcaf9803c9dc7d919c5bfbd2da9ad898c40592123022e7269ad38af884a94f63",
-    ("mobius", "0.7", "csv"): "ee2df6ad43fb60649cf5ffdf006191074aeed8f3a668c1090cd1c880b653d4bb",
+    ("mobius", "0.7", "text"): "1fca670ca821a9f24fe73bb820aa69cad3d87f5a78b8abdc4da83be75c4eb2da",
+    ("mobius", "0.7", "json"): "f015cd3aec148d9c30f8f7e6d9d0b9f32d551eee845a8a1ccb79ef9e4c477d9d",
+    ("mobius", "0.7", "csv"): "1870c43df36dd08c2bf08dce5d13a06ae603fcaa4021d79245a105e2b9dcb76d",
     ("mobius", "1e-14", "text"): "538c74a5b2b7e8c36eea618bcb5a6a29974abfa47f04dba5f983599906048dcd",
     ("mobius", "1e-14", "json"): "001d7550ee8b1246978a7be31b2659835e2e6ce529d86f5f6bf26605b3d8323b",
     ("mobius", "1e-14", "csv"): "d5bd87acb84c771cf4ba679ab3e9717f7e485065c690728ef7a4f7fd930ff010",
@@ -667,7 +675,9 @@ def test_spectrum_output_pinned(tmp_path, kind, T, fmt):
 
 # sha256 of `suprema --kind <kind> --j <j> [--json] --out <file>`, recorded with
 # the spectrum pins; annulus j = 1 again once its value was sigma_bar_1 at
-# t10, one ulp below 4*pi/t10
+# t10, one ulp below 4*pi/t10.  The values make no NumPy call; the moduli come
+# from the crossing solver, and at these j they are the same under every NumPy
+# dispatch
 SUPREMA_SHA256 = {
     ("annulus", 1, "text"): "b87b6cf34b074d6cefbdaa98b217548c1b6f529d929297708cf6850ceb94fa26",
     ("annulus", 1, "json"): "f9d96f6057b4057ebca8d377beb054d14e2e36c8b6b84fc9d79fd883079138da",
@@ -690,14 +700,65 @@ def test_suprema_output_pinned(tmp_path, kind, j, fmt):
     assert _pinned_digest(tmp_path, argv, fmt) == SUPREMA_SHA256[kind, j, fmt]
 
 
+def _has_x86_v4() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy before 2.0
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+_DISPATCH_FREE_ARGV = [
+    [command, "--kind", kind, *argv]
+    for kind in ("annulus", "mobius")
+    for command, *argv in (
+        ["spectrum", "--T", "0.7", "--count", "40", "--json"],
+        ["spectrum", "--T", "1e-14", "--count", "40", "--json"],
+        ["suprema", "--j", "1", "--json"],
+        ["suprema", "--j", "8", "--json"],
+        ["sweep", "--j", "8,1,3,2,5", "--steps", "200"],
+    )
+]
+
+
+@pytest.mark.skipif(not _has_x86_v4(), reason="NumPy has no X86_V4 (AVX-512) dispatch to disable")
+def test_spectrum_suprema_sweep_bytes_do_not_depend_on_numpy_dispatch():
+    # the values come from math.tanh and the sweep moduli from math.exp and
+    # math.log, so turning NumPy's AVX-512 paths off changes no output byte
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "from steklov.cli import run\n"
+        "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes)\n"
+    )
+    outputs = []
+    for disabled in ("", _NO_AVX512):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(_DISPATCH_FREE_ARGV)],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        assert proc.stdout.endswith(b"[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # sha256 of `oracle --kind <kind> --T 0.7 --grid 12x12 --count 5 [--json] --out
 # <file>`, recorded once the output stopped reporting the assembly asymmetry
-# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the
+# bits differ, through the arcsinh, exp and expm1 of `dtn.assemble_dtn`
 ORACLE_SHA256 = {
-    ("annulus", "text"): "2e6ba82eb8da239409e87dbcc6720c8c2ad83edde6a5c15eeacfb07a3a8a679f",
-    ("annulus", "json"): "c50237454e3aa2d4c8abaf4f1c270f46db4b414bf9c4bd7320e0c6df8535c0d6",
-    ("mobius", "text"): "3092a951dc5f6e4721eedd48bc8a746b33be38b70f94bc529acb020eb14716d7",
-    ("mobius", "json"): "ac0e6e430c8a4ad40c3a8dc0be4a027355388843e4db26e01f4f98c89ece4ec1",
+    ("annulus", "text"): "d5d752d15054e632dd707a58c63f97b60b0e98ab28f6b9eac5edb5ea5e405c9e",
+    ("annulus", "json"): "2132504d136bf49ce23e80a251a1e09c2e7e350ecd4debb3d5c9378c4cea49c8",
+    ("mobius", "text"): "6a3b81cd75d6f850e4eb434c3d72db8892dfdc975222e702de52a7fedc79c32d",
+    ("mobius", "json"): "5d05fc6225e268ee9e37544adeacbeecbcdc4026f8277f0eafa3853f13f43078",
 }
 
 

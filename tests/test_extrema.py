@@ -25,7 +25,6 @@ from steklov.extrema import (
     verify_first_intersection_max,
     verify_no_asymptote,
 )
-from steklov.hyperbolic import coth
 
 MB = SurfaceKind.MOBIUS_BAND
 AN = SurfaceKind.ANNULUS
@@ -256,7 +255,7 @@ def _ref_first_intersection_max(max_mode):
             b = 2 * l - 1
             x = solve_crossing(2 * k, b).x
             values[k, l] = min(
-                4.0 * math.pi * k * math.tanh(2 * k * x), 2.0 * math.pi * b * coth(b * x)
+                4.0 * math.pi * k * math.tanh(2 * k * x), 2.0 * math.pi * b / math.tanh(b * x)
             )
     return [
         (f"k={k},l={l},c={c}", values[k, l].hex(), values[k + c, l - c].hex())

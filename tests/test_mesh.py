@@ -216,7 +216,8 @@ _FAMILIES = {
     "annulus32": lambda: annulus_b4(3, 2),
     "mobius21": lambda: mobius_b4(2, 1),
 }
-# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the bits differ
+# recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the
+# bits differ, through the np.sinh and np.cosh of `surfaces._factors`
 _EXPORT_SHA256 = [
     ("catenoid2", (8, 16), (0, 1, 2), {
         "obj": "a4505253b92e82b788e4d1a0fedd67add2930ed52c0f7ac6ece38b9d931fd33e",
