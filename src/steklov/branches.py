@@ -25,7 +25,7 @@ read from one table, `_modes`, and `branch_value` and `branch_index` check it:
 `_value` evaluates the formula with scalar `math.tanh` on both hyperbolic
 profiles, and `spectrum` orders the same values: no NumPy call, so their bits
 do not depend on NumPy's SIMD dispatch.  `sigma_bar_grid` is the array route
-(`np.tanh` and `hyperbolic.coth`).
+(`np.tanh` and the array `crossings.coth`).
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crossings import RESIDUAL_SCALE, solve_crossing, solve_t10
+from .crossings import RESIDUAL_SCALE, SATURATION, coth, solve_crossing, solve_t10
 from .exceptions import DomainError, UnsupportedBranchError, _check_index, _check_modulus, _check_positive
-from .hyperbolic import SATURATION, coth
 from .kinds import SurfaceKind
 
 
@@ -277,7 +276,7 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
 
     Returns an array of shape (j_max,) + T.shape, a scalar T counting as
     shape (1,).  An independent reference route, evaluated with np.tanh and
-    the array `hyperbolic.coth`:
+    the array `crossings.coth`:
     `extrema.grid_supremum` and the spectrum-ordering check of `verify
     --suite lemmas` read it, and no command prints its values.  Raises if
     the mode cutoff could have missed a value.

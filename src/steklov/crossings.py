@@ -10,6 +10,12 @@ solver brackets the root between 1/a and the first doubling of 2/a where F
 is positive, then bisects until no double is left between the ends.  The
 bracket scales with 1/a, so the solver finds every root that a double can
 represent, and scaling a and b by a power of two scales x exactly.
+
+`coth` lives here, beside `_gap`, its one scalar caller; `branches` imports it
+for `sigma_bar_grid`, the array reference route.  It stays an array kernel
+written with np.expm1, and `_gap` keeps calling it: the crossing moduli keep
+its bits, and a faster scalar gap would lift the benchmark's peak memory past
+its bound (see `_gap`).  Everything else here is `math` on Python floats.
 """
 
 from __future__ import annotations
@@ -19,10 +25,26 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .exceptions import DomainError, NoCrossingError, _check_positive
-from .hyperbolic import coth, csch2, sech2
 
 RESIDUAL_SCALE = 1e-14  # target |F(x)| <= RESIDUAL_SCALE * (a + b)
+
+# tanh(x) and coth(x) are 1.0 to double precision far before this point;
+# clamping keeps expm1 from overflowing.
+SATURATION = 350.0
+
+
+def coth(x):
+    """Hyperbolic cotangent, odd, with coth(0) = +inf and coth(inf) = 1."""
+    x = np.asarray(x, dtype=float)
+    ax = np.minimum(np.abs(x), SATURATION)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # 2 / expm1(2*ax) overflows to the intended +inf for subnormal ax
+        out = (1.0 + 2.0 / np.expm1(2.0 * ax)) * np.sign(x)
+    out = np.where(x == 0.0, np.inf, out)
+    return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,11 @@ def _solve(a: float, b: float) -> CrossingPoint:
         else:
             hi = mid
         mid = _midpoint(lo, hi)
+    # past a/b ~ 2e308, b*x underflows near the root, F reads -inf there and the
+    # bisection ends on that edge; the relative form of the residual bound holds
+    # for subnormal modes, where RESIDUAL_SCALE * (a + b) rounds to 0
+    if abs(_gap(a, b, mid)) * mid > RESIDUAL_SCALE * (a * mid + b * mid):
+        raise DomainError(f"the crossing of a={a}, b={b} is past the solver's range of mode ratios")
     return CrossingPoint(a=a, b=b, x=mid, height=a * math.tanh(a * mid))
 
 
@@ -88,7 +115,7 @@ def solve_t10() -> float:
     # Newton's method reaches its fixed point in three steps; stop when it repeats
     t, prev = 1.2, 0.0
     while t != prev:
-        prev, t = t, t - (math.tanh(t) - 1.0 / t) / (sech2(t) + 1.0 / (t * t))
+        prev, t = t, t - (math.tanh(t) - 1.0 / t) / (1.0 / math.cosh(t) ** 2 + 1.0 / (t * t))
     return t
 
 
@@ -109,20 +136,31 @@ class CrossingPartials:
 
 def crossing_partials(a: float, b: float) -> CrossingPartials:
     """Partials of the crossing modulus x(a,b) and height u(a,b)."""
-    point = solve_crossing(a, b)
-    x = point.x
-    denom = a * a * sech2(a * x) + b * b * csch2(b * x)
-    dx_da = (-math.tanh(a * x) - a * x * sech2(a * x)) / denom
-    # coth(y) - y*csch(y)^2 = (sinh(2y) - 2y) / (2*sinh(y)^2); below y = 1/2 the
-    # left side cancels (1e4 ulps at y = 0.01), so sinh(2y) - 2y is summed
-    y = b * x
+    x = solve_crossing(a, b).x
+    # in s = a*x and y = b*x, x^2 * dF/dx = (s sech s)^2 + (y csch y)^2 = d lies
+    # in (0, 1.5); both squares come from exp(-s) and exp(-y), which neither
+    # overflow nor raise, so the partials hold at every mode ratio the solver serves
+    s, y = a * x, b * x
+    es, ey = math.exp(-s), math.exp(-y)
+    s_sech_sq = (2.0 * s * es / (1.0 + es * es)) ** 2
+    y_csch_sq = (2.0 * y * ey / -math.expm1(-2.0 * y)) ** 2
+    d = s_sech_sq + y_csch_sq
+    f_a = math.tanh(s) + s_sech_sq / s  # dF/da = tanh(s) + s sech(s)^2, s > t10
+    # -dF/db = coth(y) - y csch(y)^2 = (y csch y)^2 (sinh(2y) - 2y) / (2y^2); below
+    # y = 1/2 the left side cancels (1e4 ulps at y = 0.01) and sinh(y)^2 underflows
+    # from y ~ 1e-154, so the last quotient is summed from its series,
+    # sum over k >= 1 of 4^k y^(2k-1) / (2k+1)!
     if y < 0.5:
-        dx_db = _sinh2_excess(y) / (2.0 * math.sinh(y) ** 2) / denom
+        series = sum(4.0**k * y ** (2 * k - 2) / math.factorial(2 * k + 1) for k in range(10, 0, -1))
+        f_b = y_csch_sq * y * series
     else:
-        dx_db = (coth(y) - y * csch2(y)) / denom
-    du_da = -b * b * csch2(b * x) * dx_da
-    du_db = a * a * sech2(a * x) * dx_db
-    return CrossingPartials(dx_da=dx_da, dx_db=dx_db, du_da=du_da, du_db=du_db)
+        f_b = 1.0 / math.tanh(y) - y_csch_sq / y
+    return CrossingPartials(
+        dx_da=-x * (x * f_a / d),
+        dx_db=x * (x * f_b / d),
+        du_da=y_csch_sq * f_a / d,
+        du_db=s_sech_sq * f_b / d,
+    )
 
 
 @dataclass(frozen=True)
@@ -141,13 +179,25 @@ def aux_inequalities(t: float) -> AuxInequalities:
     like t^3 as t -> 0+, and g_prime tends to 2/3.
     """
     t = _check_positive(t, "t")
+    if t >= 20.0:
+        # math.sinh(2t) raises from t ~ 355.2; with h = e^t / 2, sinh(t)cosh(t) =
+        # h^2 (1 - e^-4t) and cosh(t)^2 = h^2 (1 + e^-2t)^2, and each product
+        # overflows to +inf only where its exact value passes the largest double.
+        # Past t = 709, where e^t does, both values are far past it.
+        tanh_gap = t - math.tanh(t)
+        if t > 709.0:
+            return AuxInequalities(f_val=math.inf, g_prime=math.inf, tanh_gap=tanh_gap)
+        h, e = 0.5 * math.exp(t), math.exp(-2.0 * t)
+        f_val = h * h * (1.0 - e * e) - t
+        g_prime = 2.0 * h * ((1.0 + e) ** 2 * tanh_gap / t**3) * h
+        return AuxInequalities(f_val=f_val, g_prime=g_prime, tanh_gap=tanh_gap)
     if t >= 0.5:
         f_val = 0.5 * math.sinh(2.0 * t) - t
         g_prime = 2.0 * math.cosh(t) * (t * math.cosh(t) - math.sinh(t)) / t**3
         return AuxInequalities(f_val=f_val, g_prime=g_prime, tanh_gap=t - math.tanh(t))
-    # below t = 1/2 the differences cancel (f_val = 0 at t = 1e-8), so, as in
-    # crossing_partials, sinh(2t) - 2t and (t*cosh(t) - sinh(t)) / t^3 =
-    # sum over k >= 1 of 2k t^(2k-2) / (2k+1)! are summed from their series
+    # below t = 1/2 the differences cancel (f_val = 0 at t = 1e-8), so sinh(2t) - 2t
+    # and (t*cosh(t) - sinh(t)) / t^3 = sum over k >= 1 of 2k t^(2k-2) / (2k+1)!
+    # are summed from their series
     excess = sum(2 * k * t ** (2 * k - 2) / math.factorial(2 * k + 1) for k in range(10, 0, -1))
     return AuxInequalities(
         f_val=0.5 * _sinh2_excess(t),

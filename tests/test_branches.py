@@ -24,11 +24,10 @@ from steklov.branches import (
     sigma_bar_grid,
     spectrum,
 )
-from steklov.crossings import RESIDUAL_SCALE, crossing_partials, solve_crossing, solve_t10
+from steklov.crossings import RESIDUAL_SCALE, coth, crossing_partials, solve_crossing, solve_t10
 from steklov.dtn import closed_form_sigma
 from steklov.exceptions import DomainError, UnsupportedBranchError
 from steklov.extrema import sup_sigma_annulus, sup_sigma_mobius
-from steklov.hyperbolic import coth
 
 from mobius_reference import mobius_crossing_modulus, sigma_bar_piecewise_mobius
 

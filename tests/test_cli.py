@@ -565,7 +565,7 @@ def test_verify_surfaces_checks_the_boundary_factor(capsys, monkeypatch):
 # branch value there
 # recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the
 # bits differ: the moduli come from the crossing solver, whose `_gap` reads the
-# array `hyperbolic.coth` (np.expm1)
+# array `crossings.coth` (np.expm1)
 LATTICE_OUTPUT_SHA256 = {
     ("crossings", "mobius", "text"): "2387733ef6b7d7436f27692ade345245404672890d5b56dd0888c947bf068a55",
     ("crossings", "mobius", "json"): "894d65a314639248316b664b226b9e1f10ac4d112a8e839ed5133b0c4ce983b7",

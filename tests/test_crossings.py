@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,7 +21,6 @@ from steklov.crossings import (
     solve_t10,
 )
 from steklov.exceptions import DomainError, NoCrossingError
-from steklov.hyperbolic import sech2
 
 # frozen 40-digit mpmath roots of a*tanh(a*x) = b*coth(b*x)
 FROZEN_ROOTS = {
@@ -117,11 +118,19 @@ def test_crossing_past_the_double_range_raises():
         solve_crossing(6e-309, 3e-309)
 
 
+@pytest.mark.parametrize("a,b", [(1e300, 1e-300), (1e308, 1e-308)])
+def test_mode_ratio_past_the_solver_range_raises(a, b):
+    # the roots, ~t10/a, are doubles, but past a/b ~ 2e308 b*x underflows near
+    # them, F reads -inf there and the bisection would end on that edge
+    with pytest.raises(DomainError, match="range of mode ratios"):
+        solve_crossing(a, b)
+
+
 # sha256 of the float.hex of every modulus, height and value of
 # crossing_lattice(kind, 60), Moebius band then annulus, one per line;
 # each value is sigma_bar at the crossing's modulus, the lower branch value there
 # recorded under NumPy 2.4.6 with X86_V4 (AVX-512) dispatch; without AVX-512 the
-# bits differ: `_gap` reads the array `hyperbolic.coth` (np.expm1)
+# bits differ: `_gap` reads the array `crossings.coth` (np.expm1)
 LATTICE_60_SHA256 = "e47198025688ecff67c5dc4cae0f68008c4da9643884ed39d2532832bbd7bc8c"
 
 
@@ -142,16 +151,21 @@ def test_t10_frozen_value():
 
 
 def test_t10_stops_when_newton_repeats(monkeypatch):
-    # Newton from 1.2 reaches its fixed point in three steps; one sech2 call per step
+    # Newton from 1.2 reaches its fixed point in three steps; one cosh call per step
     calls = []
 
-    def counting_sech2(t):
+    def counting_cosh(t):
         calls.append(t)
-        return sech2(t)
+        return math.cosh(t)
 
-    monkeypatch.setattr(crossings, "sech2", counting_sech2)
+    monkeypatch.setattr(crossings, "math", SimpleNamespace(**{**vars(math), "cosh": counting_cosh}))
     assert solve_t10.__wrapped__() == solve_t10()
     assert len(calls) <= 6
+
+
+def test_t10_bits_pinned():
+    # Newton in `math` alone: the same bits under every NumPy dispatch
+    assert solve_t10().hex() == "0x1.331e23ad9de11p+0"
 
 
 def test_t10_is_degenerate_crossing_limit():
@@ -211,6 +225,35 @@ def test_partial_signs():
         assert part.du_db > 0.0
 
 
+def _mp_partials(a, b, x):
+    # implicit differentiation of F(x; a, b) = a*tanh(a*x) - b*coth(b*x) = 0 at x
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+    sech2, csch2 = mpmath.sech(a * x) ** 2, mpmath.csch(b * x) ** 2
+    f_x = a * a * sech2 + b * b * csch2
+    dx_da = -(mpmath.tanh(a * x) + a * x * sech2) / f_x
+    dx_db = (mpmath.coth(b * x) - b * x * csch2) / f_x
+    return dx_da, dx_db, -b * b * csch2 * dx_da, a * a * sech2 * dx_db
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1e150, 1.0), (1e160, 1.0), (1e200, 1.0), (1.0, 1e-170), (3.0, 3.0 * (1 - 1e-15)), (1e6, 1e6 - 1)]
+)
+def test_partials_hold_at_extreme_mode_ratios(a, b):
+    # b*x ~ 1e-150 to 1e-200, where sinh(b*x)^2 underflows and csch(b*x)^2
+    # overflows, and near-equal modes, where a*x ~ 7 to 18.  The reference sits
+    # at the solver's modulus: next to equal modes F'(x) ~ 1e-14, so the double
+    # root is off the exact one by ~1e-3 and the partials there by ~7%.
+    # coth(y) - y*csch(y)^2 cancels about 2*log10(1/y) digits.
+    x = solve_crossing(a, b).x
+    p = crossing_partials(a, b)
+    got = (p.dx_da, p.dx_db, p.du_da, p.du_db)
+    assert all(math.isfinite(g) for g in got)
+    with mpmath.workdps(60 + 2 * max(0, math.ceil(-math.log10(b * x)))):
+        for g, exact in zip(got, _mp_partials(a, b, x)):
+            if sys.float_info.min <= abs(exact) <= sys.float_info.max:
+                assert float(abs(mpmath.mpf(g) - exact) / abs(exact)) <= 5e-14, (g, exact)
+
+
 @given(st.floats(min_value=1e-100, max_value=20.0))
 def test_aux_inequalities_positive(t):
     aux = aux_inequalities(t)
@@ -229,11 +272,17 @@ def _mp_aux(t):
 
 def test_aux_inequalities_match_deep_mpmath():
     # below t = 1/2 the closed forms cancel (f_val and tanh_gap read 0.0 and
-    # g_prime -3.31 at t = 1e-8), so all three are summed from series there
-    for t in np.geomspace(1e-100, 20.0, 400).tolist() + [math.nextafter(0.5, 0.0), 0.5]:
+    # g_prime -3.31 at t = 1e-8), so all three are summed from series there;
+    # past t ~ 355.6 (f_val) and ~361.1 (g_prime) the exact values pass the
+    # largest double and read +inf, where sinh(2t) raised from t ~ 355.2
+    large = [300.0, 354.0, 355.0, 356.0, 360.0, 363.0, 365.0, 1e3, 1e300, sys.float_info.max]
+    for t in np.geomspace(1e-100, 20.0, 400).tolist() + [math.nextafter(0.5, 0.0), 0.5] + large:
         aux = aux_inequalities(t)
         for got, exact in zip((aux.f_val, aux.g_prime, aux.tanh_gap), _mp_aux(t)):
-            assert float(abs(mpmath.mpf(got) - exact) / exact) <= 1e-14, t
+            if exact > sys.float_info.max:
+                assert got == math.inf, t
+            else:
+                assert float(abs(mpmath.mpf(got) - exact) / exact) <= 1e-14, t
 
 
 def test_aux_inequalities_domain():
@@ -243,12 +292,12 @@ def test_aux_inequalities_domain():
         aux_inequalities(-1.0)
 
 
-# float.hex of the outputs that sum the series of sinh(2y) - 2y (y < 1/2),
-# recorded before the two generator expressions became one helper
+# float.hex of the outputs that sum coth(y) - y*csch(y)^2 from its series
+# (y = b*x < 1/2), recorded when the partials moved to s = a*x and y = b*x
 SERIES_PARTIALS = {
-    (4.0, 1.0): ("0x1.b8b78de867217p-7", "0x1.0191892da30aap-4"),
-    (6.0, 1.0): ("0x1.f52a039c997e1p-9", "0x1.51b3d41e82575p-5"),
-    (40.0, 3.0): ("0x1.3c8501b4696aap-15", "0x1.2cbaee38f2a0fp-6"),
+    (4.0, 1.0): ("0x1.b8b78de867216p-7", "0x1.0191892da30aap-4"),
+    (6.0, 1.0): ("0x1.f52a039c997ddp-9", "0x1.51b3d41e82571p-5"),
+    (40.0, 3.0): ("0x1.3c8501b4696aap-15", "0x1.2cbaee38f2a10p-6"),
 }
 SERIES_AUX = {
     1e-8: ("0x1.9ca58cce0be35p-81", "0x1.5555555555555p-1", "0x1.9ca58cce0be35p-82"),

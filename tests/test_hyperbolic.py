@@ -1,4 +1,4 @@
-"""Overflow-safe hyperbolic evaluations against mpmath-frozen references."""
+"""The overflow-safe array `coth` of the crossing solver against frozen references."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steklov.hyperbolic import coth, csch2, sech2
+from steklov.crossings import coth
 
 # frozen high-precision references (40-digit evaluation, rounded to double)
 COTH_REFS = {
@@ -16,21 +16,11 @@ COTH_REFS = {
     2.0: 1.0373147207275481,
     10.0: 1.0000000041223073,
 }
-SECH2_REFS = {
-    0.0: 1.0,
-    1.0: 0.41997434161402614,
-    5.0: 0.00018158323094380646,
-}
 
 
 @pytest.mark.parametrize("x,ref", sorted(COTH_REFS.items()))
 def test_coth_reference_values(x, ref):
     assert coth(x) == pytest.approx(ref, rel=1e-15)
-
-
-@pytest.mark.parametrize("x,ref", sorted(SECH2_REFS.items()))
-def test_sech2_reference_values(x, ref):
-    assert sech2(x) == pytest.approx(ref, rel=1e-15)
 
 
 def test_coth_limits_and_parity():
@@ -46,33 +36,14 @@ def test_coth_near_zero_matches_series():
         assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-12)
 
 
-def test_csch2_limits():
-    assert csch2(0.0) == math.inf
-    assert csch2(1e4) == 0.0
-    assert csch2(-2.0) == csch2(2.0)
-
-
-def test_sech2_no_overflow():
-    assert sech2(1e6) == 0.0
-    assert sech2(-3.0) == sech2(3.0)
-
-
 def test_vectorized_shapes():
     x = np.linspace(0.1, 5.0, 11)
     assert coth(x).shape == x.shape
-    assert csch2(x).shape == x.shape
-    assert sech2(x).shape == x.shape
 
 
 @given(st.floats(min_value=1e-3, max_value=300.0))
 def test_coth_identity_with_tanh(x):
     assert coth(x) * math.tanh(x) == pytest.approx(1.0, rel=1e-13)
-
-
-@given(st.floats(min_value=1e-3, max_value=20.0))
-def test_squared_reciprocals_match_naive(x):
-    assert sech2(x) == pytest.approx(1.0 / math.cosh(x) ** 2, rel=1e-13)
-    assert csch2(x) == pytest.approx(1.0 / math.sinh(x) ** 2, rel=1e-12)
 
 
 @given(st.floats(min_value=1e-2, max_value=300.0))
@@ -81,8 +52,8 @@ def test_coth_strictly_above_one(x):
 
 
 def test_coth_array_matches_scalar_bitwise():
-    # spectrum evaluates every odd branch in one array call and must reproduce
-    # the scalar call of the branch formula bit for bit
+    # sigma_bar_grid evaluates every odd branch in one array call, and the
+    # solver's gap makes one scalar call per step: both must read the same bits
     rng = np.random.default_rng(20170)
     magnitudes = np.concatenate(
         [

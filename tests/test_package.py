@@ -79,7 +79,7 @@ PUBLIC = {
     "verify_no_asymptote": "extrema",
 }
 
-LIBRARY = ("branches", "crossings", "dtn", "extrema", "hyperbolic", "mesh", "numtext", "surfaces")
+LIBRARY = ("branches", "crossings", "dtn", "extrema", "mesh", "numtext", "surfaces")
 
 
 def test_public_names_are_the_owning_modules_objects(monkeypatch):
