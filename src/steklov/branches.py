@@ -154,7 +154,8 @@ def branch_index(kind: SurfaceKind, branch: Branch) -> int:
     """1-based position of the branch's mode in its `_modes` table; 0 if linear.
 
     A branch the surface does not carry (the linear one is mode 0 on the
-    annulus only) raises UnsupportedBranchError."""
+    annulus only) raises UnsupportedBranchError; a bad kind raises DomainError."""
+    _SCALE[kind]  # the lookup refuses a kind that is not a SurfaceKind
     if branch.kind is BranchKind.LINEAR:
         if branch.mode != 0:
             raise UnsupportedBranchError(f"the linear branch has mode 0, got {branch.mode}")
@@ -324,51 +325,42 @@ class LatticeCrossing:
     height: float  # the solver's unnormalized height a*tanh(a*x), or m/t10 on the linear branch
     value: float  # sigma_bar at first_index and the modulus: the lower branch value there
     first_index: int  # lowest eigenvalue index of the cluster
+    residual: float  # |crossing equation| at the modulus, set once by `_crossing`
 
     @property
     def multiplicity(self) -> int:
         return self.increasing.multiplicity + self.decreasing.multiplicity
 
-    @property
-    def residual(self) -> float:
-        """Crossing-equation residual at the solved modulus.
-
-        On the linear branch the equation is m*tanh(m*x) = 1/x, and x is the
-        float t10/m, so the residual is a rounding error, not zero.
-        """
-        if self.decreasing.kind is BranchKind.LINEAR:
-            m, x = self.increasing.mode, self.modulus
-            return abs(m * math.tanh(m * x) - 1.0 / x)
-        return solve_crossing(self.increasing.mode, self.decreasing.mode).residual
-
 
 def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
     """The crossing of even branch m with odd branch n (n = 0: the linear branch).
 
-    It solves a*tanh(a*x) = b*coth(b*x) for the two modes a > b, or sits at
-    t10/m on the linear branch.  Its value is the lower of the two branch
-    values `_value` gives at that modulus, the value `spectrum` reports for the
-    merged entry there, so it is sigma_bar at the cluster's first index bit
-    for bit.  That first index counts the values below it: each branch
-    family increases with mode at fixed T, every odd annulus branch lies
-    above the linear one, and the linear branch lies below even mode m
-    exactly when T > t10/m.
+    It solves a*tanh(a*x) = b*coth(b*x) for the two modes a > b and keeps the
+    solver's residual, or sits at the float t10/m on the linear branch, where
+    the residual of m*tanh(m*x) = 1/x is a rounding error, not zero.  Its value
+    is the lower of the two branch values `_value` gives at that modulus, the
+    value `spectrum` reports for the merged entry there, so it is sigma_bar at
+    the cluster's first index bit for bit.  That first index counts the values
+    below it: each branch family increases with mode at fixed T, every odd
+    annulus branch lies above the linear one, and the linear branch lies below
+    even mode m exactly when T > t10/m.
     """
     t10 = solve_t10()
     even = Branch(_EVEN, _modes(kind, _EVEN, m)[-1])
     if n == 0:
         decreasing, x, height = _LINEAR, t10 / _check_positive(m, "mode"), m / t10
+        residual = abs(m * math.tanh(m * x) - 1.0 / x)
         first_index = 2 * m - 1
     else:
         decreasing = Branch(_ODD, _modes(kind, _ODD, n)[-1])
         point = solve_crossing(even.mode, decreasing.mode)
-        x, height = point.x, point.height
+        x, height, residual = point.x, point.height, point.residual
         # on the annulus the linear value is below the cluster too
         first_index = 2 * (m + n) - 3 + (kind is not _MOBIUS and x > t10 / m)
     value = min(
         _value(kind, _EVEN, even.mode, x), _value(kind, decreasing.kind, decreasing.mode, x)
     )
-    return LatticeCrossing(even, decreasing, x, height, value, first_index)
+    return LatticeCrossing(even, decreasing, x, height, value, first_index, residual)
 
 
 def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:

@@ -55,10 +55,7 @@ class CrossingPoint:
     b: float
     x: float
     height: float  # common value a*tanh(a*x) = b*coth(b*x)
-
-    @property
-    def residual(self) -> float:
-        return abs(_gap(self.a, self.b, self.x))
+    residual: float  # |F(x)|, the value the solver's refusal rule measured
 
 
 def _gap(a: float, b: float, x: float) -> float:
@@ -95,9 +92,10 @@ def _solve(a: float, b: float) -> CrossingPoint:
     # past a/b ~ 2e308, b*x underflows near the root, F reads -inf there and the
     # bisection ends on that edge; the relative form of the residual bound holds
     # for subnormal modes, where RESIDUAL_SCALE * (a + b) rounds to 0
-    if abs(_gap(a, b, mid)) * mid > RESIDUAL_SCALE * (a * mid + b * mid):
+    residual = abs(_gap(a, b, mid))
+    if residual * mid > RESIDUAL_SCALE * (a * mid + b * mid):
         raise DomainError(f"the crossing of a={a}, b={b} is past the solver's range of mode ratios")
-    return CrossingPoint(a=a, b=b, x=mid, height=a * math.tanh(a * mid))
+    return CrossingPoint(a=a, b=b, x=mid, height=a * math.tanh(a * mid), residual=residual)
 
 
 def solve_crossing(a: float, b: float) -> CrossingPoint:

@@ -95,22 +95,23 @@ def assemble_dtn(p: OracleProblem) -> DtNMatrix:
     mobius = p.kind is SurfaceKind.MOBIUS_BAND
     h_t = (p.T if mobius else 2.0 * p.T) / n_t
     q = np.arange(n_theta // 2 + 1)
-    ratio = h_t * n_theta / (2.0 * math.pi)  # h_t / h_theta
-    x = ratio * np.sin(math.pi * q / n_theta)  # sinh(kappa_q / 2)
-    kappa = 2.0 * np.arcsinh(x)
     H = n_t if mobius else n_t / 2.0
-    # 2 e^{-kappa H} cosh and sinh of kappa (H - k), k steps in from t = T:
-    # the profile values at k = 0, and over 2 sinh(kappa / 2) the one-step
-    # differences of the other profile at k = 1/2 and 3/2, with no overflow
-    k = np.array([0.0, 0.5, 1.5])
-    decay = np.exp(-np.outer(kappa, k))
-    y = -2.0 * np.outer(kappa, H - k)
-    c = decay * (1.0 + np.exp(y))
-    s = -decay * np.expm1(y)
     scale = h_t * p.boundary_weight
     # at extreme moduli a denominator underflows to 0 (T below ~1e-160 on an
-    # 8x8 grid) or h_t overflows; such symbols are refused, not solved
+    # 8x8 grid) or h_t * n_theta leaves the double range (T = 1e308 on 8x8);
+    # such symbols are refused, not solved
     with np.errstate(all="ignore"):
+        ratio = h_t * n_theta / (2.0 * math.pi)  # h_t / h_theta
+        x = ratio * np.sin(math.pi * q / n_theta)  # sinh(kappa_q / 2)
+        kappa = 2.0 * np.arcsinh(x)
+        # 2 e^{-kappa H} cosh and sinh of kappa (H - k), k steps in from t = T:
+        # the profile values at k = 0, and over 2 sinh(kappa / 2) the one-step
+        # differences of the other profile at k = 1/2 and 3/2, with no overflow
+        k = np.array([0.0, 0.5, 1.5])
+        decay = np.exp(-np.outer(kappa, k))
+        y = -2.0 * np.outer(kappa, H - k)
+        c = decay * (1.0 + np.exp(y))
+        s = -decay * np.expm1(y)
         e = x * (3.0 * s[:, 1] - s[:, 2]) / (scale * c[:, 0])
         o = np.full(q.size, 1.0) / (scale * H)  # the linear profile t of mode 0
         o[1:] = x[1:] * (3.0 * c[1:, 1] - c[1:, 2]) / (scale * s[1:, 0])

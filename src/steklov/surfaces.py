@@ -124,7 +124,8 @@ def evaluate(fam: ImmersionFamily, t, theta):
     """Position and first derivatives of the immersion, broadcast over grids.
 
     Returns (u, du_dt, du_dtheta), each with a trailing axis of length
-    ambient_dim; raises DomainError unless |t| <= T* and theta is finite.
+    ambient_dim; raises DomainError unless |t| <= T* and theta times the
+    largest theta-mode, max(m, n), is finite, so that its cos and sin are.
     Every coordinate is a t-profile times a theta-mode: ``_factors`` computes
     the profiles on ``t`` and the modes on ``theta`` as given, and only their
     products broadcast, so a tensor grid ``t[:, None]``, ``theta[None, :]``
@@ -136,9 +137,11 @@ def evaluate(fam: ImmersionFamily, t, theta):
         t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
     except OverflowError:  # an integer past the double range, refused below
         t = theta = np.array(math.inf)
+    with np.errstate(over="ignore"):  # an overflowing product is refused below
+        theta_ok = np.all(np.isfinite(max(fam.m, fam.n) * theta))
     # NaN fails the comparison, so it is refused too
-    if not (np.all(np.abs(t) <= fam.T_star * (1.0 + 1e-12)) and np.all(np.isfinite(theta))):
-        raise DomainError(f"need |t| <= T* = {fam.T_star} and finite theta")
+    if not (np.all(np.abs(t) <= fam.T_star * (1.0 + 1e-12)) and theta_ok):
+        raise DomainError(f"need |t| <= T* = {fam.T_star} and finite theta times each mode")
     return tuple(_outputs(fam, t, theta, (_U, _U_T, _U_THETA)))
 
 

@@ -464,6 +464,19 @@ def test_oracle_rejects_tiny_modulus(capsys, kind):
     _assert_one_error_line(code, out, err)
 
 
+def test_oracle_rejects_huge_modulus():
+    # h_t * n_theta overflows; in a fresh interpreter, with Python's default
+    # warning filters, the refusal is the one stderr line and no RuntimeWarning
+    # is printed before it
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["oracle", "--kind", "annulus", "--T", "1e308", "--grid", "8x8", "--count", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov.cli", *argv], env=env, capture_output=True, text=True
+    )
+    _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+
+
 @pytest.mark.parametrize("kind", ["annulus", "mobius"])
 def test_suprema_at_a_mode_past_1e27(capsys, kind):
     # the root is ~1e-27: the bracket starts at 1/a, not at a fixed width, so

@@ -61,6 +61,21 @@ def test_residual_small():
         assert p.residual <= 1e-13 * (a + b)
 
 
+@pytest.mark.parametrize("kind", list(SurfaceKind))
+def test_residuals_are_stored_not_recomputed(monkeypatch, kind):
+    # a residual is the |F(x)| the solve measured for its refusal rule, or on
+    # the linear branch the one _crossing computed; reading it solves nothing
+    lattice, point = crossing_lattice(kind, 12), solve_crossing(40, 7)
+    want = [point.residual] + [c.residual for c in lattice]
+    assert point.residual == abs(crossings._gap(40.0, 7.0, point.x))
+
+    def no_gap(*args):
+        raise AssertionError("a residual read evaluated the gap again")
+
+    monkeypatch.setattr(crossings, "_gap", no_gap)
+    assert [point.residual] + [c.residual for c in lattice] == want
+
+
 def test_no_crossing_when_a_leq_b():
     with pytest.raises(NoCrossingError):
         solve_crossing(1.0, 1.0)

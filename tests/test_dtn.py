@@ -276,6 +276,18 @@ def test_tiny_modulus_is_refused_not_solved(kind, T):
             oracle_spectrum(OracleProblem(kind=kind, T=T, grid=(8, 8)), 2)
 
 
+@pytest.mark.parametrize(
+    "kind, T, grid", [(AN, 1e308, (8, 8)), (MB, 1e308, (4, 200)), (AN, 1e307, (4, 2000))]
+)
+def test_huge_modulus_is_refused_not_solved(kind, T, grid):
+    # h_t * n_theta leaves the double range and a symbol is NaN; as at the
+    # tiny end, no RuntimeWarning comes before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            oracle_spectrum(OracleProblem(kind=kind, T=T, grid=grid), 2)
+
+
 def test_import_and_oracle_leave_scipy_unloaded():
     # neither the import nor the oracle spectrum of either surface loads
     # scipy.sparse or scipy.linalg

@@ -12,7 +12,11 @@ import warnings
 import pytest
 
 from steklov.branches import (
+    Branch,
+    BranchKind,
     SurfaceKind,
+    branch_index,
+    branch_value,
     crossing_lattice,
     lambda_bar,
     mu_bar,
@@ -84,6 +88,15 @@ TABLE = {
     "mu_bar": (
         lambda kind, mode_index=1, T=1.0: mu_bar(kind, mode_index, T),
         {"mode_index": INTEGER, "T": MODULUS},
+    ),
+    # odd mode 1 is carried by both kinds
+    "branch_index": (
+        lambda kind, mode=1: branch_index(kind, Branch(BranchKind.ODD_HYPERBOLIC, mode)),
+        {"mode": INTEGER},
+    ),
+    "branch_value": (
+        lambda kind, mode=1, T=1.0: branch_value(kind, Branch(BranchKind.ODD_HYPERBOLIC, mode), T),
+        {"mode": INTEGER, "T": MODULUS},
     ),
     "sigma_bar": (lambda kind, j=1, T=1.0: sigma_bar(kind, j, T), {"j": INTEGER, "T": REAL}),
     "spectrum": (
@@ -162,6 +175,11 @@ TABLE = {
         lambda kind, t=0.5, theta=0.5: evaluate(CATENOID, t, theta),
         {"t": COORDINATE, "theta": COORDINATE},
     ),
+    # a finite theta whose product with a theta-mode overflows: mode 2 on the band
+    "evaluate(band)": (
+        lambda kind, theta=0.5: evaluate(BAND, 0.5, theta),
+        {"theta": [1e308, -1e308]},
+    ),
     "build_mesh": (
         lambda kind, n_t=4, n_theta=6: build_mesh(BAND, n_t, n_theta),
         {"n_t": INTEGER, "n_theta": INTEGER},
@@ -178,7 +196,8 @@ KINDLESS = {
     "sup_sigma_mobius", "sup_sigma_annulus", "verify_first_intersection_max",
     "verify_no_asymptote", "solve_crossing", "crossing_partials", "aux_inequalities",
     "catenoid_b3", "annulus_b4", "mobius_b4", "make_family(catenoid)", "make_family(annulus)",
-    "make_family(mobius)", "evaluate", "build_mesh", "export_mesh", "oracle_spectrum(kind)",
+    "make_family(mobius)", "evaluate", "evaluate(band)", "build_mesh", "export_mesh",
+    "oracle_spectrum(kind)",
 }
 KINDS = {name: (MB,) if name in KINDLESS else (AN, MB) for name in TABLE}
 
