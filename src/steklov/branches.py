@@ -232,6 +232,9 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
     items.sort()
 
     unit = scale * RESIDUAL_SCALE
+    # tuple.__new__ fills a record with its fields in order, without the
+    # Python-level __new__ frame of the NamedTuple's own constructor
+    new = tuple.__new__
     entries = []
     position = 1
     i = 0  # index of the last item read
@@ -246,13 +249,13 @@ def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
             and even_first is not (next_profile is _EVEN)
             and (a > b if even_first else b > a)  # the even mode is the larger
         ):
-            group = (Branch(profile, a), Branch(next_profile, b))
+            group = (new(Branch, (profile, a)), new(Branch, (next_profile, b)))
             mult += 2 - (next_profile is _LINEAR_KIND)
             i += 1
             next_value, _, next_profile, b = items[i]
         else:
-            group = (Branch(profile, a),)
-        entries.append(EigenvalueEntry(value, group, (position, position + mult - 1)))
+            group = (new(Branch, (profile, a)),)
+        entries.append(new(EigenvalueEntry, (value, group, (position, position + mult - 1))))
         position += mult
         value, profile, a = next_value, next_profile, b
     # completeness: every item read lies in the proven prefix, up to E_n
@@ -275,9 +278,9 @@ def sigma_bar(kind: SurfaceKind, j: int, T: float) -> float:
 def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     """Vectorized sigma_bar for j = 1..j_max over an array of moduli.
 
-    Returns an array of shape (j_max,) + T.shape, a scalar T counting as
-    shape (1,).  An independent reference route, evaluated with np.tanh and
-    the array `crossings.coth`:
+    Returns a new C-contiguous array of shape (j_max,) + T.shape, a scalar T
+    counting as shape (1,).  An independent reference route, evaluated with
+    np.tanh and the array `crossings.coth`:
     `extrema.grid_supremum` and the spectrum-ordering check of `verify
     --suite lemmas` read it, and no command prints its values.  Raises if
     the mode cutoff could have missed a value.
@@ -294,22 +297,29 @@ def sigma_bar_grid(kind: SurfaceKind, j_max: int, T) -> np.ndarray:
     n_modes = (j_max + 1) // 2
     # np.tanh, not the math.tanh of _value: the two differ in the last bit
     scale = _SCALE[kind]
-    rows = []
-    if kind is SurfaceKind.ANNULUS:
+    linear = int(kind is SurfaceKind.ANNULUS)
+    width = linear + 4 * n_modes  # the values sorted, each hyperbolic one twice
+    # one row per modulus, so each modulus sorts alone along the contiguous
+    # last axis; the two columns past `width` hold the omitted mode n_modes + 1
+    rows = np.empty(T.shape + (width + 2,))
+    if linear:
         with np.errstate(over="ignore"):  # +inf, as nu_bar gives, for subnormal T
-            rows.append(scale / T)
+            np.divide(scale, T, out=rows[..., 0])
     x = np.minimum(T, SATURATION)  # the same bits as T, without overflow warnings
     modes = zip(_modes(kind, _EVEN, n_modes + 1), _modes(kind, _ODD, n_modes + 1))
-    for m, (a, b) in enumerate(modes, 1):
-        lam = scale * a * np.tanh(a * x)
-        mus = scale * b * coth(b * x)
-        if m <= n_modes:
-            rows.extend([lam, lam, mus, mus])
-    stacked = np.stack(rows)  # a new leading axis: each modulus sorts alone
-    stacked.sort(axis=0)  # in place: one buffer of all rows, not two
-    out = stacked[:j_max].copy()  # the caller keeps only the rows returned
-    # completeness: the omitted mode n_modes + 1, left in lam and mus, must
-    # lie above row j_max
+    for col, (a, b) in zip(range(linear, width + 1, 4), modes):
+        lam, mus = rows[..., col], rows[..., col + 1]
+        # scale * a * np.tanh(a * x) and scale * b * coth(b * x), bit for bit
+        np.multiply(scale * a, np.tanh(a * x), out=lam)
+        np.multiply(scale * b, coth(b * x), out=mus)
+        if col < width:
+            rows[..., col + 2] = lam
+            rows[..., col + 3] = mus
+    rows[..., :width].sort()  # in place
+    # a C-contiguous copy of the rows returned: the caller keeps no view of
+    # the sort buffer
+    out = np.moveaxis(rows[..., :j_max], -1, 0).copy()
+    # completeness: the omitted mode, left in lam and mus, must lie above row j_max
     if not np.all(np.minimum(lam, mus) > out[-1]):  # pragma: no cover - cutoff is generous
         raise RuntimeError("mode cutoff too small for requested j_max")
     return out
@@ -368,7 +378,8 @@ def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:
 
     Mobius band: even mode 2k meets odd mode 2l-1 at T_{k,l}, l <= k.
     Annulus: even mode m meets the linear branch (n = 0) at t10/m, then odd
-    mode n at t_{m,n}, n < m.
+    mode n at t_{m,n}, n < m.  The list runs over k (or m) = 1..max_mode,
+    and inside each over l = 1..k (or n = 0..m-1).
     """
     first = int(kind is _MOBIUS)
     modes = range(1, _check_index(max_mode, "max_mode") + 1)

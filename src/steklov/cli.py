@@ -166,15 +166,11 @@ def _cmd_sweep(args) -> int:
     inner = (math.exp(lo + i * span / last) for i in range(1, last))
     rows = []
     for T in (t_min, *inner, t_max):
-        cells = [
-            (e.value, e.branch.label())
-            for e in spectrum(kind, T, j_list[-1])
-            for _ in range(e.multiplicity)
-        ]
+        cells = [e for e in spectrum(kind, T, j_list[-1]) for _ in range(e.multiplicity)]
         rows.append(
             {"T": T}
-            | {f"sigma_bar_{j}": cells[j - 1][0] for j in j_list}
-            | {f"branch_{j}": cells[j - 1][1] for j in j_list}
+            | {f"sigma_bar_{j}": cells[j - 1].value for j in j_list}
+            | {f"branch_{j}": cells[j - 1].branch.label() for j in j_list}
         )
     _emit(args, {"sweep": rows})
     return EXIT_OK

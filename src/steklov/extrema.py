@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .branches import (
     BranchKind,
     SurfaceKind,
     _crossing,
-    branch_index,
     crossing_lattice,
     lambda_bar,
     sigma_bar_grid,
@@ -150,8 +150,7 @@ def critical_set(kind: SurfaceKind, max_mode: int) -> list[CriticalMetric]:
     return results
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(NamedTuple):
     label: str
     lhs: float
     rhs: float
@@ -169,16 +168,15 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
     """
     mb = SurfaceKind.MOBIUS_BAND
     max_mode = _check_index(max_mode, "max_mode")
-    values = {
-        (branch_index(mb, c.increasing), branch_index(mb, c.decreasing)): c.value
-        for c in crossing_lattice(mb, max_mode)
-    }
-    records = []
-    for (k, l), lhs in values.items():
-        for c in range(1, min(l, max_mode - k + 1)):
-            rhs = values[k + c, l - c]
-            records.append(InequalityRecord(label=f"k={k},l={l},c={c}", lhs=lhs, rhs=rhs))
-    return records
+    # crossing_lattice lists the band's T_{k,l} by k, and by l = 1..k inside each k
+    pairs = [(k, l) for k in range(1, max_mode + 1) for l in range(1, k + 1)]
+    values = dict(zip(pairs, [c.value for c in crossing_lattice(mb, max_mode)], strict=True))
+    new = tuple.__new__  # the record's fields in order, without its Python-level __new__
+    return [
+        new(InequalityRecord, (f"k={k},l={l},c={c}", lhs, values[k + c, l - c]))
+        for (k, l), lhs in values.items()
+        for c in range(1, min(l, max_mode - k + 1))
+    ]
 
 
 @dataclass(frozen=True)

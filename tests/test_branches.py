@@ -173,7 +173,12 @@ def test_sigma_bar_grid_matches_scalar():
         for (j, r, c), value in np.ndenumerate(square):
             T = float(grid[10 * r + c])
             assert value == pytest.approx(sigma_bar(kind, j + 1, T), rel=1e-13)
-        assert sigma_bar_grid(kind, 8, grid[17]).tobytes() == table[:, 17:18].tobytes()
+        point = sigma_bar_grid(kind, 8, grid[17])
+        assert point.tobytes() == table[:, 17:18].tobytes()
+        # each result owns its rows: C-contiguous, and no view of the sort buffer
+        for out in (table, square, point):
+            assert out.flags.c_contiguous
+            assert out.base is None or out.base.size == out.size
 
 
 def test_mobius_crossing_modulus_conventions():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from steklov import branches, extrema
 from steklov.branches import (
     SurfaceKind,
     crossing_lattice,
@@ -18,6 +19,7 @@ from steklov.crossings import solve_crossing, solve_t10
 from steklov.exceptions import DomainError
 from steklov.extrema import (
     Character,
+    InequalityRecord,
     critical_set,
     grid_supremum,
     sup_sigma_annulus,
@@ -269,6 +271,30 @@ def test_first_intersection_max_matches_per_record_reference(max_mode):
     records = verify_first_intersection_max(max_mode)
     got = [(r.label, r.lhs.hex(), r.rhs.hex()) for r in records]
     assert got == _ref_first_intersection_max(max_mode)
+
+
+def test_first_intersection_max_reads_indices_off_the_lattice_order(monkeypatch):
+    # (k, l) comes from the order crossing_lattice lists the band's crossings
+    # in, not from a branch_index call per crossing
+    def refuse(*args):
+        raise AssertionError("branch_index called")
+
+    for module in (branches, extrema):
+        monkeypatch.setattr(module, "branch_index", refuse, raising=False)
+    records = verify_first_intersection_max(12)
+    got = [(r.label, r.lhs.hex(), r.rhs.hex()) for r in records]
+    assert got == _ref_first_intersection_max(12)
+
+
+def test_inequality_records_are_immutable_and_hash_by_value():
+    record, again = verify_first_intersection_max(4)[0], verify_first_intersection_max(4)[0]
+    for field in ("label", "lhs", "rhs"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert again is not record and again == record and hash(again) == hash(record)
+    rebuilt = InequalityRecord(record.label, record.lhs, record.rhs)
+    assert rebuilt == record and hash(rebuilt) == hash(record)
+    assert rebuilt.margin == record.rhs - record.lhs
 
 
 def test_no_asymptote_records():
