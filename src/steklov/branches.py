@@ -12,7 +12,7 @@ factor entirely, so every branch is one formula in T alone:
 
 where a is the branch's theta-mode and scale is the boundary length per
 unit conformal factor, 2*pi per boundary circle (`_SCALE`).  Every mode is
-read from one table, `_modes`, and `branch_value` and `branch_index` check it:
+read from one table, `_modes`, and `branch_value` checks it:
 
     Mobius band (one circle, scale 2*pi; quotient (t, theta) ~ (-t, theta + pi)):
         even branch k   mode a = 2k
@@ -139,34 +139,29 @@ def mu_bar(kind: SurfaceKind, mode_index: int, T: float):
     return _value(kind, _ODD, _modes(kind, _ODD, l)[-1], _check_modulus(T))
 
 
-def nu_bar(T: float, kind: SurfaceKind = SurfaceKind.ANNULUS):
-    """Linear-profile normalized eigenvalue 4*pi/T; annulus only."""
-    return branch_value(kind, _LINEAR, T)  # the Mobius band has none
+def nu_bar(T: float):
+    """Linear-profile normalized eigenvalue 4*pi/T, on the annulus (the Mobius band has none)."""
+    return _value(SurfaceKind.ANNULUS, _LINEAR_KIND, 0, _check_modulus(T))
 
 
 def branch_value(kind: SurfaceKind, branch: Branch, T: float) -> float:
-    """Evaluate a Branch descriptor at modulus T; `branch_index` refuses one not carried."""
-    branch_index(kind, branch)
-    return _value(kind, branch.kind, int(branch.mode), _check_modulus(T))
+    """Evaluate a Branch descriptor at modulus T.
 
-
-def branch_index(kind: SurfaceKind, branch: Branch) -> int:
-    """1-based position of the branch's mode in its `_modes` table; 0 if linear.
-
-    A branch the surface does not carry (the linear one is mode 0 on the
-    annulus only) raises UnsupportedBranchError; a bad kind raises DomainError."""
+    A branch the surface does not carry (a mode not in its `_modes` table; the
+    linear one is mode 0 on the annulus only) raises UnsupportedBranchError;
+    a bad kind raises DomainError."""
     _SCALE[kind]  # the lookup refuses a kind that is not a SurfaceKind
-    if branch.kind is BranchKind.LINEAR:
+    if branch.kind is _LINEAR_KIND:
         if branch.mode != 0:
             raise UnsupportedBranchError(f"the linear branch has mode 0, got {branch.mode}")
         if kind is _MOBIUS:
             raise UnsupportedBranchError("the Mobius band has no linear branch")
-        return 0
-    mode = _check_index(branch.mode)
-    modes = _modes(kind, branch.kind, mode)
-    if mode not in modes:
-        raise UnsupportedBranchError(f"the Mobius band has no branch {branch.label()}")
-    return modes.index(mode) + 1
+        mode = 0
+    else:
+        mode = _check_index(branch.mode)
+        if mode not in _modes(kind, branch.kind, mode):
+            raise UnsupportedBranchError(f"the Mobius band has no branch {branch.label()}")
+    return _value(kind, branch.kind, mode, _check_modulus(T))
 
 
 def spectrum(kind: SurfaceKind, T: float, count: int) -> list[EigenvalueEntry]:
@@ -336,6 +331,7 @@ class LatticeCrossing:
     value: float  # sigma_bar at first_index and the modulus: the lower branch value there
     first_index: int  # lowest eigenvalue index of the cluster
     residual: float  # |crossing equation| at the modulus, set once by `_crossing`
+    branch_indices: tuple[int, int]  # (k, l) on the band, (m, n) on the annulus; n = 0 is linear
 
     @property
     def multiplicity(self) -> int:
@@ -343,7 +339,7 @@ class LatticeCrossing:
 
 
 def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
-    """The crossing of even branch m with odd branch n (n = 0: the linear branch).
+    """The crossing of even branch m with odd branch n (n = 0: the linear branch), labelled (m, n).
 
     It solves a*tanh(a*x) = b*coth(b*x) for the two modes a > b and keeps the
     solver's residual, or sits at the float t10/m on the linear branch, where
@@ -370,7 +366,7 @@ def _crossing(kind: SurfaceKind, m: int, n: int) -> LatticeCrossing:
     value = min(
         _value(kind, _EVEN, even.mode, x), _value(kind, decreasing.kind, decreasing.mode, x)
     )
-    return LatticeCrossing(even, decreasing, x, height, value, first_index, residual)
+    return LatticeCrossing(even, decreasing, x, height, value, first_index, residual, (m, n))
 
 
 def crossing_lattice(kind: SurfaceKind, max_mode: int) -> list[LatticeCrossing]:

@@ -177,7 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    from .branches import branch_index, crossing_lattice
+    from .branches import crossing_lattice
 
     kind = SurfaceKind(args.kind)
     _check_index(args.max_mode, "--max-mode")
@@ -185,8 +185,8 @@ def _cmd_crossings(args) -> int:
     first, second = ("k", "l") if kind is SurfaceKind.MOBIUS_BAND else ("m", "n")
     records = [
         {
-            first: branch_index(kind, c.increasing),
-            second: branch_index(kind, c.decreasing),
+            first: c.branch_indices[0],
+            second: c.branch_indices[1],
             "modulus": c.modulus,
             "height": c.height,
             "normalized_value": c.value,

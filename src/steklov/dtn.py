@@ -123,13 +123,18 @@ def assemble_dtn(p: OracleProblem) -> DtNMatrix:
             symbol = 0.5 * np.stack([e + o, e - o, e - o, e + o], axis=1).reshape(-1, 2, 2)
     if not np.isfinite(symbol).all():
         raise DomainError(f"boundary symbols not finite at T = {p.T} on grid {n_t}x{n_theta}")
+    # kernel[m, r, s]: the operator's entry from data node b on circle s to
+    # row node b + m on circle r.  The transpose's block (r, s) at offset m is
+    # block (s, r) at offset -m, so its kernel is `mirror`, and the symmetrized
+    # operator and the asymmetry of the raw one come from n_theta blocks, not
+    # from n_b**2 entries: the same values, so the same bits.
     j = np.arange(n_theta)
-    kernel = np.fft.irfft(symbol, n_theta, axis=0)[(j[:, None] - j) % n_theta]
+    kernel = np.fft.irfft(symbol, n_theta, axis=0)
+    mirror = kernel[-j % n_theta].transpose(0, 2, 1)
+    asym = float(np.max(np.abs(kernel - mirror)) / max(np.max(np.abs(kernel)), 1e-300))
+    blocks = (0.5 * (kernel + mirror))[(j[:, None] - j) % n_theta]
     n_b = p.boundary_size
-    A = kernel.transpose(2, 0, 3, 1).reshape(n_b, n_b)
-
-    sym = 0.5 * (A + A.T)
-    asym = float(np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300))
+    sym = blocks.transpose(2, 0, 3, 1).reshape(n_b, n_b)
     return DtNMatrix(entries=sym, asymmetry=asym)
 
 

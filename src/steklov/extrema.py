@@ -168,9 +168,8 @@ def verify_first_intersection_max(max_mode: int) -> list[InequalityRecord]:
     """
     mb = SurfaceKind.MOBIUS_BAND
     max_mode = _check_index(max_mode, "max_mode")
-    # crossing_lattice lists the band's T_{k,l} by k, and by l = 1..k inside each k
-    pairs = [(k, l) for k in range(1, max_mode + 1) for l in range(1, k + 1)]
-    values = dict(zip(pairs, [c.value for c in crossing_lattice(mb, max_mode)], strict=True))
+    # each crossing carries its (k, l), so no list order is assumed
+    values = {c.branch_indices: c.value for c in crossing_lattice(mb, max_mode)}
     new = tuple.__new__  # the record's fields in order, without its Python-level __new__
     return [
         new(InequalityRecord, (f"k={k},l={l},c={c}", lhs, values[k + c, l - c]))

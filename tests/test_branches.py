@@ -14,7 +14,7 @@ from steklov.branches import (
     BranchKind,
     EigenvalueEntry,
     SurfaceKind,
-    branch_index,
+    _modes,
     branch_value,
     crossing_lattice,
     lambda_bar,
@@ -45,11 +45,6 @@ def test_frozen_branch_values():
     assert mu_bar(MB, 1, 0.3) == pytest.approx(MU1_MB_T03, rel=1e-15)
     assert lambda_bar(AN, 2, 1.0) == pytest.approx(LAM2_AN_T1, rel=1e-15)
     assert nu_bar(2.0) == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-
-def test_linear_branch_only_on_annulus():
-    with pytest.raises(UnsupportedBranchError):
-        nu_bar(1.0, kind=MB)
 
 
 def test_branch_limits_at_large_modulus():
@@ -298,20 +293,26 @@ def test_branch_value_refuses_a_branch_the_surface_lacks(kind, branch):
         branch_value(kind, branch, 1.0)
 
 
-@pytest.mark.parametrize("kind, branch", _NOT_CARRIED)
-def test_branch_index_refuses_a_branch_the_surface_lacks(kind, branch):
-    with pytest.raises(UnsupportedBranchError):
-        branch_index(kind, branch)
-
-
 @pytest.mark.parametrize("kind", [MB, AN])
-def test_branch_index_inverts_the_mode_table(kind):
-    # the modes are stated by the frozen reference below (_ref_even, _ref_odd),
-    # and the library's index -> value map must agree with the branch's value
-    assert branch_index(AN, Branch(BranchKind.LINEAR, 0)) == 0
+def test_crossing_labels_name_their_branches(kind):
+    # each crossing's (m, n) indexes its even and odd branch in the mode table
+    # and in the frozen reference below (_ref_even, _ref_odd); n = 0 is the
+    # linear branch, on the annulus only
+    first = int(kind is MB)
+    lattice = crossing_lattice(kind, 60)
+    labels = [c.branch_indices for c in lattice]
+    assert sorted(labels) == [(m, n) for m in range(1, 61) for n in range(first, m + first)]
+    for c, (m, n) in zip(lattice, labels):
+        assert _modes(kind, BranchKind.EVEN_HYPERBOLIC, m)[-1] == c.increasing.mode
+        assert c.increasing == _ref_even(kind, m)
+        if n:
+            assert _modes(kind, BranchKind.ODD_HYPERBOLIC, n)[-1] == c.decreasing.mode
+            assert c.decreasing == _ref_odd(kind, n)
+        else:
+            assert c.decreasing == Branch(BranchKind.LINEAR, 0)
+    # and the library's index -> value map agrees with the branch's value
     for i in range(1, 51):
         even, odd = _ref_even(kind, i), _ref_odd(kind, i)
-        assert branch_index(kind, even) == branch_index(kind, odd) == i
         assert branch_value(kind, even, 0.7) == lambda_bar(kind, i, 0.7)
         assert branch_value(kind, odd, 0.7) == mu_bar(kind, i, 0.7)
 

@@ -86,6 +86,33 @@ def test_assembly_symmetric(kind, T):
     assert dtn.size == OracleProblem(kind=kind, T=T, grid=(40, 40)).boundary_size
 
 
+@pytest.mark.parametrize("kind", [AN, MB])
+@pytest.mark.parametrize("T", [0.05, 1.0, 3.0])
+@pytest.mark.parametrize("grid", [(8, 8), (80, 24), (24, 80), (64, 64), (120, 120)])
+def test_assembly_from_the_kernel_matches_the_dense_symmetrization(monkeypatch, kind, T, grid):
+    # the operator is built symmetric from its n_theta-long kernel; it must
+    # equal, bit for bit, the raw circulant gathered densely and then
+    # symmetrized, with its asymmetry measured over every entry
+    kernels = []
+    irfft = np.fft.irfft
+
+    def keep(*args, **kwargs):
+        kernels.append(irfft(*args, **kwargs))
+        return kernels[-1]
+
+    monkeypatch.setattr(np.fft, "irfft", keep)
+    p = OracleProblem(kind=kind, T=T, grid=grid)
+    dtn = assemble_dtn(p)
+    (kernel,) = kernels
+    j = np.arange(grid[1])
+    n_b = p.boundary_size
+    A = kernel[(j[:, None] - j) % grid[1]].transpose(2, 0, 3, 1).reshape(n_b, n_b)
+    sym = 0.5 * (A + A.T)
+    asym = float(np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300))
+    assert dtn.entries.tobytes() == sym.tobytes() and dtn.entries.shape == (n_b, n_b)
+    assert dtn.asymmetry.hex() == asym.hex()
+
+
 def test_constants_in_kernel():
     dtn = assemble_dtn(OracleProblem(kind=AN, T=1.0, grid=(40, 40)))
     ones = np.ones(dtn.size)

@@ -274,8 +274,9 @@ def test_first_intersection_max_matches_per_record_reference(max_mode):
 
 
 def test_first_intersection_max_reads_indices_off_the_lattice_order(monkeypatch):
-    # (k, l) comes from the order crossing_lattice lists the band's crossings
-    # in, not from a branch_index call per crossing
+    # (k, l) is read off each crossing's `branch_indices` label, not recovered
+    # by a call that inverts a branch's mode (branch_index, refused here if any
+    # module still binds it)
     def refuse(*args):
         raise AssertionError("branch_index called")
 
@@ -284,6 +285,17 @@ def test_first_intersection_max_reads_indices_off_the_lattice_order(monkeypatch)
     records = verify_first_intersection_max(12)
     got = [(r.label, r.lhs.hex(), r.rhs.hex()) for r in records]
     assert got == _ref_first_intersection_max(12)
+
+
+def test_verify_first_intersection_max_ignores_lattice_order(monkeypatch):
+    # each record's values follow the crossings' own labels, whatever order
+    # crossing_lattice lists them in
+    def records():
+        return {(r.label, r.lhs, r.rhs) for r in verify_first_intersection_max(12)}
+
+    expected = records()
+    monkeypatch.setattr(extrema, "crossing_lattice", lambda *a: crossing_lattice(*a)[::-1])
+    assert records() == expected
 
 
 def test_inequality_records_are_immutable_and_hash_by_value():

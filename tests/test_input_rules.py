@@ -15,7 +15,6 @@ from steklov.branches import (
     Branch,
     BranchKind,
     SurfaceKind,
-    branch_index,
     branch_value,
     crossing_lattice,
     lambda_bar,
@@ -90,10 +89,6 @@ TABLE = {
         {"mode_index": INTEGER, "T": MODULUS},
     ),
     # odd mode 1 is carried by both kinds
-    "branch_index": (
-        lambda kind, mode=1: branch_index(kind, Branch(BranchKind.ODD_HYPERBOLIC, mode)),
-        {"mode": INTEGER},
-    ),
     "branch_value": (
         lambda kind, mode=1, T=1.0: branch_value(kind, Branch(BranchKind.ODD_HYPERBOLIC, mode), T),
         {"mode": INTEGER, "T": MODULUS},
